@@ -17,8 +17,9 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         cut_value, dicut_value, graph_instance,
                         instance_from_dict, instance_to_dict, instance_to_json,
                         load_instance, parse_instance, term_coefficients)
-from .numerics import (InfeasibleError, LpProblem, LpResult, NumericError,
-                       UnboundedError, cholesky_gram, simplex_solve, sqrt_psd)
+from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, LpResult,
+                       NumericError, UnboundedError, cholesky_gram, simplex_solve,
+                       sqrt_psd)
 from .oracle import (OracleResult, SandwichReport, brute_force_robust,
                      certify_sandwich, mc_expected_cut)
 from .robust import (SaddleSolution, SolverConfig, dual_reformulated_value,
@@ -44,7 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALLEQUAL", "ALLEQUAL_COEF", "APPROX_RATIO_DICUT", "APPROX_RATIO_MAXCUT",
-    "CROSSOVER_GAMMA", "DICUT", "DomainError", "GramFactor", "InfeasibleError",
+    "CROSSOVER_GAMMA", "DICUT", "DomainError", "FeasibleTableau", "GramFactor",
+    "InfeasibleError",
     "Instance", "LpProblem", "LpResult", "MAXCUT", "NumericError",
     "OracleResult", "ParseError", "RoundConfig", "SaddleSolution",
     "SandwichReport", "SolveReport", "SolverConfig", "UnboundedError",

@@ -17,6 +17,7 @@ two graph kinds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -151,7 +152,7 @@ def instance_from_dict(d: dict) -> Instance:
         raise ParseError("n: missing")
     try:
         n = int(d["n"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"n: not an integer ({d['n']!r})") from exc
     signed = bool(d.get("signed", False))
     if kind == ALLEQUAL:
@@ -162,7 +163,7 @@ def instance_from_dict(d: dict) -> Instance:
         for idx, c in enumerate(raw):
             if not isinstance(c, dict) or "literals" not in c or "weight" not in c:
                 raise ParseError(f"clauses[{idx}]: expected object with literals and weight")
-            cl.append((c["literals"], c["weight"]))
+            cl.append((c["literals"], _finite_weight(c["weight"], f"clauses[{idx}].weight")))
         return allequal_instance(n, cl, signed=signed)
     raw = d.get("edges")
     if not isinstance(raw, list):
@@ -171,9 +172,24 @@ def instance_from_dict(d: dict) -> Instance:
     for idx, e in enumerate(raw):
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise ParseError(f"edges[{idx}]: expected [i, j, w]")
-        i, j, w = e
-        edges.append((int(i) - 1, int(j) - 1, float(w)))
+        try:
+            i, j = int(e[0]) - 1, int(e[1]) - 1
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"edges[{idx}]: endpoints must be integers ({exc})") from exc
+        edges.append((i, j, _finite_weight(e[2], f"edges[{idx}]")))
     return graph_instance(n, kind, edges, signed=signed)
+
+
+def _finite_weight(value, where: str) -> float:
+    """`value` as a float; a ParseError naming `where` unless it is a finite
+    number (JSON text and float() both accept NaN and Infinity)."""
+    try:
+        w = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: weight is not a number ({value!r})") from exc
+    if not math.isfinite(w):
+        raise ParseError(f"{where}: weight is not a finite number ({w})")
+    return w
 
 
 def parse_instance(text: str) -> Instance:
@@ -197,9 +213,10 @@ def parse_edge_list(text: str, kind: str = MAXCUT) -> Instance:
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 'i j w', got {body!r}")
         try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        w = _finite_weight(parts[2], f"line {lineno}: edges[{len(edges)}]")
         if i < 1 or j < 1:
             raise ParseError(f"line {lineno}: vertex ids are 1-based, got {i}, {j}")
         n = max(n, i, j)

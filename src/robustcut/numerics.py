@@ -1,5 +1,6 @@
 """Dense numerical kernels: PSD factorization, matrix square root, and a
-two-phase simplex solver with exact duals.
+two-phase simplex solver with exact duals whose phase 1 can be kept and
+reused for any number of cost vectors.
 
 Matrices are plain ``numpy.ndarray``; everything here is deterministic for a
 fixed input (no randomized pivoting, Bland's rule throughout).
@@ -97,6 +98,37 @@ def sqrt_psd(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 SENSES = (">=", "<=", "=")
 
 
+def _check_region(A, b, senses, lb):
+    """Normalise and validate the constraint data of {A x (senses) b, x >= lb}."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    m, n = A.shape
+    if b.shape != (m,):
+        raise ValueError(f"b: expected shape ({m},), got {b.shape}")
+    senses = tuple(senses)
+    if len(senses) != m:
+        raise ValueError(f"senses: expected {m} entries, got {len(senses)}")
+    for s in senses:
+        if s not in SENSES:
+            raise ValueError(f"senses: unknown sense {s!r}")
+    if lb is None:
+        lb = np.zeros(n)
+    else:
+        lb = np.asarray(lb, dtype=float)
+        if lb.shape != (n,):
+            raise ValueError(f"lb: expected shape ({n},), got {lb.shape}")
+        if not np.all(np.isfinite(lb)):
+            raise ValueError("lb: bounds must be finite")
+    return A, b, senses, lb
+
+
+def _check_cost(c, n: int) -> np.ndarray:
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.shape != (n,):
+        raise ValueError(f"c: expected shape ({n},), got {c.shape}")
+    return c
+
+
 @dataclass
 class LpProblem:
     """min c.x  s.t.  A x (>=|<=|=) b  componentwise per `senses`, x >= lb.
@@ -112,28 +144,9 @@ class LpProblem:
     lb: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        m, n = self.A.shape
-        if self.c.shape != (n,):
-            raise ValueError(f"c: expected shape ({n},), got {self.c.shape}")
-        if self.b.shape != (m,):
-            raise ValueError(f"b: expected shape ({m},), got {self.b.shape}")
-        self.senses = tuple(self.senses)
-        if len(self.senses) != m:
-            raise ValueError(f"senses: expected {m} entries, got {len(self.senses)}")
-        for s in self.senses:
-            if s not in SENSES:
-                raise ValueError(f"senses: unknown sense {s!r}")
-        if self.lb is None:
-            self.lb = np.zeros(n)
-        else:
-            self.lb = np.asarray(self.lb, dtype=float)
-            if self.lb.shape != (n,):
-                raise ValueError(f"lb: expected shape ({n},), got {self.lb.shape}")
-            if not np.all(np.isfinite(self.lb)):
-                raise ValueError("lb: bounds must be finite")
+        self.A, self.b, self.senses, self.lb = _check_region(self.A, self.b,
+                                                             self.senses, self.lb)
+        self.c = _check_cost(self.c, self.A.shape[1])
 
 
 @dataclass
@@ -147,9 +160,9 @@ class LpResult:
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col][:, None] * piv
     basis[row] = col
 
 
@@ -182,102 +195,144 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
             raise NumericError(f"simplex: pivot limit {max_pivots} exceeded")
 
 
+class FeasibleTableau:
+    """Phase 1 of the dense two-phase simplex for the fixed region
+    {x : A x (senses) b, x >= lb}, run once.
+
+    The constructor standardises the rows, drives the artificials out (also
+    the zero-level ones where possible) and keeps the feasible tableau and
+    basis; it raises :class:`InfeasibleError` when the region is empty.
+    :meth:`solve` runs phase 2 for one cost vector on a copy of them, so
+    every solve starts from the same phase-1 basis and no state carries over
+    between solves.  ``phase1_pivots`` counts the constructor's pivots.
+    """
+
+    def __init__(self, A, b, senses, lb=None, tol: float = 1e-9):
+        A, b, senses, lb = _check_region(A, b, senses, lb)
+        m, n = A.shape
+        # shift lower bounds to zero
+        b = b - A @ lb
+        # slack/surplus columns
+        ns = sum(1 for s in senses if s != "=")
+        A_std = np.zeros((m, n + ns))
+        A_std[:, :n] = A
+        k = n
+        slack_col = [-1] * m
+        for i, s in enumerate(senses):
+            if s == "<=":
+                A_std[i, k] = 1.0
+                slack_col[i] = k
+                k += 1
+            elif s == ">=":
+                A_std[i, k] = -1.0
+                slack_col[i] = k
+                k += 1
+        # flip rows to make rhs nonnegative
+        flip = np.where(b < 0.0, -1.0, 1.0)
+        A_std *= flip[:, None]
+        b = b * flip
+        # initial basis: a +1 slack column where available, else an artificial
+        ncols = n + ns
+        ident_col = np.empty(m, dtype=int)
+        basis = np.empty(m, dtype=int)
+        art_cols = []
+        art_extra = []
+        for i in range(m):
+            sc = slack_col[i]
+            if sc >= 0 and A_std[i, sc] > 0.5:
+                basis[i] = sc
+                ident_col[i] = sc
+            else:
+                art_extra.append(i)
+        A_full = np.zeros((m, ncols + len(art_extra)))
+        A_full[:, :ncols] = A_std
+        for a, i in enumerate(art_extra):
+            col = ncols + a
+            A_full[i, col] = 1.0
+            basis[i] = col
+            ident_col[i] = col
+            art_cols.append(col)
+        total = A_full.shape[1]
+        art_mask = np.zeros(total, dtype=bool)
+        art_mask[art_cols] = True
+
+        T = np.zeros((m + 1, total + 1))
+        T[:m, :total] = A_full
+        T[:m, -1] = b
+        max_pivots = 2000 + 50 * (m + total)
+
+        # phase 1: drive out artificials
+        pivots = 0
+        if art_cols:
+            T[-1, :] = 0.0
+            T[-1, art_cols] = 1.0
+            for i in range(m):
+                if art_mask[basis[i]]:
+                    T[-1] -= T[i]
+            pivots += _run_simplex(T, basis, np.ones(total, dtype=bool), tol, max_pivots)
+            feas = -T[-1, -1]
+            if feas > 1e-7 * (1.0 + float(np.abs(b).sum())):
+                raise InfeasibleError(f"infeasible: phase-1 residual {feas:.3e}")
+            # pivot remaining zero-level artificials out where possible
+            for i in range(m):
+                if art_mask[basis[i]]:
+                    cand = np.flatnonzero(~art_mask & (np.abs(T[i, :total]) > tol))
+                    if cand.size:
+                        _pivot(T, basis, i, int(cand[0]))
+                        pivots += 1
+
+        self.phase1_pivots = pivots
+        self._lb = lb
+        self._tol = tol
+        self._T = T
+        self._basis = basis
+        self._allowed = ~art_mask
+        self._ident_col = ident_col
+        self._flip = flip
+        self._max_pivots = max_pivots
+
+    def solve(self, c) -> LpResult:
+        """Phase 2 for  min c.x  over the region, from the phase-1 basis.
+
+        Returns the Bland-first optimal vertex, the objective value, and one
+        dual multiplier per input row (sign convention: duals of ``>=`` rows
+        are >= 0, of ``<=`` rows <= 0, of ``=`` rows free, so that value =
+        b.dual whenever lb = 0).  ``iterations`` counts this call's phase-2
+        pivots only.
+        """
+        n = len(self._lb)
+        c = _check_cost(c, n)
+        T = self._T.copy()
+        basis = self._basis.copy()
+        m = len(basis)
+        total = T.shape[1] - 1
+        cost = np.zeros(total)
+        cost[:n] = c
+        T[-1, :total] = cost
+        T[-1, -1] = 0.0
+        for i in np.flatnonzero(cost[basis] != 0.0):
+            T[-1] -= cost[basis[i]] * T[i]
+        pivots = _run_simplex(T, basis, self._allowed, self._tol, self._max_pivots)
+
+        x_std = np.zeros(total)
+        x_std[basis] = T[:m, -1]
+        x = x_std[:n] + self._lb
+        value = float(c @ x)
+        # duals read off the reduced costs of the initial identity columns
+        y_tilde = -T[-1, self._ident_col]
+        dual = y_tilde * self._flip
+        return LpResult(x=x, value=value, dual=dual, iterations=pivots)
+
+
 def simplex_solve(lp: LpProblem, tol: float = 1e-9) -> LpResult:
     """Solve an :class:`LpProblem` by the dense two-phase simplex method.
 
-    Returns the Bland-first optimal vertex, the objective value, and one dual
-    multiplier per input row (sign convention: duals of ``>=`` rows are >= 0,
-    of ``<=`` rows <= 0, of ``=`` rows free, so that value = b.dual whenever
-    lb = 0).  Strong duality holds to machine precision at the returned point.
+    One-shot use of :class:`FeasibleTableau`: phase 1 for the problem's
+    region, then phase 2 for its cost vector.  ``iterations`` counts the
+    pivots of both phases.  Strong duality holds to machine precision at the
+    returned point.
     """
-    m, n = lp.A.shape
-    # shift lower bounds to zero
-    b = lp.b - lp.A @ lp.lb
-    # slack/surplus columns
-    ns = sum(1 for s in lp.senses if s != "=")
-    A_std = np.zeros((m, n + ns))
-    A_std[:, :n] = lp.A
-    k = n
-    slack_col = [-1] * m
-    for i, s in enumerate(lp.senses):
-        if s == "<=":
-            A_std[i, k] = 1.0
-            slack_col[i] = k
-            k += 1
-        elif s == ">=":
-            A_std[i, k] = -1.0
-            slack_col[i] = k
-            k += 1
-    # flip rows to make rhs nonnegative
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    A_std *= flip[:, None]
-    b = b * flip
-    # initial basis: a +1 slack column where available, else an artificial
-    ncols = n + ns
-    ident_col = np.empty(m, dtype=int)
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    art_extra = []
-    for i in range(m):
-        sc = slack_col[i]
-        if sc >= 0 and A_std[i, sc] > 0.5:
-            basis[i] = sc
-            ident_col[i] = sc
-        else:
-            art_extra.append(i)
-    A_full = np.zeros((m, ncols + len(art_extra)))
-    A_full[:, :ncols] = A_std
-    for a, i in enumerate(art_extra):
-        col = ncols + a
-        A_full[i, col] = 1.0
-        basis[i] = col
-        ident_col[i] = col
-        art_cols.append(col)
-    total = A_full.shape[1]
-    art_mask = np.zeros(total, dtype=bool)
-    art_mask[art_cols] = True
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :total] = A_full
-    T[:m, -1] = b
-    max_pivots = 2000 + 50 * (m + total)
-
-    # phase 1: drive out artificials
-    pivots = 0
-    if art_cols:
-        T[-1, :] = 0.0
-        T[-1, art_cols] = 1.0
-        for i in range(m):
-            if art_mask[basis[i]]:
-                T[-1] -= T[i]
-        pivots += _run_simplex(T, basis, np.ones(total, dtype=bool), tol, max_pivots)
-        feas = -T[-1, -1]
-        if feas > 1e-7 * (1.0 + float(np.abs(b).sum())):
-            raise InfeasibleError(f"infeasible: phase-1 residual {feas:.3e}")
-        # pivot remaining zero-level artificials out where possible
-        for i in range(m):
-            if art_mask[basis[i]]:
-                cand = np.flatnonzero(~art_mask & (np.abs(T[i, :total]) > tol))
-                if cand.size:
-                    _pivot(T, basis, i, int(cand[0]))
-                    pivots += 1
-
-    # phase 2: original objective
-    cost = np.zeros(total)
-    cost[:n] = lp.c
-    T[-1, :total] = cost
-    T[-1, -1] = 0.0
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
-    pivots += _run_simplex(T, basis, ~art_mask, tol, max_pivots)
-
-    x_std = np.zeros(total)
-    x_std[basis] = T[:m, -1]
-    x = x_std[:n] + lp.lb
-    value = float(lp.c @ x)
-    # duals read off the reduced costs of the initial identity columns
-    y_tilde = -T[-1, ident_col]
-    dual = y_tilde * flip
-    return LpResult(x=x, value=value, dual=dual, iterations=pivots)
+    tableau = FeasibleTableau(lp.A, lp.b, lp.senses, lp.lb, tol)
+    res = tableau.solve(lp.c)
+    res.iterations += tableau.phase1_pivots
+    return res

@@ -34,9 +34,8 @@ from .rounding import (ALLEQUAL_COEF, APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
                        expected_cut_exact, expected_dicut_exact, round_cut,
                        sign_round_psd)
 from .sdp import GramFactor, term_gram_coefficients
-from .uncertainty import (SINGLETON, WASSERSTEIN, UncertaintySpec,
-                          require_valid, sample_feasible, worst_case_mean,
-                          worst_case_weights)
+from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
+                          sample_feasible, worst_case_weights)
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -78,11 +77,7 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     count = 0
     for y in enumerate_signs(inst.n, fix_first):
         count += 1
-        coef = term_coefficients(inst, y)
-        if spec.kind == WASSERSTEIN:
-            _, w, v = worst_case_mean(spec, coef)
-        else:
-            w, v = worst_case_weights(spec, coef)
+        w, v = worst_case_weights(spec, term_coefficients(inst, y))
         if v > best_v:
             best_v = v
             best_y = y.copy()
@@ -228,11 +223,7 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
     # upper half: the worst case of any fixed rounded solution is dominated
     # by the robust optimum
     for t, y in enumerate(test_points):
-        coef = term_coefficients(inst, y)
-        if spec.kind == WASSERSTEIN:
-            _, _, v = worst_case_mean(spec, coef)
-        else:
-            _, v = worst_case_weights(spec, coef)
+        _, v = worst_case_weights(spec, term_coefficients(inst, y))
         checks.append(Check(f"upper_sandwich[round{t}]",
                             v <= oracle.value + exact_tol, v, oracle.value))
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .instances import DomainError, Instance, ParseError
-from .numerics import (InfeasibleError, LpProblem, NumericError, UnboundedError,
+from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, UnboundedError,
                        simplex_solve, sqrt_psd)
 
 SINGLETON = "singleton"
@@ -58,6 +58,9 @@ class UncertaintySpec:
     radius: float = 0.0
     metric: Optional[np.ndarray] = None
     auto_metric: bool = False  # metric was derived as d_ij = ||s_i - s_j||_1
+    # (defining fields, FeasibleTableau) of the set's LP region, built on first
+    # use by _feasible_tableau; not part of the set's value
+    _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def dim(self) -> int:
         """Dimension of the weight space the set lives in."""
@@ -151,14 +154,12 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
                         v.append(f"polyhedron: negative declared lower bound "
                                  f"{lower!r} for weight {int(nz[0])}")
             try:
-                simplex_solve(LpProblem(np.zeros(dim), spec.A, spec.b,
-                                        [">="] * spec.A.shape[0]))
+                tableau = _feasible_tableau(spec)
             except InfeasibleError:
                 v.append("polyhedron: empty feasible set")
             if not v:
                 try:
-                    simplex_solve(LpProblem(-np.ones(dim), spec.A, spec.b,
-                                            [">="] * spec.A.shape[0]))
+                    tableau.solve(-np.ones(dim))
                 except UnboundedError:
                     v.append("polyhedron: unbounded (no finite weight cap)")
     elif spec.kind == ELLIPSOIDAL:
@@ -213,6 +214,32 @@ def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
 # worst-case oracles
 # ---------------------------------------------------------------------------
 
+def _feasible_tableau(spec: UncertaintySpec) -> FeasibleTableau:
+    """Phase 1 of the set's LP region, run once per set: the rows A w >= b of
+    a polyhedron, or the transport rows of a Wasserstein ball (coupling K >= 0
+    flattened row-major, index i*k + j; column marginals sum_i K_ij equal the
+    empirical weights; transport cost sum d_ij K_ij <= r0).
+
+    The tableau is kept on the spec and rebuilt only when one of its defining
+    fields was reassigned.  Each oracle call then runs phase 2 alone.
+    """
+    if spec.kind == POLYHEDRAL:
+        key = (spec.A, spec.b)
+    else:
+        key = (spec.empirical, spec.metric, spec.radius)
+    if spec._lp is not None and all(x is y for x, y in zip(spec._lp[0], key)):
+        return spec._lp[1]
+    if spec.kind == POLYHEDRAL:
+        tableau = FeasibleTableau(spec.A, spec.b, [">="] * spec.A.shape[0])
+    else:
+        k = spec.support.shape[0]
+        A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
+        tableau = FeasibleTableau(A, np.append(spec.empirical, spec.radius),
+                                  ["="] * k + ["<="])
+    spec._lp = (key, tableau)
+    return tableau
+
+
 def _check_coef(spec: UncertaintySpec, coef) -> np.ndarray:
     coef = np.asarray(coef, dtype=float)
     dim = spec.dim()
@@ -239,7 +266,7 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
         return w, float(coef @ w)
 
     if spec.kind == POLYHEDRAL:
-        res = simplex_solve(LpProblem(coef, spec.A, spec.b, [">="] * spec.A.shape[0]))
+        res = _feasible_tableau(spec).solve(coef)
         return res.x, res.value
 
     if spec.kind == ELLIPSOIDAL:
@@ -251,7 +278,7 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
         return w, float(coef @ w)
 
     # wasserstein: worst mean weights
-    _, mean_w, value = worst_case_mean(spec, coef)
+    _, mean_w, value = _worst_mean(spec, coef)
     return mean_w, value
 
 
@@ -261,32 +288,23 @@ def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray
     Minimizes  sum_i p_i (coef . s_i)  over distributions p on the support
     whose transport distance to the empirical distribution is at most the
     radius.  Solved as an LP over couplings K >= 0 with column marginals fixed
-    to the empirical weights and transport cost sum d_ij K_ij <= r0.  Returns
+    to the empirical weights and transport cost sum d_ij K_ij <= r0 (phase 1
+    shared by every call on the set, see :func:`_feasible_tableau`).  Returns
     (p*, mean weights, value).
     """
     if spec.kind != WASSERSTEIN:
         raise DomainError(f"worst_case_mean: set kind is {spec.kind}")
-    coef = _check_coef(spec, coef)
+    return _worst_mean(spec, _check_coef(spec, coef))
+
+
+def _worst_mean(spec: UncertaintySpec, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`worst_case_mean` for a coefficient vector already checked."""
     k = spec.support.shape[0]
     if float(coef.max(initial=0.0)) <= _ZERO_COEF:
         p = spec.empirical.copy()
         return p, spec.support.T @ p, 0.0
     costs = spec.support @ coef  # cost of landing on each support point
-    nvar = k * k
-    c = np.repeat(costs, k)  # K flattened row-major: index i*k + j
-    rows = []
-    rhs = []
-    senses = []
-    for j in range(k):
-        row = np.zeros(nvar)
-        row[j::k] = 1.0  # sum_i K_ij = empirical_j
-        rows.append(row)
-        rhs.append(spec.empirical[j])
-        senses.append("=")
-    rows.append(spec.metric.reshape(-1))
-    rhs.append(spec.radius)
-    senses.append("<=")
-    res = simplex_solve(LpProblem(c, np.array(rows), np.array(rhs), senses))
+    res = _feasible_tableau(spec).solve(np.repeat(costs, k))  # cost of K_ij: costs_i
     K = res.x.reshape(k, k)
     p = K.sum(axis=1)
     return p, spec.support.T @ p, float(costs @ p)
@@ -296,7 +314,7 @@ def dual_polyhedral_value(spec: UncertaintySpec, coef) -> float:
     """Value of the dual LP  max b.p  s.t.  A^T p <= coef, p >= 0.
 
     Equals the primal worst case by strong duality; computed through an
-    independent simplex run for cross-checking.
+    independent, cold simplex run (no shared tableau) for cross-checking.
     """
     if spec.kind != POLYHEDRAL:
         raise DomainError(f"dual_polyhedral_value: set kind is {spec.kind}")
@@ -328,8 +346,7 @@ def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
         return np.clip(pts, 0.0, None)  # clip roundoff-level negatives
 
     if spec.kind == POLYHEDRAL:
-        nrows = spec.A.shape[0]
-        start = simplex_solve(LpProblem(np.zeros(dim), spec.A, spec.b, [">="] * nrows)).x
+        start = _feasible_tableau(spec).solve(np.zeros(dim)).x
         out = np.empty((count, dim))
         w = start.copy()
         for t in range(count):
@@ -365,19 +382,13 @@ def _vertex_coef(spec: UncertaintySpec, g: np.ndarray) -> np.ndarray:
 def _chord(A: np.ndarray, b: np.ndarray, w: np.ndarray, d: np.ndarray,
            eps: float = 1e-12) -> tuple[float, float]:
     """Step range t so that w + t d stays in {A x >= b, x >= 0}."""
-    lo, hi = -np.inf, np.inf
-    Ad = A @ d
-    slack = A @ w - b
-    for r in range(len(b)):
-        if Ad[r] < -eps:
-            hi = min(hi, slack[r] / -Ad[r])
-        elif Ad[r] > eps:
-            lo = max(lo, -slack[r] / Ad[r])
-    for i in range(len(w)):
-        if d[i] < -eps:
-            hi = min(hi, w[i] / -d[i])
-        elif d[i] > eps:
-            lo = max(lo, -w[i] / d[i])
+    # every row, of A x >= b and of x >= 0 alike, reads slack + t * rate >= 0
+    rate = np.concatenate([A @ d, d])
+    slack = np.concatenate([A @ w - b, w])
+    down = rate < -eps
+    up = rate > eps
+    hi = float(np.min(slack[down] / -rate[down], initial=np.inf))
+    lo = float(np.max(-slack[up] / rate[up], initial=-np.inf))
     return lo, hi
 
 
@@ -393,15 +404,33 @@ def spec_from_dict(d: dict) -> UncertaintySpec:
         raise ParseError(f"kind: expected one of {SET_KINDS}, got {kind!r}")
     try:
         if kind == SINGLETON:
-            return singleton_spec(d["weights"])
+            return singleton_spec(_numbers(d, "weights"))
         if kind == POLYHEDRAL:
-            return polyhedral_spec(d["A"], d["b"])
+            return polyhedral_spec(_numbers(d, "A"), _numbers(d, "b"))
         if kind == ELLIPSOIDAL:
-            return ellipsoidal_spec(d["w0"], d["Q"], d["a"])
-        return wasserstein_spec(d["support"], d["empirical"], d["radius"],
-                                d.get("metric", "l1"))
+            return ellipsoidal_spec(_numbers(d, "w0"), _numbers(d, "Q"), _numbers(d, "a"))
+        metric = d.get("metric", "l1")
+        if not isinstance(metric, str):
+            metric = _numbers(d, "metric")
+        return wasserstein_spec(_numbers(d, "support"), _numbers(d, "empirical"),
+                                _numbers(d, "radius"), metric)
     except KeyError as exc:
         raise ParseError(f"spec field missing: {exc.args[0]}") from exc
+
+
+def _numbers(d: dict, key: str) -> np.ndarray:
+    """Field `key` as a float array; a ParseError names the first entry that
+    is not a finite number (JSON text may carry NaN and Infinity)."""
+    try:
+        arr = np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key}: expected numbers ({exc})") from exc
+    finite = np.isfinite(arr)
+    if not np.all(finite):
+        at = tuple(int(i) for i in np.argwhere(~finite)[0]) if arr.ndim else ()
+        index = "".join(f"[{i}]" for i in at)
+        raise ParseError(f"{key}{index}: not a finite number ({float(arr[at])})")
+    return arr
 
 
 def parse_spec(text: str) -> UncertaintySpec:

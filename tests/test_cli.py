@@ -178,6 +178,33 @@ def test_solve_allequal_end_to_end(tmp_path):
     assert set(rep["rounding"]["cut"]) <= {-1, 1}
 
 
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))  # json writes NaN as NaN, read back as nan
+    return str(path)
+
+
+def test_solve_rejects_nan_in_spec(tmp_path, capsys):
+    inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
+                                             "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
+    spec = write_json(tmp_path / "box.json", {
+        "kind": "polyhedral", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+        "b": [0.5, float("nan"), -1, -1]})
+    assert run("solve", "--instance", inst, "--spec", spec) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert "b[1]" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_solve_rejects_nan_edge_weight(tmp_path, capsys):
+    inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
+                                             "edges": [[1, 2, float("nan")], [2, 3, 1.0]]})
+    spec = write_json(tmp_path / "one.json", {"kind": "singleton", "weights": [1.0, 1.0]})
+    assert run("solve", "--instance", inst, "--spec", spec) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert "edges[0]" in err and "Traceback" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -254,6 +254,28 @@ def test_parse_rejects_malformed():
                                    "edges": [[1, 2, -0.5]]}))
 
 
+@pytest.mark.parametrize("d, field", [
+    ({"kind": "maxcut", "n": 3, "edges": [[1, 2, float("nan")], [2, 3, 1.0]]}, "edges[0]"),
+    ({"kind": "dicut", "n": 3, "edges": [[1, 2, 1.0], [2, 3, float("inf")]]}, "edges[1]"),
+    ({"kind": "maxcut", "n": 3, "edges": [[1, 2, "heavy"]]}, "edges[0]"),
+    ({"kind": "maxcut", "n": 3, "edges": [[1, None, 1.0]]}, "edges[0]"),
+    ({"kind": "maxcut", "n": float("inf"), "edges": [[1, 2, 1.0]]}, "n"),
+    ({"kind": "allequal", "n": 3, "clauses": [
+        {"literals": [1, 2], "weight": 1.0},
+        {"literals": [2, -3], "weight": float("-inf")}]}, "clauses[1].weight"),
+])
+def test_parse_rejects_non_finite_and_non_numeric(d, field):
+    with pytest.raises(ParseError, match=field.replace("[", r"\[").replace("]", r"\]")):
+        parse_instance(json.dumps(d))  # json writes NaN/Infinity and reads them back
+
+
+def test_edge_list_rejects_non_finite_weight():
+    with pytest.raises(ParseError, match=r"line 2: edges\[1\]"):
+        parse_edge_list("1 2 1.0\n2 3 nan\n", kind=MAXCUT)
+    with pytest.raises(ParseError, match="line 1"):
+        parse_edge_list("1 2 inf\n", kind=MAXCUT)
+
+
 def test_edge_list_format():
     text = "# a triangle\n1 2 1.0\n2 3 0.5\n\n1 3 2.0\n"
     inst = parse_edge_list(text, kind=MAXCUT)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.numerics import (InfeasibleError, LpProblem, NumericError,
-                                UnboundedError, cholesky_gram, simplex_solve,
-                                sqrt_psd)
+from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem,
+                                NumericError, UnboundedError, _pivot,
+                                cholesky_gram, simplex_solve, sqrt_psd)
 
 
 def vertex_enum_min(c, A, b, senses):
@@ -224,3 +224,105 @@ def test_lp_rejects_inconsistent_shapes():
     with pytest.raises(ValueError):
         LpProblem(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),
                   senses=("!!",))
+
+
+# ---------------------------------------------------------------------------
+# FeasibleTableau: phase 1 once per region, phase 2 once per cost vector
+# ---------------------------------------------------------------------------
+
+def pivot_loop(T, basis, row, col):
+    """Row-by-row reference for the tableau pivot."""
+    T[row] /= T[row, col]
+    piv = T[row]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * piv
+    basis[row] = col
+
+
+def test_pivot_matches_row_loop_bitwise():
+    rng = streams.stream(37, streams.TAG_GEN, 0)
+    for _ in range(100):
+        rows, cols = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+        T = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        row, col = int(rng.integers(rows - 1)), int(rng.integers(cols))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        ref, ref_basis = T.copy(), np.arange(rows - 1)
+        basis = ref_basis.copy()
+        pivot_loop(ref, ref_basis, row, col)
+        _pivot(T, basis, row, col)
+        assert T.tobytes() == ref.tobytes()
+        assert np.array_equal(basis, ref_basis)
+
+
+def box_region():
+    lower = np.array([0.5, 1.0, 0.0, 0.2, 0.8])
+    upper = lower + np.array([1.0, 0.5, 1.0, 2.0, 0.0])  # one degenerate side
+    A = np.vstack([np.eye(5), -np.eye(5)])
+    return A, np.concatenate([lower, -upper]), (">=",) * 10
+
+
+def scenario_hull_region():
+    # convex hull of three weight scenarios: w = S^T lam, lam in the simplex,
+    # written over (w, lam) with equality and sign rows
+    S = np.array([[1.0, 0.5, 1.5, 1.0], [0.5, 1.5, 0.5, 2.0], [1.2, 1.2, 0.2, 0.0]])
+    k, m = S.shape
+    A = np.vstack([np.hstack([np.eye(m), -S.T]),
+                   np.concatenate([np.zeros(m), np.ones(k)])[None, :]])
+    return A, np.concatenate([np.zeros(m), [1.0]]), ("=",) * (m + 1)
+
+
+def transport_region():
+    # couplings K >= 0 (row-major), column marginals fixed, transport cost <= r
+    support = np.array([[1.0, 0.5, 1.5], [0.5, 1.5, 0.5], [2.0, 0.0, 1.0]])
+    k = len(support)
+    metric = np.abs(support[:, None, :] - support[None, :, :]).sum(axis=2)
+    A = np.vstack([np.tile(np.eye(k), k), metric.reshape(1, -1)])
+    b = np.append(np.array([0.2, 0.5, 0.3]), 0.6)
+    return A, b, ("=",) * k + ("<=",)
+
+
+@pytest.mark.parametrize("region", [box_region, scenario_hull_region,
+                                    transport_region])
+def test_tableau_solve_is_bitwise_cold_simplex(region):
+    A, b, senses = region()
+    n = A.shape[1]
+    rng = streams.stream(29, streams.TAG_GEN, 0)
+    costs = [rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.7)
+             for _ in range(15)] + [np.zeros(n)]
+    cold = [simplex_solve(LpProblem(c, A, b, senses)) for c in costs]
+    tableau = FeasibleTableau(A, b, senses)
+    # shuffled and repeated, so state carried between solves would show
+    for i in np.concatenate([rng.permutation(len(costs)), rng.permutation(len(costs))]):
+        warm = tableau.solve(costs[i])
+        assert warm.x.tobytes() == cold[i].x.tobytes()
+        assert warm.value == cold[i].value
+        assert warm.dual.tobytes() == cold[i].dual.tobytes()
+        assert tableau.phase1_pivots + warm.iterations == cold[i].iterations
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the largest-coefficient rule cycles on this degenerate LP;
+    # Bland's rule must reach the optimum -5/4 at (1, 0, 1, 0)
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    senses = ("<=",) * 3
+    for res in (simplex_solve(LpProblem(c, A, b, senses)),
+                FeasibleTableau(A, b, senses).solve(c)):
+        assert res.value == pytest.approx(-1.25, abs=1e-12)
+        assert np.allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert res.dual @ b == pytest.approx(res.value, abs=1e-12)
+
+
+def test_tableau_errors():
+    with pytest.raises(InfeasibleError):
+        FeasibleTableau(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), (">=", ">="))
+    tableau = FeasibleTableau(np.array([[1.0]]), np.array([0.0]), (">=",))
+    with pytest.raises(UnboundedError):
+        tableau.solve(np.array([-1.0]))
+    with pytest.raises(ValueError):
+        tableau.solve(np.array([1.0, 2.0]))
+    # a failed solve leaves the stored phase-1 tableau intact
+    assert tableau.solve(np.array([1.0])).value == 0.0

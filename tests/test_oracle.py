@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from robustcut import streams
+from robustcut import numerics, streams
+from robustcut.gen import box_for, gnp_instance, wasserstein_for
 from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
                                  allequal_value, cut_value, dicut_value,
                                  graph_instance)
@@ -95,6 +96,25 @@ def test_brute_wasserstein_zero_radius_reduces():
     nominal = brute_force_robust(inst, singleton_spec(mean))
     assert res.value == pytest.approx(nominal.value, abs=1e-9)
     assert res.value == pytest.approx(exhaustive_max(inst, mean), abs=1e-9)
+
+
+@pytest.mark.parametrize("make_spec", [lambda inst: box_for(inst, 0.2),
+                                       lambda inst: wasserstein_for(inst, 3, 0.3)])
+def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
+    # 2^(n-1) oracle calls share one phase 1 (validation builds it)
+    inst = gnp_instance(8, 0.5, 3)
+    spec = make_spec(inst)
+    built = []
+    init = numerics.FeasibleTableau.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.FeasibleTableau, "__init__", counting_init)
+    res = brute_force_robust(inst, spec)
+    assert res.enumerated == 2 ** 7
+    assert len(built) == 1
 
 
 def test_brute_singleton_matches_exhaustive_sweep():

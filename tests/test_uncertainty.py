@@ -13,7 +13,8 @@ import pytest
 from robustcut import streams
 from robustcut.instances import DomainError
 from robustcut.numerics import sqrt_psd
-from robustcut.uncertainty import (box_spec, dual_polyhedral_value,
+from robustcut.instances import ParseError
+from robustcut.uncertainty import (_chord, box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
@@ -328,6 +329,83 @@ def test_spec_parse_errors():
         parse_spec("{\"kind\": \"nope\"}")
     with pytest.raises(Exception):
         parse_spec("{}")
+
+
+@pytest.mark.parametrize("d, field", [
+    ({"kind": "singleton", "weights": [1.0, float("nan")]}, "weights[1]"),
+    ({"kind": "polyhedral", "A": [[1.0, 0.0], [0.0, float("inf")]], "b": [0.0, 0.0]},
+     "A[1][1]"),
+    ({"kind": "polyhedral", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+      "b": [0.5, float("nan"), -1, -1]}, "b[1]"),
+    ({"kind": "ellipsoidal", "w0": [float("-inf"), 1.0], "Q": [[1, 0], [0, 1]], "a": 0.1},
+     "w0[0]"),
+    ({"kind": "ellipsoidal", "w0": [1.0, 1.0], "Q": [[1, float("nan")], [0, 1]], "a": 0.1},
+     "Q[0][1]"),
+    ({"kind": "ellipsoidal", "w0": [1.0, 1.0], "Q": [[1, 0], [0, 1]], "a": float("nan")},
+     "a"),
+    ({"kind": "wasserstein", "support": [[1.0, float("nan")]], "empirical": [1.0],
+      "radius": 0.1}, "support[0][1]"),
+    ({"kind": "wasserstein", "support": [[1.0, 1.0]], "empirical": [float("nan")],
+      "radius": 0.1}, "empirical[0]"),
+    ({"kind": "wasserstein", "support": [[1.0, 1.0]], "empirical": [1.0],
+      "radius": float("inf")}, "radius"),
+    ({"kind": "wasserstein", "support": [[1.0], [2.0]], "empirical": [0.5, 0.5],
+      "radius": 0.1, "metric": [[0, 1], [float("nan"), 0]]}, "metric[1][0]"),
+    ({"kind": "polyhedral", "A": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}, "A"),
+])
+def test_spec_parse_rejects_non_finite(d, field):
+    # json writes NaN/Infinity and reads them back, so parse must catch them
+    with pytest.raises(ParseError) as info:
+        parse_spec(json.dumps(d))
+    assert str(info.value).startswith(field + ":")
+
+
+def test_spec_tableau_is_a_private_cache():
+    spec = box_spec(np.array([0.5, 1.0]), np.array([1.5, 2.0]))
+    twin = box_spec(np.array([0.5, 1.0]), np.array([1.5, 2.0]))
+    w, _ = worst_case_weights(spec, np.array([1.0, 1.0]))
+    assert np.allclose(w, [0.5, 1.0])
+    assert repr(spec) == repr(twin)
+    assert spec_to_json(spec) == spec_to_json(twin)
+    # reassigning a defining field rebuilds phase 1 for the new region
+    spec.b = np.array([0.2, 0.1, -1.5, -2.0])
+    w, _ = worst_case_weights(spec, np.array([1.0, 1.0]))
+    assert np.allclose(w, [0.2, 0.1])
+    ball = wasserstein_spec(np.array([[1.0, 1.0], [0.0, 0.5]]), np.array([0.5, 0.5]), 0.0)
+    assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(1.25)
+    ball.radius = 10.0
+    assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(0.5)
+
+
+def chord_loops(A, b, w, d, eps=1e-12):
+    """Row-by-row reference for the hit-and-run chord."""
+    lo, hi = -np.inf, np.inf
+    Ad = A @ d
+    slack = A @ w - b
+    for r in range(len(b)):
+        if Ad[r] < -eps:
+            hi = min(hi, slack[r] / -Ad[r])
+        elif Ad[r] > eps:
+            lo = max(lo, -slack[r] / Ad[r])
+    for i in range(len(w)):
+        if d[i] < -eps:
+            hi = min(hi, w[i] / -d[i])
+        elif d[i] > eps:
+            lo = max(lo, -w[i] / d[i])
+    return lo, hi
+
+
+def test_chord_matches_row_loop_exactly():
+    rng = streams.stream(31, streams.TAG_GEN, 0)
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        lower = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
+        upper = lower + rng.uniform(0.0, 1.0, m)
+        spec = box_spec(lower, upper)
+        # interior points and points on faces (zero slack)
+        w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
+        d = rng.standard_normal(m) * (rng.random(m) < 0.8)
+        assert _chord(spec.A, spec.b, w, d) == chord_loops(spec.A, spec.b, w, d)
 
 
 def test_load_spec_from_file(tmp_path):
