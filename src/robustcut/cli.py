@@ -29,11 +29,11 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
 from .numerics import InfeasibleError, NumericError, UnboundedError
 from .oracle import allequal_quadratic_matrix, certify_sandwich
 from .robust import SaddleSolution, SolverConfig, solve_robust
-from .rounding import (CROSSOVER_GAMMA, RoundConfig, allequal_round,
-                       best_of_roundings, expected_allequal_exact,
-                       expected_cut_exact, expected_dicut_exact,
-                       large_cut_ratio, negative_weight_bound, round_cut,
-                       sign_round_psd)
+from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, RoundConfig,
+                       allequal_round, best_of_roundings,
+                       expected_allequal_exact, expected_cut_exact,
+                       expected_dicut_exact, large_cut_ratio,
+                       negative_weight_bound, round_cut, sign_round_psd)
 from .sdp import term_gram_coefficients
 from .uncertainty import (SINGLETON, UncertaintySpec, load_spec,
                           singleton_spec, spec_to_json)
@@ -88,14 +88,20 @@ def _stderr_time(label: str, seconds: float) -> None:
     print(f"[time] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
+def _allequal_seed_vector(inst: Instance, sol: SaddleSolution, seed: int,
+                          trials: int) -> np.ndarray:
+    """Sign vector seeding the biased all-equal assignments of solve/round."""
+    A = allequal_quadratic_matrix(inst, sol.worst)
+    return sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=max(8, trials)))
+
+
 def _round_pipeline(inst: Instance, sol: SaddleSolution, seed: int,
                     trials: int) -> dict:
     """Rounding stage shared by solve/round: best-of-`trials` draws evaluated
     at the worst-case weights, plus the exact expectation."""
     cfg = RoundConfig(seed=seed, trials=trials)
     if inst.kind == ALLEQUAL:
-        A = allequal_quadratic_matrix(inst, sol.worst)
-        z = sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=max(8, trials)))
+        z = _allequal_seed_vector(inst, sol, seed, trials)
         best_v, best_x, best_t = -np.inf, None, 0
         for t in range(trials):
             x = allequal_round(z, inst.arity, cfg, trial=t)
@@ -230,7 +236,8 @@ def _appendix_checks(inst: Instance, spec: UncertaintySpec,
         ok = negative_weight_bound(expected, w_minus, sol.value)
         checks.append({"name": "shifted_signed_bound", "passed": bool(ok),
                        "lhs": expected - w_minus,
-                       "rhs": 0.878 * (sol.value - w_minus), "gating": True})
+                       "rhs": APPROX_RATIO_MAXCUT * (sol.value - w_minus),
+                       "gating": True})
     return {"checks": checks, **info}
 
 
@@ -243,11 +250,11 @@ def cmd_round(args) -> int:
     if not sol.report.converged:
         return EXIT_NO_CONVERGE
     rcfg = RoundConfig(seed=args.seed, trials=args.trials)
+    if inst.kind == ALLEQUAL:
+        z = _allequal_seed_vector(inst, sol, args.seed, args.trials)
     per_trial = []
     for t in range(args.trials):
         if inst.kind == ALLEQUAL:
-            A = allequal_quadratic_matrix(inst, sol.worst)
-            z = sign_round_psd(A, sol.factor, RoundConfig(seed=args.seed, trials=8))
             x = allequal_round(z, inst.arity, rcfg, trial=t)
             per_trial.append(allequal_value(inst, x, sol.worst))
         else:

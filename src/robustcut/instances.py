@@ -16,9 +16,10 @@ two graph kinds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +47,11 @@ class Instance:
     holds ``(literals, w)`` where each literal is ``(variable, sign)`` with a
     0-based variable index and sign in {-1, +1}.  ``arity`` is the common
     clause length k (0 for the graph kinds).
+
+    The index arrays derived from ``edges`` or ``clauses`` (:meth:`endpoints`,
+    :attr:`incidence`, :attr:`clause_arrays`, :attr:`var_clauses`) are built
+    on first use, kept on the instance and read-only; they are not part of
+    its value.
     """
 
     n: int
@@ -66,12 +72,60 @@ class Instance:
         return np.array([w for _, _, w in self.edges], dtype=float)
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index arrays (graph kinds only)."""
+        """Endpoint index arrays (graph kinds only; read-only, built once)."""
         if self.kind == ALLEQUAL:
             raise DomainError("endpoints(): instance kind is allequal")
-        i = np.array([e[0] for e in self.edges], dtype=int)
-        j = np.array([e[1] for e in self.edges], dtype=int)
+        return self._endpoints
+
+    @functools.cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        i = _frozen(np.array([e[0] for e in self.edges], dtype=int))
+        j = _frozen(np.array([e[1] for e in self.edges], dtype=int))
         return i, j
+
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Per vertex v, ``(edges, nbrs, n_out)`` (graph kinds only): the
+        indices of the edges incident to v, those with ``i == v`` first and
+        then those with ``j == v``, each group in edge order; the other
+        endpoint of each; and the size of the first group.  Read-only, built
+        once."""
+        i, j = self.endpoints()
+        return tuple((_frozen(np.concatenate([out, into])),
+                      _frozen(np.concatenate([j[out], i[into]])), len(out))
+                     for out, into in zip(_group(i, self.n), _group(j, self.n)))
+
+    @functools.cached_property
+    def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vars, signs)``: m x k variable indices and +-1.0 literal signs
+        in literal order (allequal only).  Read-only, built once."""
+        if self.kind != ALLEQUAL:
+            raise DomainError(f"clause_arrays: instance kind is {self.kind}")
+        V = np.array([[v for v, _ in lits] for lits, _ in self.clauses], dtype=int)
+        S = np.array([[s for _, s in lits] for lits, _ in self.clauses], dtype=float)
+        return _frozen(V), _frozen(S)
+
+    @functools.cached_property
+    def var_clauses(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per variable, ``(clauses, signs)``: the clauses it occurs in, in
+        clause order, and its literal sign in each (allequal only).
+        Read-only, built once."""
+        V, S = self.clause_arrays
+        return tuple((_frozen(r // self.arity), _frozen(S.ravel()[r]))
+                     for r in _group(V.ravel(), self.n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _group(keys: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each v < n, the positions p with ``keys[p] == v`` in increasing
+    order."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.cumsum(np.bincount(keys, minlength=n))
+    return np.split(order, bounds[:-1])
 
 
 def graph_instance(n: int, kind: str, edges: Iterable[tuple[int, int, float]],

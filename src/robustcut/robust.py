@@ -18,7 +18,6 @@ adversary), which is the distributionally robust counterpart.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -52,10 +51,6 @@ class SolverConfig:
         if bad:
             raise DomainError(f"solver config: unknown keys {sorted(bad)}")
         return replace(cfg, **d)
-
-    @staticmethod
-    def from_json(text: str) -> "SolverConfig":
-        return SolverConfig.from_dict(json.loads(text))
 
 
 @dataclass

@@ -91,23 +91,26 @@ def term_gram_coefficients(inst: Instance, factor: GramFactor) -> np.ndarray:
         b = U[:, j + 1].T @ u0
         c = np.einsum("ri,ri->i", U[:, i + 1], U[:, j + 1])
         return (1.0 + a - b - c) / 4.0
-    coefs = np.empty(inst.m)
+    s = _clause_sums(inst, U)
     k = inst.arity
-    for t, (lits, _) in enumerate(inst.clauses):
-        s = sum(sgn * U[:, v] for v, sgn in lits)
-        coefs[t] = float(s @ s) / (k * k)
-    return coefs
+    return np.matmul(s[:, None, :], s[:, :, None]).reshape(inst.m) / (k * k)
+
+
+def _clause_sums(inst: Instance, U: np.ndarray) -> np.ndarray:
+    """Signed member sum of each clause, one row per clause (m x rank), added
+    up in literal order."""
+    V, S = inst.clause_arrays
+    terms = S[:, :, None] * U.T[V]
+    sums = np.zeros((inst.m, U.shape[0]))
+    for c in range(inst.arity):
+        sums += terms[:, c]
+    return sums
 
 
 def relaxed_value(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
     """Relaxation objective at (factor, w)."""
     w = np.asarray(w, dtype=float)
     return float(term_gram_coefficients(inst, factor) @ w)
-
-
-def sdp_objective(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
-    """Alias of :func:`relaxed_value` (the elliptope objective)."""
-    return relaxed_value(inst, factor, w)
 
 
 def objective_gradient(inst: Instance, factor: GramFactor, w: np.ndarray) -> np.ndarray:
@@ -128,11 +131,10 @@ def objective_gradient(inst: Instance, factor: GramFactor, w: np.ndarray) -> np.
         np.add.at(G.T, j + 1, q[:, None] * (-u0[None, :] - U[:, i + 1].T))
         G[:, 0] += (U[:, i + 1] - U[:, j + 1]) @ q
     else:
-        k2 = float(inst.arity ** 2)
-        for (lits, _), wc in zip(inst.clauses, w):
-            s = sum(sgn * U[:, v] for v, sgn in lits)
-            for v, sgn in lits:
-                G[:, v] += (2.0 * wc * sgn / k2) * s
+        V, S = inst.clause_arrays
+        s = _clause_sums(inst, U)
+        scale = 2.0 * w[:, None] * S / float(inst.arity ** 2)
+        np.add.at(G.T, V.ravel(), (scale[:, :, None] * s[:, None, :]).reshape(-1, U.shape[0]))
     return G
 
 
@@ -142,62 +144,94 @@ def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.
     return U
 
 
-def _ascent_pass_maxcut(U, nbrs, nw):
-    moved = 0.0
-    for i in range(len(nbrs)):
-        if nbrs[i].size == 0:
-            continue
-        g = -(U[:, nbrs[i]] @ nw[i])
-        nrm = np.linalg.norm(g)
+def _set_column(U: np.ndarray, col: int, g: np.ndarray) -> bool:
+    """Column update of the ascent: u_col <- g / ||g|| unless g is zero.
+    Returns whether the column was set."""
+    nrm = math.sqrt(g @ g)
+    if nrm > 0.0:
+        g /= nrm
+        U[:, col] = g
+        return True
+    return False
+
+
+def _row_sum(G: np.ndarray) -> np.ndarray:
+    """The rows of G added in order onto zeros, bitwise as a loop of
+    ``g += row`` would (``G.sum(axis=0)`` sums a single column pairwise)."""
+    return np.cumsum(G, axis=0)[-1] + 0.0
+
+
+def _ascent_pass_maxcut(U, cols):
+    # cols: (vertex, neighbour columns, edge weights) of each non-isolated
+    # vertex.  The new column is -g / ||g||, with the sign folded into the
+    # division (bitwise the same, one array operation fewer).
+    for i, nbrs, w in cols:
+        g = U[:, nbrs] @ w
+        nrm = math.sqrt(g @ g)
         if nrm > 0.0:
-            g /= nrm
-            moved = max(moved, float(np.max(np.abs(g - U[:, i]))))
+            g /= -nrm
             U[:, i] = g
-    return moved
 
 
-def _ascent_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w):
-    # column 0 is the reference; vertex i sits in column i+1
-    n = U.shape[1] - 1
-    moved = 0.0
-    for col in range(n + 1):
-        if col == 0:
-            g = np.zeros(U.shape[0])
-            for i in range(n):
-                if out_nbrs[i].size:
-                    g += U[:, i + 1] * out_w[i].sum() - U[:, out_nbrs[i] + 1] @ out_w[i]
-        else:
-            i = col - 1
-            g = np.zeros(U.shape[0])
-            if out_nbrs[i].size:
-                g += U[:, 0] * out_w[i].sum() - U[:, out_nbrs[i] + 1] @ out_w[i]
-            if in_nbrs[i].size:
-                g += -U[:, 0] * in_w[i].sum() - U[:, in_nbrs[i] + 1] @ in_w[i]
-        nrm = np.linalg.norm(g)
-        if nrm > 0.0:
-            g /= nrm
-            moved = max(moved, float(np.max(np.abs(g - U[:, col]))))
-            U[:, col] = g
-    return moved
-
-
-def _ascent_pass_allequal(U, var_clauses, clause_vars, clause_signs, w):
-    # m_C = sum of signed member vectors, maintained incrementally
-    sums = [U[:, clause_vars[t]] @ clause_signs[t] for t in range(len(clause_vars))]
-    moved = 0.0
-    for i in range(U.shape[1]):
+def _ascent_pass_dicut(U, out_arcs, in_arcs, out_total, in_total):
+    # column 0 is the reference; vertex i sits in column i+1.  out_arcs[i] /
+    # in_arcs[i] is (neighbour columns, w/4) of vertex i's arcs i -> j /
+    # j -> i, or None when it has none; out_total / in_total sum their w/4.
+    g = np.zeros(U.shape[0])
+    scaled = U[:, 1:] * out_total
+    for i, arcs in enumerate(out_arcs):
+        if arcs is not None:
+            g += scaled[:, i] - U[:, arcs[0]] @ arcs[1]
+    _set_column(U, 0, g)
+    toward = np.multiply.outer(out_total, U[:, 0])
+    away = np.multiply.outer(in_total, -U[:, 0])
+    for i, (out, into) in enumerate(zip(out_arcs, in_arcs)):
         g = np.zeros(U.shape[0])
-        for t, s in var_clauses[i]:
-            g += (w[t] * s) * (sums[t] - s * U[:, i])
-        nrm = np.linalg.norm(g)
-        if nrm > 0.0:
-            g /= nrm
-            moved = max(moved, float(np.max(np.abs(g - U[:, i]))))
-            old = U[:, i].copy()
-            U[:, i] = g
-            for t, s in var_clauses[i]:
-                sums[t] += s * (g - old)
-    return moved
+        if out is not None:
+            g += toward[i] - U[:, out[0]] @ out[1]
+        if into is not None:
+            g += away[i] - U[:, into[0]] @ into[1]
+        _set_column(U, i + 1, g)
+
+
+def _ascent_pass_allequal(U, clause_vars, clause_signs, cols):
+    # cols: (variable, its clauses, its signs there, weight * sign) of each
+    # variable that occurs in a clause.  Row t of `sums` is clause t's signed
+    # member sum, maintained incrementally; it starts as one batched
+    # vector-matrix product per clause, bitwise equal to U[:, vars] @ signs.
+    sums = np.matmul(clause_signs[:, None, :], U.T[clause_vars]).reshape(len(clause_vars), -1)
+    for i, ts, ss, ws in cols:
+        g = _row_sum(ws[:, None] * (sums[ts] - ss[:, None] * U[:, i]))
+        old = U[:, i].copy()
+        if _set_column(U, i, g):
+            sums[ts] += ss[:, None] * (g - old)
+
+
+def _ascent_pass(inst: Instance, w: np.ndarray):
+    """One in-place block-coordinate sweep over the factor columns at weights
+    `w`: each column in turn becomes the unit vector maximizing its local
+    linear term."""
+    if inst.kind == MAXCUT:
+        cols = [(v, nbrs, w[edges])
+                for v, (edges, nbrs, _) in enumerate(inst.incidence) if edges.size]
+        return lambda U: _ascent_pass_maxcut(U, cols)
+    if inst.kind == DICUT:
+        q = w / 4.0
+
+        def arcs(nbrs, edges):
+            return (nbrs + 1, q[edges]) if edges.size else None
+
+        out_arcs = [arcs(nbrs[:k], edges[:k]) for edges, nbrs, k in inst.incidence]
+        in_arcs = [arcs(nbrs[k:], edges[k:]) for edges, nbrs, k in inst.incidence]
+        out_total = np.array([a[1].sum() if a else 0.0 for a in out_arcs])
+        in_total = np.array([a[1].sum() if a else 0.0 for a in in_arcs])
+        return lambda U: _ascent_pass_dicut(U, out_arcs, in_arcs, out_total, in_total)
+    if inst.kind == ALLEQUAL:
+        V, S = inst.clause_arrays
+        cols = [(v, ts, ss, w[ts] * ss)
+                for v, (ts, ss) in enumerate(inst.var_clauses) if ts.size]
+        return lambda U: _ascent_pass_allequal(U, V, S, cols)
+    raise DomainError(f"unknown instance kind {inst.kind}")
 
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
@@ -218,37 +252,7 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
     ncols = factor_columns(inst)
     if rank <= 0:
         rank = default_rank(ncols)
-
-    if inst.kind == MAXCUT:
-        i_idx, j_idx = inst.endpoints()
-        nbrs, nw = [], []
-        for v in range(inst.n):
-            mask_i = i_idx == v
-            mask_j = j_idx == v
-            nbrs.append(np.concatenate([j_idx[mask_i], i_idx[mask_j]]))
-            nw.append(np.concatenate([w[mask_i], w[mask_j]]))
-        step = lambda U: _ascent_pass_maxcut(U, nbrs, nw)
-    elif inst.kind == DICUT:
-        i_idx, j_idx = inst.endpoints()
-        out_nbrs, out_w, in_nbrs, in_w = [], [], [], []
-        for v in range(inst.n):
-            mask_o = i_idx == v
-            mask_in = j_idx == v
-            out_nbrs.append(j_idx[mask_o])
-            out_w.append(w[mask_o] / 4.0)
-            in_nbrs.append(i_idx[mask_in])
-            in_w.append(w[mask_in] / 4.0)
-        step = lambda U: _ascent_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w)
-    elif inst.kind == ALLEQUAL:
-        clause_vars = [np.array([v for v, _ in lits], dtype=int) for lits, _ in inst.clauses]
-        clause_signs = [np.array([s for _, s in lits], dtype=float) for lits, _ in inst.clauses]
-        var_clauses: list[list[tuple[int, float]]] = [[] for _ in range(inst.n)]
-        for t, (lits, _) in enumerate(inst.clauses):
-            for v, s in lits:
-                var_clauses[v].append((t, float(s)))
-        step = lambda U: _ascent_pass_allequal(U, var_clauses, clause_vars, clause_signs, w)
-    else:
-        raise DomainError(f"unknown instance kind {inst.kind}")
+    step = _ascent_pass(inst, w)
 
     def run(U0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         U = U0.copy()
@@ -257,11 +261,12 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
         stall = 0
         residual = 0.0
         for sweep in range(1, max_iter + 1):
-            moved = step(U)
+            before = U.copy()
+            step(U)
             new = relaxed_value(inst, fac, w)
             residual = abs(new - val) / max(1.0, abs(new))
             val = new
-            if moved == 0.0:  # exact fixed point
+            if np.array_equal(U, before):  # exact fixed point
                 return U, SolveReport(val, sweep, 0.0, True)
             if residual < tol:
                 stall += 1

@@ -22,7 +22,7 @@ Coefficients are nonnegative for every scheme this package produces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -61,6 +61,22 @@ class UncertaintySpec:
     # (defining fields, FeasibleTableau) of the set's LP region, built on first
     # use by _feasible_tableau; not part of the set's value
     _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __eq__(self, other) -> bool:
+        """Value equality: same kind and equal defining fields, array fields
+        compared element-wise with :func:`numpy.array_equal`."""
+        if not isinstance(other, UncertaintySpec):
+            return NotImplemented
+        for f in fields(self):
+            if not f.compare:
+                continue
+            x, y = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                if not np.array_equal(x, y):
+                    return False
+            elif x != y:
+                return False
+        return True
 
     def dim(self) -> int:
         """Dimension of the weight space the set lives in."""
@@ -169,8 +185,10 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
             if np.max(np.abs(spec.Q - spec.Q.T)) > 1e-9 * (1.0 + np.max(np.abs(spec.Q))):
                 v.append("Q: not symmetric")
             else:
+                # eigenvalues below dim * eps * lambda_max are roundoff of a
+                # singular matrix
                 eig = np.linalg.eigvalsh(spec.Q)
-                if eig[0] <= 0.0:
+                if eig[0] <= dim * np.finfo(float).eps * eig[-1]:
                     v.append(f"Q: not positive definite (min eigenvalue {eig[0]:.3e})")
         if spec.a <= 0.0:
             v.append(f"a: radius parameter must be positive, got {spec.a}")

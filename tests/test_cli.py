@@ -253,6 +253,20 @@ def test_round_command(tmp_path, cycle5):
     assert rep["mean"] == pytest.approx(float(np.mean(rep["per_trial"])))
 
 
+def test_round_allequal_best_matches_solve(tmp_path):
+    # round and solve seed their biased assignments from the same sign
+    # vector, so round's best trial is solve's rounded value
+    inst_path = tmp_path / "ae.json"
+    assert run("gen", "--kind", "allequal", "--n", "20", "--k", "3", "--m", "40",
+               "--seed", "5", "--out", str(inst_path)) == EXIT_OK
+    solved, rounded = tmp_path / "s.json", tmp_path / "r.json"
+    assert run("solve", "--instance", str(inst_path), "--out", str(solved)) == EXIT_OK
+    assert run("round", "--instance", str(inst_path), "--out", str(rounded)) == EXIT_OK
+    rep = json.loads(rounded.read_text())
+    assert len(rep["per_trial"]) == 16
+    assert rep["best"] == json.loads(solved.read_text())["rounding"]["value"]
+
+
 def test_bench_command(capsys, tmp_path):
     out = tmp_path / "b.json"
     assert run("bench", "--sizes", "5,6", "--seed", "1",

@@ -96,6 +96,20 @@ def test_ellipsoid_q_must_be_positive_definite():
     assert not rep.ok
 
 
+def test_ellipsoid_singular_q_rejected():
+    # rank 5 of 6: eigvalsh returns a roundoff-sized smallest eigenvalue
+    V = np.random.default_rng(1).standard_normal((6, 5))
+    rep = validate_set(ellipsoidal_spec(10.0 * np.ones(6), V @ V.T, 0.01), m=6)
+    assert not rep.ok
+    assert any(v.startswith("Q: not positive definite (min eigenvalue")
+               for v in rep.violations)
+    # positive, but below dim * eps * lambda_max
+    rep = validate_set(ellipsoidal_spec(np.ones(2), np.diag([1.0, 1e-17]), 0.01), m=2)
+    assert rep.violations == ["Q: not positive definite (min eigenvalue 1.000e-17)"]
+    # well-conditioned but tiny in scale is still positive definite
+    assert validate_set(ellipsoidal_spec(np.ones(2), np.diag([1e-12, 2e-12]), 0.01), m=2).ok
+
+
 def test_wasserstein_validation():
     sup = np.array([[1.0, 2.0], [2.0, 1.0]])
     ok = validate_set(wasserstein_spec(sup, np.array([0.5, 0.5]), 0.1), m=2)
@@ -375,6 +389,29 @@ def test_spec_tableau_is_a_private_cache():
     assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(1.25)
     ball.radius = 10.0
     assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(0.5)
+
+
+def test_spec_equality_by_value():
+    spec = box_spec(np.zeros(2), np.ones(2))
+    assert spec == box_spec(np.zeros(2), np.ones(2))
+    assert not spec != box_spec(np.zeros(2), np.ones(2))
+    assert spec != box_spec(np.zeros(2), 2.0 * np.ones(2))
+    assert spec != box_spec(np.zeros(3), np.ones(3))
+    assert spec != singleton_spec(np.ones(2))
+    assert singleton_spec(np.ones(2)) != ellipsoidal_spec(np.ones(2), np.eye(2), 0.1)
+    assert spec != "box"
+    assert ellipsoidal_spec(np.ones(2), np.eye(2), 0.1) == \
+        ellipsoidal_spec(np.ones(2), np.eye(2), 0.1)
+    assert ellipsoidal_spec(np.ones(2), np.eye(2), 0.1) != \
+        ellipsoidal_spec(np.ones(2), np.eye(2), 0.2)
+    sup = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert wasserstein_spec(sup, [0.5, 0.5], 0.3) == wasserstein_spec(sup, [0.5, 0.5], 0.3)
+    assert wasserstein_spec(sup, [0.5, 0.5], 0.3) != \
+        wasserstein_spec(sup, [0.5, 0.5], 0.3, metric=[[0.0, 2.0], [2.0, 0.0]])
+    # the cached phase-1 tableau is not part of the value
+    worst_case_weights(spec, np.ones(2))
+    assert spec._lp is not None
+    assert spec == box_spec(np.zeros(2), np.ones(2))
 
 
 def chord_loops(A, b, w, d, eps=1e-12):
