@@ -75,7 +75,34 @@ def _solver_config(args) -> SolverConfig:
                         rank=args.rank, restarts=args.restarts, seed=args.seed)
 
 
+def _solver_block(sol: SaddleSolution) -> dict:
+    rep = sol.report
+    return {"value": sol.value, "iterations": rep.iterations,
+            "residual": rep.residual, "converged": rep.converged,
+            "restarts": rep.restarts, "restart": rep.restart}
+
+
+def _non_finite(obj, path: str = "") -> Optional[str]:
+    """Path of the first non-finite number in a report, or None."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, v in items:
+        bad = _non_finite(v, sub)
+        if bad is not None:
+            return bad
+    return None
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
+    bad = _non_finite(report)
+    if bad is not None:
+        raise NumericError(f"{bad}: non-finite number in the report")
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -152,12 +179,7 @@ def cmd_solve(args) -> int:
         "n": inst.n,
         "m": inst.m,
         "seed": args.seed,
-        "solver": {
-            "value": sol.value,
-            "iterations": sol.report.iterations,
-            "residual": sol.report.residual,
-            "converged": sol.report.converged,
-        },
+        "solver": _solver_block(sol),
         "worst_weights": [float(w) for w in sol.worst],
     }
     if not sol.report.converged:
@@ -186,12 +208,7 @@ def cmd_verify(args) -> int:
         "kind": inst.kind,
         "n": inst.n,
         "seed": args.seed,
-        "solver": {
-            "value": sol.value,
-            "iterations": sol.report.iterations,
-            "residual": sol.report.residual,
-            "converged": sol.report.converged,
-        },
+        "solver": _solver_block(sol),
     }
     if not sol.report.converged:
         _emit(report, args.out)

@@ -4,11 +4,14 @@ weight vector from an uncertainty set.
 The solved game is  max_U min_{w in set}  sum_e w_e * coef_e(U)  with U on the
 elliptope (unit-column Gram factor) and the inner minimum evaluated exactly by
 the oracles in :mod:`robustcut.uncertainty`.  The outer ascent is projected
-supergradient on the factor with step c/sqrt(t) and iterate averaging, plus an
-exact-saddle detector: whenever the inner best response stops changing, the
-weights are frozen, the nominal coordinate-ascent solver polishes the factor,
-and the best response is re-checked -- if it is still the same vertex/point the
-pair is a saddle and the loop exits with zero residual.
+supergradient on the factor with step c/sqrt(t) and fictitious play against the
+running mean of the adversary's responses, plus an exact-saddle detector:
+whenever the inner best response stops changing, the weights are frozen, the
+nominal coordinate-ascent solver polishes the factor, and the best response is
+re-checked -- if it is still the same vertex/point the pair is a saddle and the
+loop exits with zero residual.  An exact saddle also ends the restarts: its
+value is the game value up to the polish tolerance, so no later restart can
+beat it.
 
 For Wasserstein sets the same loop runs against the worst achievable *mean*
 weights (the adversary's mixed strategy is summarized by its mean because the
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import streams
 from .instances import DomainError, Instance
-from .numerics import cholesky_gram, sqrt_psd
+from .numerics import sqrt_psd
 from .sdp import (GramFactor, SolveReport, default_rank, factor_columns,
                   objective_gradient, relaxed_value, solve_elliptope_max,
                   term_gram_coefficients, _random_unit_columns)
@@ -58,7 +61,7 @@ class SaddleSolution:
     factor: GramFactor
     worst: np.ndarray                       # worst-case weights (mean weights for DRO)
     value: float                            # exact inner value at `factor`
-    report: SolveReport
+    report: SolveReport                     # also: restarts run, winning restart
     worst_dist: Optional[np.ndarray] = None  # DRO: worst distribution over the support
 
 
@@ -95,12 +98,12 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
 
         r_best = (phi, U.copy(), w, extra)
         hist = [phi]
-        Ybar = U.T @ U
         wbar = w.copy()  # running mean of adversary responses (fictitious play)
         nresp = 1
         w_prev = w
         stable = 0
         converged = False
+        saddle = False
         residual = np.inf
         iters = 0
         for t in range(1, cfg.max_iter + 1):
@@ -120,7 +123,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                 if phi2 >= r_best[0]:
                     r_best = (phi2, fac.U.copy(), w2, extra2)
                 if np.allclose(w2, w, rtol=1e-9, atol=1e-12):
-                    converged = True
+                    converged = saddle = True
                     residual = 0.0
                     break
                 U = fac.U
@@ -142,13 +145,6 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                 r_best = (phi, U.copy(), w, extra)
             wbar = (nresp * wbar + w) / (nresp + 1.0)
             nresp += 1
-            Ybar = (t * Ybar + U.T @ U) / (t + 1.0)
-            if t % 20 == 0:
-                # value of the averaged iterate (Polyak-style)
-                Uavg = cholesky_gram(_unit_diag(Ybar))
-                w_a, phi_a, extra_a = respond(Uavg)
-                if phi_a > r_best[0]:
-                    r_best = (phi_a, Uavg.copy(), w_a, extra_a)
             if t % 10 == 0:
                 # fictitious play: best reply to the averaged adversary
                 fac, _ = solve_elliptope_max(inst, wbar, rank=rank, restarts=0,
@@ -171,17 +167,15 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
             best_phi, best_U, best_w, best_extra = phi_r, U_r, w_r, extra_r
             best_report = SolveReport(value=phi_r, iterations=iters,
                                       residual=float(residual if np.isfinite(residual) else 0.0),
-                                      converged=converged)
+                                      converged=converged, restart=restart)
+        if saddle:
+            break
 
     assert best_U is not None and best_report is not None
+    best_report.restarts = restart + 1
     return SaddleSolution(factor=GramFactor(best_U, reference=is_dicut),
                           worst=best_w, value=best_phi, report=best_report,
                           worst_dist=best_extra)
-
-
-def _unit_diag(Y: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.clip(np.diag(Y), 1e-300, None))
-    return Y / np.outer(d, d)
 
 
 def solve_robust(inst: Instance, spec: UncertaintySpec,

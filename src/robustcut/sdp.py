@@ -52,6 +52,8 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
+    restarts: int = 1   # starts run
+    restart: int = 0    # index of the start that gave `value`
 
 
 def default_rank(ncols: int) -> int:
@@ -240,9 +242,10 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
                         start: GramFactor | None = None) -> tuple[GramFactor, SolveReport]:
     """Maximize the relaxed objective over the elliptope at fixed weights.
 
-    Runs `restarts` seeded random starts (plus an optional warm start) of
-    block-coordinate ascent and keeps the best.  Converged means the relative
-    objective improvement of a full sweep stayed below `tol` for two
+    Runs `restarts` seeded random starts (plus an optional warm start, which
+    counts as start 0) of block-coordinate ascent and keeps the best; the
+    report names the starts run and the winning one.  Converged means the
+    relative objective improvement of a full sweep stayed below `tol` for two
     consecutive sweeps before `max_iter` was hit.  Identical (instance, w,
     seed, rank) inputs reproduce the factor bitwise.
     """
@@ -299,9 +302,11 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
 
     best_U = None
     best_rep = None
-    for U0 in starts:
+    for r, U0 in enumerate(starts):
         U, rep = run(U0)
         if best_rep is None or rep.value > best_rep.value:
             best_U, best_rep = U, rep
+            rep.restart = r
     assert best_U is not None and best_rep is not None
+    best_rep.restarts = len(starts)
     return GramFactor(best_U, reference=(inst.kind == DICUT)), best_rep

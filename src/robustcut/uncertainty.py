@@ -161,14 +161,15 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
         else:
             # declared per-coordinate lower bounds (rows proportional to
             # +e_i) must not rely on the implicit w >= 0 clamp
-            for r in range(spec.A.shape[0]):
-                row = spec.A[r]
-                nz = np.flatnonzero(np.abs(row) > 1e-12)
-                if len(nz) == 1 and row[nz[0]] > 0.0:
-                    lower = spec.b[r] / row[nz[0]]
-                    if lower < -1e-9:
-                        v.append(f"polyhedron: negative declared lower bound "
-                                 f"{lower!r} for weight {int(nz[0])}")
+            mask = np.abs(spec.A) > 1e-12
+            rows = np.flatnonzero(np.count_nonzero(mask, axis=1) == 1)
+            cols = np.nonzero(mask[rows])[1]
+            keep = spec.A[rows, cols] > 0.0
+            rows, cols = rows[keep], cols[keep]
+            lower = spec.b[rows] / spec.A[rows, cols]
+            for r in np.flatnonzero(lower < -1e-9):
+                v.append(f"polyhedron: negative declared lower bound "
+                         f"{lower[r]!r} for weight {int(cols[r])}")
             try:
                 tableau = _feasible_tableau(spec)
             except InfeasibleError:

@@ -205,6 +205,39 @@ def test_solve_rejects_nan_edge_weight(tmp_path, capsys):
     assert out == ""
 
 
+def test_solve_reports_restarts(tmp_path, cycle5):
+    # a box solve ends in an exact saddle on its first restart; the
+    # ellipsoid's closed-form reply never freezes, so every restart runs
+    seen = {}
+    for kind in ("box", "ellipsoid"):
+        spec_path = tmp_path / f"{kind}.json"
+        assert run("gen", "--spec", kind, "--instance", cycle5, "--seed", "1",
+                   "--out", str(spec_path)) == EXIT_OK
+        out = tmp_path / f"{kind}.report.json"
+        assert run("solve", "--instance", cycle5, "--spec", str(spec_path),
+                   "--seed", "4", "--out", str(out)) == EXIT_OK
+        solver = json.loads(out.read_text())["solver"]
+        assert 0 <= solver["restart"] < solver["restarts"]
+        seen[kind] = solver["restarts"]
+    assert seen == {"box": 1, "ellipsoid": 3}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_finite_report_rejected(tmp_path, capsys, command):
+    # finite inputs whose cut values overflow
+    inst = write_json(tmp_path / "k3.json", {
+        "kind": "maxcut", "n": 3,
+        "edges": [[1, 2, 1e308], [2, 3, 1e308], [1, 3, 1e308]]})
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore"):
+        code = run(command, "--instance", inst, "--out", str(out))
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    field = "rounding.value" if command == "solve" else "certification.checks[0].rhs"
+    assert f"error: {field}: non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from robustcut import streams
+from robustcut import robust, streams
+from robustcut.gen import gnp_instance, wasserstein_for
 from robustcut.instances import DICUT, MAXCUT, DomainError, graph_instance
 from robustcut.oracle import brute_force_robust
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
@@ -245,6 +246,106 @@ def test_single_edge_ellipsoid_end_to_end():
     sol = solve_robust(inst, spec, SolverConfig(seed=1))
     assert sol.value == pytest.approx(3.0 - np.sqrt(2.0), abs=1e-6)
     assert sol.worst[0] == pytest.approx(3.0 - np.sqrt(2.0), abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# restarts end at the first exact saddle
+# ---------------------------------------------------------------------------
+
+def count_polishes(monkeypatch):
+    """Count solve_elliptope_max calls made by the saddle loop."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_elliptope_max(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "solve_elliptope_max", counted)
+    return calls
+
+
+def gnm_box(n, m, seed):
+    """G(n, m) max-cut with uniform [0.5, 1.5] weights and a +-20% box."""
+    rng = streams.stream(seed, streams.TAG_GEN, 0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pick = np.sort(rng.choice(len(pairs), size=m, replace=False))
+    inst = graph_instance(n, MAXCUT, [(*pairs[k], float(rng.uniform(0.5, 1.5)))
+                                      for k in pick])
+    w0 = inst.nominal_weights()
+    return inst, box_spec(0.8 * w0, 1.2 * w0)
+
+
+def assert_no_better_reply(inst, sol):
+    """No fresh best reply to the worst weights beats the saddle value."""
+    _, rep = solve_elliptope_max(inst, sol.worst, restarts=5, seed=7)
+    assert rep.value <= sol.value + 1e-8 * max(1.0, abs(sol.value))
+    assert sol.report.converged
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+@pytest.mark.parametrize("n", [8, 12])
+def test_box_stops_after_first_exact_saddle(monkeypatch, kind, n):
+    for seed in range(3):
+        inst = gnp_instance(n, 0.5, seed, kind=kind)
+        w0 = inst.nominal_weights()
+        calls = count_polishes(monkeypatch)
+        sol = solve_robust(inst, box_spec(0.8 * w0, 1.2 * w0), SolverConfig(seed=seed))
+        # the initial polish and the one that confirms the saddle
+        assert len(calls) == 2
+        assert (sol.report.restarts, sol.report.restart) == (1, 0)
+        assert sol.report.residual == 0.0
+        assert_no_better_reply(inst, sol)
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+@pytest.mark.parametrize("n", [8, 12])
+def test_wasserstein_saddle_is_a_best_reply(kind, n):
+    for seed in range(3):
+        inst = gnp_instance(n, 0.5, seed, kind=kind)
+        spec = wasserstein_for(inst, 4, 0.3, seed=seed)
+        sol = solve_robust(inst, spec, SolverConfig(seed=seed))
+        assert 1 <= sol.report.restarts <= 3
+        assert 0 <= sol.report.restart < sol.report.restarts
+        assert_no_better_reply(inst, sol)
+
+
+def test_box_g40_stops_after_first_exact_saddle(monkeypatch):
+    inst, spec = gnm_box(40, 234, 5)
+    calls = count_polishes(monkeypatch)
+    sol = solve_robust(inst, spec, SolverConfig(seed=11))
+    assert len(calls) == 2
+    assert sol.report.restarts == 1
+    assert_no_better_reply(inst, sol)
+
+
+def test_ellipsoid_runs_every_restart():
+    inst = gnp_instance(10, 0.5, 2)
+    w0 = inst.nominal_weights()
+    spec = ellipsoidal_spec(w0, np.diag(0.1 * w0 ** 2), 1.0)
+    sol = solve_robust(inst, spec, SolverConfig(seed=0))
+    assert sol.report.converged and sol.report.residual > 0.0  # stall exit
+    assert (sol.report.restarts, sol.report.restart) == (3, 2)
+    # restart r draws the same start whatever the count, so dropping the
+    # winner loses value
+    fewer = solve_robust(inst, spec, SolverConfig(seed=0, restarts=2))
+    assert fewer.report.restarts == 2 and fewer.value < sol.value
+    # restarts that hit max_iter do not end the loop either
+    short = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=2, restarts=4))
+    assert not short.report.converged and short.report.restarts == 4
+
+
+def test_singleton_reports_its_restarts():
+    inst = gnp_instance(10, 0.5, 2)
+    w0 = inst.nominal_weights()
+    sol = solve_robust(inst, singleton_spec(w0), SolverConfig(seed=0))
+    assert (sol.report.restarts, sol.report.restart) == (3, 2)
+    _, fewer = solve_elliptope_max(inst, w0, restarts=2, max_iter=3000, seed=0)
+    assert (fewer.restarts, fewer.restart) == (2, 1)
+    assert fewer.value < sol.value
+    # a warm start counts as start 0; it starts at the optimum and wins
+    _, warm = solve_elliptope_max(inst, w0, restarts=3, max_iter=3000, seed=0,
+                                  start=sol.factor)
+    assert (warm.restarts, warm.restart) == (4, 0)
 
 
 # ---------------------------------------------------------------------------

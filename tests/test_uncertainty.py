@@ -445,6 +445,47 @@ def test_chord_matches_row_loop_exactly():
         assert _chord(spec.A, spec.b, w, d) == chord_loops(spec.A, spec.b, w, d)
 
 
+def declared_lower_loop(A, b):
+    """Row-by-row reference for validate_set's declared-lower-bound scan."""
+    out = []
+    for r in range(A.shape[0]):
+        row = A[r]
+        nz = np.flatnonzero(np.abs(row) > 1e-12)
+        if len(nz) == 1 and row[nz[0]] > 0.0:
+            lower = b[r] / row[nz[0]]
+            if lower < -1e-9:
+                out.append(f"polyhedron: negative declared lower bound "
+                           f"{lower!r} for weight {int(nz[0])}")
+    return out
+
+
+def test_declared_lower_bound_scan_matches_row_loop():
+    A_hull = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                       [1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+    cases = [
+        box_spec(np.array([0.5, 0.0, 1.0]), np.array([1.0, 2.0, 3.0])),
+        polyhedral_spec(A_hull, np.array([1.0, -1.0, 1.0, -1.0])),
+        # a negative single entry (w_0 <= -2, not a lower bound) and a
+        # near-zero entry that leaves the row single
+        polyhedral_spec(np.array([[-2.0, 0.0], [3.0, 1e-13], [1.0, 1.0]]),
+                        np.array([4.0, -6.0, 1.0])),
+        # negative declared lower bounds on weights 0 and 2, out of row order
+        polyhedral_spec(np.array([[0.0, 0.0, 4.0], [1.0, 0.0, 0.0],
+                                  [-1.0, 0.0, 0.0], [0.0, 0.5, 0.0],
+                                  [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
+                        np.array([-0.3, -1.0, -2.0, 0.25, -3.0, -2.0])),
+        box_spec(np.array([-1.0, 0.0]), np.ones(2)),
+    ]
+    found = 0
+    for spec in cases:
+        expect = declared_lower_loop(spec.A, spec.b)
+        found += len(expect)
+        got = [v for v in validate_set(spec).violations
+               if v.startswith("polyhedron: negative declared lower bound")]
+        assert got == expect
+    assert found == 4
+
+
 def test_load_spec_from_file(tmp_path):
     spec = box_spec(np.zeros(2), np.ones(2))
     path = tmp_path / "spec.json"
