@@ -30,7 +30,7 @@ from .numerics import InfeasibleError, NumericError, UnboundedError
 from .oracle import allequal_quadratic_matrix, certify_sandwich
 from .robust import SaddleSolution, SolverConfig, solve_robust
 from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, RoundConfig,
-                       allequal_round, best_of_roundings,
+                       allequal_round,
                        expected_allequal_exact, expected_cut_exact,
                        expected_dicut_exact, large_cut_ratio,
                        negative_weight_bound, round_cut, sign_round_psd)
@@ -122,30 +122,38 @@ def _allequal_seed_vector(inst: Instance, sol: SaddleSolution, seed: int,
     return sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=max(8, trials)))
 
 
-def _round_pipeline(inst: Instance, sol: SaddleSolution, seed: int,
-                    trials: int) -> dict:
-    """Rounding stage shared by solve/round: best-of-`trials` draws evaluated
-    at the worst-case weights, plus the exact expectation."""
+def _rounding_draws(inst: Instance, sol: SaddleSolution, seed: int,
+                    trials: int) -> tuple[list[np.ndarray], list[float], Optional[np.ndarray]]:
+    """The `trials` rounding draws shared by solve/round: each draw's cut or
+    assignment, its value at the worst-case weights, and the all-equal seed
+    vector (None for the graph kinds)."""
     cfg = RoundConfig(seed=seed, trials=trials)
     if inst.kind == ALLEQUAL:
         z = _allequal_seed_vector(inst, sol, seed, trials)
-        best_v, best_x, best_t = -np.inf, None, 0
-        for t in range(trials):
-            x = allequal_round(z, inst.arity, cfg, trial=t)
-            v = allequal_value(inst, x, sol.worst)
-            if v > best_v:
-                best_v, best_x, best_t = v, x, t
-        expected = expected_allequal_exact(inst, z, sol.worst)
-        return {"cut": [int(s) for s in best_x], "value": best_v,
-                "trial": best_t, "expected_exact": expected,
-                "seed_vector": [int(s) for s in z]}
-    cut, value, trial = best_of_roundings(inst, sol.factor, sol.worst, cfg)
-    if inst.kind == MAXCUT:
-        expected = expected_cut_exact(inst, sol.factor, sol.worst)
+        cuts = [allequal_round(z, inst.arity, cfg, trial=t) for t in range(trials)]
+        value_of = allequal_value
     else:
-        expected = expected_dicut_exact(inst, sol.factor, sol.worst)
-    return {"cut": [int(s) for s in cut], "value": value, "trial": trial,
-            "expected_exact": expected}
+        z = None
+        cuts = [round_cut(inst, sol.factor, cfg, trial=t) for t in range(trials)]
+        value_of = cut_value if inst.kind == MAXCUT else dicut_value
+    return cuts, [value_of(inst, x, sol.worst) for x in cuts], z
+
+
+def _round_pipeline(inst: Instance, sol: SaddleSolution, seed: int,
+                    trials: int) -> dict:
+    """Rounding stage of solve: the first best of the draws, plus the exact
+    expectation."""
+    cuts, values, z = _rounding_draws(inst, sol, seed, trials)
+    best = max(range(trials), key=values.__getitem__)
+    out = {"cut": [int(s) for s in cuts[best]], "value": values[best], "trial": best}
+    if inst.kind == ALLEQUAL:
+        out["expected_exact"] = expected_allequal_exact(inst, z, sol.worst)
+        out["seed_vector"] = [int(s) for s in z]
+    elif inst.kind == MAXCUT:
+        out["expected_exact"] = expected_cut_exact(inst, sol.factor, sol.worst)
+    else:
+        out["expected_exact"] = expected_dicut_exact(inst, sol.factor, sol.worst)
+    return out
 
 
 def _write_csv(path: str, inst: Instance, sol: SaddleSolution, cut) -> None:
@@ -266,18 +274,7 @@ def cmd_round(args) -> int:
     _stderr_time("solve", time.perf_counter() - t0)
     if not sol.report.converged:
         return EXIT_NO_CONVERGE
-    rcfg = RoundConfig(seed=args.seed, trials=args.trials)
-    if inst.kind == ALLEQUAL:
-        z = _allequal_seed_vector(inst, sol, args.seed, args.trials)
-    per_trial = []
-    for t in range(args.trials):
-        if inst.kind == ALLEQUAL:
-            x = allequal_round(z, inst.arity, rcfg, trial=t)
-            per_trial.append(allequal_value(inst, x, sol.worst))
-        else:
-            y = round_cut(inst, sol.factor, rcfg, trial=t)
-            value_fn = cut_value if inst.kind == MAXCUT else dicut_value
-            per_trial.append(value_fn(inst, y, sol.worst))
+    _, per_trial, _ = _rounding_draws(inst, sol, args.seed, args.trials)
     report = {
         "command": "round",
         **meta,
@@ -348,11 +345,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance file (JSON or edge list)")
     p.add_argument("--spec", help="uncertainty-set file (default: singleton at nominal)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=16, help="rounding draws")
+    p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
     p.add_argument("--rank", type=int, default=0, help="factor rank (0 = auto)")
     p.add_argument("--gap-tol", type=float, default=1e-6, dest="gap_tol")
     p.add_argument("--max-iter", type=int, default=300, dest="max_iter")

@@ -49,9 +49,8 @@ class Instance:
     clause length k (0 for the graph kinds).
 
     The index arrays derived from ``edges`` or ``clauses`` (:meth:`endpoints`,
-    :attr:`incidence`, :attr:`clause_arrays`, :attr:`var_clauses`) are built
-    on first use, kept on the instance and read-only; they are not part of
-    its value.
+    :attr:`clause_arrays`, :attr:`pair_table`) are built on first use, kept
+    on the instance and read-only; they are not part of its value.
     """
 
     n: int
@@ -84,18 +83,6 @@ class Instance:
         return i, j
 
     @functools.cached_property
-    def incidence(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """Per vertex v, ``(edges, nbrs, n_out)`` (graph kinds only): the
-        indices of the edges incident to v, those with ``i == v`` first and
-        then those with ``j == v``, each group in edge order; the other
-        endpoint of each; and the size of the first group.  Read-only, built
-        once."""
-        i, j = self.endpoints()
-        return tuple((_frozen(np.concatenate([out, into])),
-                      _frozen(np.concatenate([j[out], i[into]])), len(out))
-                     for out, into in zip(_group(i, self.n), _group(j, self.n)))
-
-    @functools.cached_property
     def clause_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(vars, signs)``: m x k variable indices and +-1.0 literal signs
         in literal order (allequal only).  Read-only, built once."""
@@ -106,26 +93,38 @@ class Instance:
         return _frozen(V), _frozen(S)
 
     @functools.cached_property
-    def var_clauses(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per variable, ``(clauses, signs)``: the clauses it occurs in, in
-        clause order, and its literal sign in each (allequal only).
-        Read-only, built once."""
+    def pair_table(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(c0, term, a, b, beta)``: each term's relaxed coefficient as an
+        affine function of the Gram matrix of the factor columns u,
+        ``coef[t] = c0 + sum of beta[p] <u_a[p], u_b[p]>`` over the pairs p
+        with ``term[p] == t``.  Column 0 of a dicut factor is the reference
+        and vertex i is column i+1.  Read-only, built once."""
+        if self.kind == MAXCUT:
+            i, j = self.endpoints()
+            return _pair_table(0.5, np.arange(self.m), i, j, np.full(self.m, -0.5))
+        if self.kind == DICUT:
+            i, j = self.endpoints()
+            ref = np.zeros(self.m, dtype=int)
+            q = np.full(self.m, 0.25)
+            return _pair_table(0.25, np.tile(np.arange(self.m), 3),
+                               np.concatenate([ref, ref, i + 1]),
+                               np.concatenate([i + 1, j + 1, j + 1]),
+                               np.concatenate([q, -q, -q]))
         V, S = self.clause_arrays
-        return tuple((_frozen(r // self.arity), _frozen(S.ravel()[r]))
-                     for r in _group(V.ravel(), self.n))
+        k = self.arity
+        ra, rb = np.triu_indices(k)
+        beta = (2.0 - (ra == rb)) * S[:, ra] * S[:, rb] / (k * k)
+        return _pair_table(0.0, np.repeat(np.arange(self.m), len(ra)),
+                           V[:, ra].ravel(), V[:, rb].ravel(), beta.ravel())
+
+
+def _pair_table(c0: float, *arrays: np.ndarray) -> tuple:
+    return (c0, *(_frozen(x) for x in arrays))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _group(keys: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each v < n, the positions p with ``keys[p] == v`` in increasing
-    order."""
-    order = np.argsort(keys, kind="stable")
-    bounds = np.cumsum(np.bincount(keys, minlength=n))
-    return np.split(order, bounds[:-1])
 
 
 def graph_instance(n: int, kind: str, edges: Iterable[tuple[int, int, float]],

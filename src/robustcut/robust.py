@@ -4,14 +4,14 @@ weight vector from an uncertainty set.
 The solved game is  max_U min_{w in set}  sum_e w_e * coef_e(U)  with U on the
 elliptope (unit-column Gram factor) and the inner minimum evaluated exactly by
 the oracles in :mod:`robustcut.uncertainty`.  The outer ascent is projected
-supergradient on the factor with step c/sqrt(t) and fictitious play against the
-running mean of the adversary's responses, plus an exact-saddle detector:
-whenever the inner best response stops changing, the weights are frozen, the
-nominal coordinate-ascent solver polishes the factor, and the best response is
-re-checked -- if it is still the same vertex/point the pair is a saddle and the
-loop exits with zero residual.  An exact saddle also ends the restarts: its
-value is the game value up to the polish tolerance, so no later restart can
-beat it.
+supergradient on the factor with step sqrt(ncols) / (sqrt(t) ||G||) and
+fictitious play against the running mean of the adversary's responses, plus an
+exact-saddle detector: whenever the inner best response stops changing, the
+weights are frozen, the nominal coordinate-ascent solver polishes the factor,
+and the best response is re-checked -- if it is still the same vertex/point
+the pair is a saddle and the loop exits with zero residual.  An exact saddle
+also ends the restarts: its value is the game value up to the polish
+tolerance, so no later restart can beat it.
 
 For Wasserstein sets the same loop runs against the worst achievable *mean*
 weights (the adversary's mixed strategy is summarized by its mean because the
@@ -22,7 +22,7 @@ adversary), which is the distributionally robust counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SolverConfig:
     rank: int = 0          # 0 = ceil(sqrt(2 ncols)) + 1
     restarts: int = 3
     seed: int = 0
-    step_c: float = 1.0
 
     @staticmethod
     def from_dict(d: dict) -> "SolverConfig":
@@ -68,17 +67,27 @@ class SaddleSolution:
 _STALL_WINDOW = 40
 
 
+def _best_response(spec: UncertaintySpec, coef: np.ndarray,
+                   ) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+    """The adversary's exact best response to relaxed coefficients `coef`:
+    (worst weights, value, worst distribution or None).  For a Wasserstein
+    set the weights are the worst distribution's mean."""
+    if spec.kind == WASSERSTEIN:
+        p, mean_w, value = worst_case_mean(spec, coef)
+        return mean_w, value, p
+    w, value = worst_case_weights(spec, coef)
+    return w, value, None
+
+
 def _saddle_loop(inst: Instance, cfg: SolverConfig,
-                 inner: Callable[[np.ndarray], tuple[np.ndarray, float, Optional[np.ndarray]]],
-                 ) -> SaddleSolution:
+                 spec: UncertaintySpec) -> SaddleSolution:
     ncols = factor_columns(inst)
     rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
     is_dicut = inst.kind == "dicut"
 
     def respond(U: np.ndarray):
         fac = GramFactor(U, reference=is_dicut)
-        coef = np.clip(term_gram_coefficients(inst, fac), 0.0, None)
-        return inner(coef)
+        return _best_response(spec, np.clip(term_gram_coefficients(inst, fac), 0.0, None))
 
     best_phi = -np.inf
     best_U = None
@@ -137,7 +146,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                 converged = True
                 residual = 0.0
                 break
-            eta = cfg.step_c * np.sqrt(ncols) / (np.sqrt(t) * gn)
+            eta = np.sqrt(ncols) / (np.sqrt(t) * gn)
             U = U + eta * G
             U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
             w, phi, extra = respond(U)
@@ -197,12 +206,7 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                               report=report)
     if spec.kind == WASSERSTEIN:
         return solve_dro(inst, spec, cfg)
-
-    def inner(coef):
-        w, value = worst_case_weights(spec, coef)
-        return w, value, None
-
-    return _saddle_loop(inst, cfg, inner)
+    return _saddle_loop(inst, cfg, spec)
 
 
 def solve_dro(inst: Instance, spec: UncertaintySpec,
@@ -218,12 +222,7 @@ def solve_dro(inst: Instance, spec: UncertaintySpec,
     require_valid(spec, inst)
     if spec.kind != WASSERSTEIN:
         raise DomainError(f"solve_dro: expected a wasserstein spec, got {spec.kind}")
-
-    def inner(coef):
-        p, mean_w, value = worst_case_mean(spec, coef)
-        return mean_w, value, p
-
-    return _saddle_loop(inst, cfg, inner)
+    return _saddle_loop(inst, cfg, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +254,4 @@ def inner_worst(inst: Instance, spec: UncertaintySpec,
                 factor: GramFactor) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
     """Exact inner minimization at a fixed factor: (worst weights, value,
     worst distribution or None)."""
-    coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
-    if spec.kind == WASSERSTEIN:
-        p, mean_w, value = worst_case_mean(spec, coef)
-        return mean_w, value, p
-    w, value = worst_case_weights(spec, coef)
-    return w, value, None
+    return _best_response(spec, np.clip(term_gram_coefficients(inst, factor), 0.0, None))

@@ -8,10 +8,26 @@ U (columns u_i).  For a fixed weight vector the objective is linear in Y:
 * dicut:    sum_a w_a (1 + u0.u_i - u0.u_j - u_i.u_j)/4   (u0 = reference column)
 * allequal: sum_C w_C ||sum_{i in C} s_i u_i||^2 / k^2
 
-Block-coordinate ascent: each column is repeatedly set to the unit vector
-maximizing its (linear) local term, which is monotone in the objective.  With
-rank ceil(sqrt(2n)) + 1 and a few random restarts this reliably reaches the
-global optimum at the scales this package targets.
+Every kind's per-term coefficient is affine in the Gram matrix,
+coef_t = c0 + sum_p beta_p <u_a(p), u_b(p)>, and the instance stores it once
+as a pair table (:attr:`instances.Instance.pair_table`):
+
+=========  ====  ===========================================================
+kind       c0    pairs (a, b): beta
+=========  ====  ===========================================================
+maxcut     1/2   (i, j): -1/2
+dicut      1/4   (0, i+1): +1/4, (0, j+1): -1/4, (i+1, j+1): -1/4
+allequal   0     literal pairs a <= b of a clause: (2 - [a = b]) s_a s_b / k^2
+=========  ====  ===========================================================
+
+The table scatters w[term] * beta into a symmetric ncols x ncols matrix C(w)
+with objective sum_t w_t c0 + <C(w), U^T U>/2, so the Euclidean gradient is
+U C(w).  Block-coordinate ascent (the mixing method of Wang, Chang & Kolter
+2017 on the Burer-Monteiro factor) sets each column in turn to the unit
+vector along U C[:, i] with C's diagonal zeroed, which maximizes its local
+linear term and is monotone in the objective.  With rank ceil(sqrt(2n)) + 1
+and a few random restarts this reliably reaches the global optimum at the
+scales this package targets.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .instances import ALLEQUAL, DICUT, MAXCUT, DomainError, Instance
+from .instances import DICUT, DomainError, Instance
 
 
 @dataclass
@@ -82,31 +98,9 @@ def term_gram_coefficients(inst: Instance, factor: GramFactor) -> np.ndarray:
     roundoff; they reduce to :func:`instances.term_coefficients` at integral
     factors."""
     U = _check_factor(inst, factor)
-    if inst.kind == MAXCUT:
-        i, j = inst.endpoints()
-        dots = np.einsum("ri,ri->i", U[:, i], U[:, j])
-        return (1.0 - dots) / 2.0
-    if inst.kind == DICUT:
-        i, j = inst.endpoints()
-        u0 = U[:, 0]
-        a = U[:, i + 1].T @ u0
-        b = U[:, j + 1].T @ u0
-        c = np.einsum("ri,ri->i", U[:, i + 1], U[:, j + 1])
-        return (1.0 + a - b - c) / 4.0
-    s = _clause_sums(inst, U)
-    k = inst.arity
-    return np.matmul(s[:, None, :], s[:, :, None]).reshape(inst.m) / (k * k)
-
-
-def _clause_sums(inst: Instance, U: np.ndarray) -> np.ndarray:
-    """Signed member sum of each clause, one row per clause (m x rank), added
-    up in literal order."""
-    V, S = inst.clause_arrays
-    terms = S[:, :, None] * U.T[V]
-    sums = np.zeros((inst.m, U.shape[0]))
-    for c in range(inst.arity):
-        sums += terms[:, c]
-    return sums
+    c0, term, a, b, beta = inst.pair_table
+    dots = np.einsum("ri,ri->i", U[:, a], U[:, b])
+    return c0 + np.bincount(term, beta * dots, minlength=inst.m)
 
 
 def relaxed_value(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
@@ -115,29 +109,22 @@ def relaxed_value(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
     return float(term_gram_coefficients(inst, factor) @ w)
 
 
+def _weight_matrix(inst: Instance, w: np.ndarray) -> np.ndarray:
+    """C(w): the symmetric matrix with objective sum_t w_t c0 + <C, U^T U>/2."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (inst.m,):
+        raise DomainError(f"weights: expected shape ({inst.m},), got {w.shape}")
+    _, term, a, b, beta = inst.pair_table
+    ncols = factor_columns(inst)
+    C = np.bincount(a * ncols + b, w[term] * beta,
+                    minlength=ncols * ncols).reshape(ncols, ncols)
+    return C + C.T
+
+
 def objective_gradient(inst: Instance, factor: GramFactor, w: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the relaxed objective in the factor columns."""
     U = _check_factor(inst, factor)
-    w = np.asarray(w, dtype=float)
-    G = np.zeros_like(U)
-    if inst.kind == MAXCUT:
-        i, j = inst.endpoints()
-        half = w / 2.0
-        np.add.at(G.T, i, -(half[:, None] * U[:, j].T))
-        np.add.at(G.T, j, -(half[:, None] * U[:, i].T))
-    elif inst.kind == DICUT:
-        i, j = inst.endpoints()
-        q = w / 4.0
-        u0 = U[:, 0]
-        np.add.at(G.T, i + 1, q[:, None] * (u0[None, :] - U[:, j + 1].T))
-        np.add.at(G.T, j + 1, q[:, None] * (-u0[None, :] - U[:, i + 1].T))
-        G[:, 0] += (U[:, i + 1] - U[:, j + 1]) @ q
-    else:
-        V, S = inst.clause_arrays
-        s = _clause_sums(inst, U)
-        scale = 2.0 * w[:, None] * S / float(inst.arity ** 2)
-        np.add.at(G.T, V.ravel(), (scale[:, :, None] * s[:, None, :]).reshape(-1, U.shape[0]))
-    return G
+    return U @ _weight_matrix(inst, w)
 
 
 def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,94 +133,23 @@ def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.
     return U
 
 
-def _set_column(U: np.ndarray, col: int, g: np.ndarray) -> bool:
-    """Column update of the ascent: u_col <- g / ||g|| unless g is zero.
-    Returns whether the column was set."""
-    nrm = math.sqrt(g @ g)
-    if nrm > 0.0:
-        g /= nrm
-        U[:, col] = g
-        return True
-    return False
-
-
-def _row_sum(G: np.ndarray) -> np.ndarray:
-    """The rows of G added in order onto zeros, bitwise as a loop of
-    ``g += row`` would (``G.sum(axis=0)`` sums a single column pairwise)."""
-    return np.cumsum(G, axis=0)[-1] + 0.0
-
-
-def _ascent_pass_maxcut(U, cols):
-    # cols: (vertex, neighbour columns, edge weights) of each non-isolated
-    # vertex.  The new column is -g / ||g||, with the sign folded into the
-    # division (bitwise the same, one array operation fewer).
-    for i, nbrs, w in cols:
-        g = U[:, nbrs] @ w
-        nrm = math.sqrt(g @ g)
-        if nrm > 0.0:
-            g /= -nrm
-            U[:, i] = g
-
-
-def _ascent_pass_dicut(U, out_arcs, in_arcs, out_total, in_total):
-    # column 0 is the reference; vertex i sits in column i+1.  out_arcs[i] /
-    # in_arcs[i] is (neighbour columns, w/4) of vertex i's arcs i -> j /
-    # j -> i, or None when it has none; out_total / in_total sum their w/4.
-    g = np.zeros(U.shape[0])
-    scaled = U[:, 1:] * out_total
-    for i, arcs in enumerate(out_arcs):
-        if arcs is not None:
-            g += scaled[:, i] - U[:, arcs[0]] @ arcs[1]
-    _set_column(U, 0, g)
-    toward = np.multiply.outer(out_total, U[:, 0])
-    away = np.multiply.outer(in_total, -U[:, 0])
-    for i, (out, into) in enumerate(zip(out_arcs, in_arcs)):
-        g = np.zeros(U.shape[0])
-        if out is not None:
-            g += toward[i] - U[:, out[0]] @ out[1]
-        if into is not None:
-            g += away[i] - U[:, into[0]] @ into[1]
-        _set_column(U, i + 1, g)
-
-
-def _ascent_pass_allequal(U, clause_vars, clause_signs, cols):
-    # cols: (variable, its clauses, its signs there, weight * sign) of each
-    # variable that occurs in a clause.  Row t of `sums` is clause t's signed
-    # member sum, maintained incrementally; it starts as one batched
-    # vector-matrix product per clause, bitwise equal to U[:, vars] @ signs.
-    sums = np.matmul(clause_signs[:, None, :], U.T[clause_vars]).reshape(len(clause_vars), -1)
-    for i, ts, ss, ws in cols:
-        g = _row_sum(ws[:, None] * (sums[ts] - ss[:, None] * U[:, i]))
-        old = U[:, i].copy()
-        if _set_column(U, i, g):
-            sums[ts] += ss[:, None] * (g - old)
-
-
 def _ascent_pass(inst: Instance, w: np.ndarray):
     """One in-place block-coordinate sweep over the factor columns at weights
     `w`: each column in turn becomes the unit vector maximizing its local
-    linear term."""
-    if inst.kind == MAXCUT:
-        cols = [(v, nbrs, w[edges])
-                for v, (edges, nbrs, _) in enumerate(inst.incidence) if edges.size]
-        return lambda U: _ascent_pass_maxcut(U, cols)
-    if inst.kind == DICUT:
-        q = w / 4.0
+    linear term, u_i <- U C[:, i] / ||U C[:, i]||.  A column whose local
+    term is zero stays put."""
+    C = _weight_matrix(inst, w)
+    np.fill_diagonal(C, 0.0)
+    cols = np.flatnonzero(C.any(axis=0)).tolist()
 
-        def arcs(nbrs, edges):
-            return (nbrs + 1, q[edges]) if edges.size else None
+    def sweep(U: np.ndarray) -> None:
+        for i in cols:
+            g = U @ C[i]  # C is symmetric: row i is column i
+            nrm = math.sqrt(g @ g)
+            if nrm > 0.0:
+                U[:, i] = g / nrm
 
-        out_arcs = [arcs(nbrs[:k], edges[:k]) for edges, nbrs, k in inst.incidence]
-        in_arcs = [arcs(nbrs[k:], edges[k:]) for edges, nbrs, k in inst.incidence]
-        out_total = np.array([a[1].sum() if a else 0.0 for a in out_arcs])
-        in_total = np.array([a[1].sum() if a else 0.0 for a in in_arcs])
-        return lambda U: _ascent_pass_dicut(U, out_arcs, in_arcs, out_total, in_total)
-    if inst.kind == ALLEQUAL:
-        V, S = inst.clause_arrays
-        cols = [(v, ts, ss, w[ts] * ss)
-                for v, (ts, ss) in enumerate(inst.var_clauses) if ts.size]
-        return lambda U: _ascent_pass_allequal(U, V, S, cols)
-    raise DomainError(f"unknown instance kind {inst.kind}")
+    return sweep
 
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
@@ -250,12 +166,10 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
     seed, rank) inputs reproduce the factor bitwise.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (inst.m,):
-        raise DomainError(f"weights: expected shape ({inst.m},), got {w.shape}")
     ncols = factor_columns(inst)
     if rank <= 0:
         rank = default_rank(ncols)
-    step = _ascent_pass(inst, w)
+    step = _ascent_pass(inst, w)  # checks the shape of w
 
     def run(U0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         U = U0.copy()

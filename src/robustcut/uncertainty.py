@@ -169,7 +169,7 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
             lower = spec.b[rows] / spec.A[rows, cols]
             for r in np.flatnonzero(lower < -1e-9):
                 v.append(f"polyhedron: negative declared lower bound "
-                         f"{lower[r]!r} for weight {int(cols[r])}")
+                         f"{float(lower[r])!r} for weight {int(cols[r])}")
             try:
                 tableau = _feasible_tableau(spec)
             except InfeasibleError:

@@ -205,6 +205,36 @@ def test_solve_rejects_nan_edge_weight(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.fixture()
+def allequal_file(tmp_path):
+    path = tmp_path / "ae.json"
+    assert run("gen", "--kind", "allequal", "--n", "5", "--k", "3", "--m", "6",
+               "--seed", "2", "--out", str(path)) == EXIT_OK
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd,trials", [("round", "0"), ("solve", "0"), ("solve", "-3")])
+def test_trials_below_one_rejected(tmp_path, capsys, cycle5, allequal_file, cmd, trials):
+    for inst in (cycle5, allequal_file):
+        out = tmp_path / "r.json"
+        assert run(cmd, "--instance", inst, "--trials", trials, "--out", str(out)) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--trials" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_validation_message_has_plain_numbers(tmp_path, capsys):
+    inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
+                                             "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
+    spec = write_json(tmp_path / "box.json", {
+        "kind": "polyhedral", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+        "b": [-1.0, 0.5, -2, -2]})
+    assert run("solve", "--instance", inst, "--spec", spec) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "negative declared lower bound -1.0 for weight 0" in err
+    assert "np.float64" not in err
+
+
 def test_solve_reports_restarts(tmp_path, cycle5):
     # a box solve ends in an exact saddle on its first restart; the
     # ellipsoid's closed-form reply never freezes, so every restart runs

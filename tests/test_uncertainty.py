@@ -455,7 +455,7 @@ def declared_lower_loop(A, b):
             lower = b[r] / row[nz[0]]
             if lower < -1e-9:
                 out.append(f"polyhedron: negative declared lower bound "
-                           f"{lower!r} for weight {int(nz[0])}")
+                           f"{float(lower)!r} for weight {int(nz[0])}")
     return out
 
 
