@@ -18,8 +18,7 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         instance_from_dict, instance_to_dict, instance_to_json,
                         load_instance, parse_instance, term_coefficients)
 from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, LpResult,
-                       NumericError, UnboundedError, cholesky_gram, simplex_solve,
-                       sqrt_psd)
+                       NumericError, UnboundedError, simplex_solve, sqrt_psd)
 from .oracle import (OracleResult, SandwichReport, brute_force_robust,
                      certify_sandwich, mc_expected_cut)
 from .robust import (SaddleSolution, SolverConfig, dual_reformulated_value,
@@ -27,11 +26,12 @@ from .robust import (SaddleSolution, SolverConfig, dual_reformulated_value,
                      solve_robust)
 from .rounding import (ALLEQUAL_COEF, APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
                        CROSSOVER_GAMMA, RoundConfig, allequal_round,
-                       alpha_ratio, best_of_roundings, dicut_biased_ratio_search,
+                       alpha_ratio, dicut_biased_ratio_search,
                        dicut_triple_prob, expected_allequal_exact,
                        expected_cut_exact, expected_dicut_exact,
-                       hyperplane_round, large_cut_ratio, negative_weight_bound,
-                       round_cut, sign_round_psd)
+                       expected_rounded_value, hyperplane_round,
+                       large_cut_ratio, negative_weight_bound, round_cut,
+                       rounding_draws, sign_round_psd)
 from .sdp import (GramFactor, SolveReport, default_rank, relaxed_value,
                   solve_elliptope_max, term_gram_coefficients)
 from .uncertainty import (UncertaintySpec, ValidationReport, box_spec,
@@ -51,18 +51,19 @@ __all__ = [
     "OracleResult", "ParseError", "RoundConfig", "SaddleSolution",
     "SandwichReport", "SolveReport", "SolverConfig", "UnboundedError",
     "UncertaintySpec", "ValidationReport", "allequal_instance",
-    "allequal_round", "allequal_value", "alpha_ratio", "best_of_roundings",
-    "box_spec", "brute_force_robust", "certify_sandwich", "cholesky_gram",
-    "cut_value", "default_rank", "dicut_biased_ratio_search",
-    "dicut_triple_prob", "dicut_value", "dual_reformulated_value",
-    "ellipsoid_reformulated_value", "ellipsoidal_spec", "expected_allequal_exact",
-    "expected_cut_exact", "expected_dicut_exact", "graph_instance",
+    "allequal_round", "allequal_value", "alpha_ratio", "box_spec",
+    "brute_force_robust", "certify_sandwich", "cut_value", "default_rank",
+    "dicut_biased_ratio_search", "dicut_triple_prob", "dicut_value",
+    "dual_reformulated_value", "ellipsoid_reformulated_value",
+    "ellipsoidal_spec", "expected_allequal_exact", "expected_cut_exact",
+    "expected_dicut_exact", "expected_rounded_value", "graph_instance",
     "hyperplane_round", "inner_worst", "instance_from_dict", "instance_to_dict",
     "instance_to_json", "large_cut_ratio", "load_instance", "load_spec",
     "mc_expected_cut", "negative_weight_bound", "parse_instance", "parse_spec",
-    "polyhedral_spec", "relaxed_value", "round_cut", "sample_feasible",
-    "sign_round_psd", "simplex_solve", "singleton_spec", "solve_dro",
-    "solve_elliptope_max", "solve_robust", "spec_from_dict", "spec_to_dict",
+    "polyhedral_spec", "relaxed_value", "round_cut", "rounding_draws",
+    "sample_feasible", "sign_round_psd", "simplex_solve", "singleton_spec",
+    "solve_dro", "solve_elliptope_max", "solve_robust", "spec_from_dict",
+    "spec_to_dict",
     "spec_to_json", "sqrt_psd", "term_coefficients", "term_gram_coefficients",
     "validate_set", "wasserstein_spec", "worst_case_mean",
     "worst_case_weights"]

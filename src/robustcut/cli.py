@@ -24,16 +24,14 @@ import numpy as np
 
 from . import gen as genmod
 from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
-                        ParseError, allequal_value, cut_value, dicut_value,
-                        instance_to_json, load_instance, term_coefficients)
+                        ParseError, instance_to_json, load_instance,
+                        term_coefficients)
 from .numerics import InfeasibleError, NumericError, UnboundedError
-from .oracle import allequal_quadratic_matrix, certify_sandwich
+from .oracle import certify_sandwich
 from .robust import SaddleSolution, SolverConfig, solve_robust
-from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, RoundConfig,
-                       allequal_round,
-                       expected_allequal_exact, expected_cut_exact,
-                       expected_dicut_exact, large_cut_ratio,
-                       negative_weight_bound, round_cut, sign_round_psd)
+from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, expected_cut_exact,
+                       expected_rounded_value, large_cut_ratio,
+                       negative_weight_bound, rounding_draws)
 from .sdp import term_gram_coefficients
 from .uncertainty import (SINGLETON, UncertaintySpec, load_spec,
                           singleton_spec, spec_to_json)
@@ -115,47 +113,6 @@ def _stderr_time(label: str, seconds: float) -> None:
     print(f"[time] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
-def _allequal_seed_vector(inst: Instance, sol: SaddleSolution, seed: int,
-                          trials: int) -> np.ndarray:
-    """Sign vector seeding the biased all-equal assignments of solve/round."""
-    A = allequal_quadratic_matrix(inst, sol.worst)
-    return sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=max(8, trials)))
-
-
-def _rounding_draws(inst: Instance, sol: SaddleSolution, seed: int,
-                    trials: int) -> tuple[list[np.ndarray], list[float], Optional[np.ndarray]]:
-    """The `trials` rounding draws shared by solve/round: each draw's cut or
-    assignment, its value at the worst-case weights, and the all-equal seed
-    vector (None for the graph kinds)."""
-    cfg = RoundConfig(seed=seed, trials=trials)
-    if inst.kind == ALLEQUAL:
-        z = _allequal_seed_vector(inst, sol, seed, trials)
-        cuts = [allequal_round(z, inst.arity, cfg, trial=t) for t in range(trials)]
-        value_of = allequal_value
-    else:
-        z = None
-        cuts = [round_cut(inst, sol.factor, cfg, trial=t) for t in range(trials)]
-        value_of = cut_value if inst.kind == MAXCUT else dicut_value
-    return cuts, [value_of(inst, x, sol.worst) for x in cuts], z
-
-
-def _round_pipeline(inst: Instance, sol: SaddleSolution, seed: int,
-                    trials: int) -> dict:
-    """Rounding stage of solve: the first best of the draws, plus the exact
-    expectation."""
-    cuts, values, z = _rounding_draws(inst, sol, seed, trials)
-    best = max(range(trials), key=values.__getitem__)
-    out = {"cut": [int(s) for s in cuts[best]], "value": values[best], "trial": best}
-    if inst.kind == ALLEQUAL:
-        out["expected_exact"] = expected_allequal_exact(inst, z, sol.worst)
-        out["seed_vector"] = [int(s) for s in z]
-    elif inst.kind == MAXCUT:
-        out["expected_exact"] = expected_cut_exact(inst, sol.factor, sol.worst)
-    else:
-        out["expected_exact"] = expected_dicut_exact(inst, sol.factor, sol.worst)
-    return out
-
-
 def _write_csv(path: str, inst: Instance, sol: SaddleSolution, cut) -> None:
     """Per-term table: endpoints/literals, worst weight, relaxed coefficient,
     rounded contribution."""
@@ -194,10 +151,16 @@ def cmd_solve(args) -> int:
         _emit(report, args.out)
         return EXIT_NO_CONVERGE
     t0 = time.perf_counter()
-    report["rounding"] = _round_pipeline(inst, sol, args.seed, args.trials)
+    cuts, values, z = rounding_draws(inst, sol.factor, sol.worst, args.seed, args.trials)
+    best = max(range(args.trials), key=values.__getitem__)  # the first best draw
+    report["rounding"] = {
+        "cut": [int(s) for s in cuts[best]], "value": values[best], "trial": best,
+        "expected_exact": expected_rounded_value(inst, sol.factor, z, sol.worst)}
+    if z is not None:
+        report["rounding"]["seed_vector"] = [int(s) for s in z]
     _stderr_time("round", time.perf_counter() - t0)
     if args.csv:
-        _write_csv(args.csv, inst, sol, report["rounding"]["cut"])
+        _write_csv(args.csv, inst, sol, cuts[best])
     _emit(report, args.out)
     return EXIT_OK
 
@@ -274,7 +237,8 @@ def cmd_round(args) -> int:
     _stderr_time("solve", time.perf_counter() - t0)
     if not sol.report.converged:
         return EXIT_NO_CONVERGE
-    _, per_trial, _ = _rounding_draws(inst, sol, args.seed, args.trials)
+    _, per_trial, _ = rounding_draws(inst, sol.factor, sol.worst, args.seed,
+                                     args.trials)
     report = {
         "command": "round",
         **meta,
@@ -351,11 +315,12 @@ def _at_least_one(text: str) -> int:
     return int(text)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
     p.add_argument("--instance", required=True, help="instance file (JSON or edge list)")
     p.add_argument("--spec", help="uncertainty-set file (default: singleton at nominal)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
+    if trials:  # verify makes no rounding draws of its own choosing
+        p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
     p.add_argument("--rank", type=int, default=0, help="factor rank (0 = auto)")
     p.add_argument("--gap-tol", type=float, default=1e-6, dest="gap_tol")
     p.add_argument("--max-iter", type=int, default=300, dest="max_iter")
@@ -375,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="solve and certify against brute force")
-    _add_solver_flags(p)
+    _add_solver_flags(p, trials=False)
     p.add_argument("--samples", type=int, default=20,
                    help="feasible weight samples for the lower sandwich")
     p.add_argument("--corrupt-value", type=float, default=0.0,

@@ -333,39 +333,21 @@ def cut_value(inst: Instance, y: np.ndarray, w=None) -> float:
     """Total weight of edges crossing the cut: sum_{(i,j)} w_ij (1 - y_i y_j)/2."""
     if inst.kind != MAXCUT:
         raise DomainError(f"cut_value: instance kind is {inst.kind}")
-    y = check_cut(inst, y)
-    w = _weights(inst, w)
-    i, j = inst.endpoints()
-    return float(np.dot(w, (1.0 - y[i] * y[j]) / 2.0))
+    return float(term_coefficients(inst, y) @ _weights(inst, w))
 
 
 def dicut_value(inst: Instance, y: np.ndarray, w=None) -> float:
     """Total weight of arcs i -> j with y_i = +1 and y_j = -1."""
     if inst.kind != DICUT:
         raise DomainError(f"dicut_value: instance kind is {inst.kind}")
-    y = check_cut(inst, y)
-    w = _weights(inst, w)
-    i, j = inst.endpoints()
-    return float(np.dot(w, (1.0 + y[i]) * (1.0 - y[j]) / 4.0))
-
-
-def clause_satisfied(lits: tuple[tuple[int, int], ...], x: np.ndarray) -> bool:
-    """A clause holds when all its literal values agree (all +1 or all -1)."""
-    vals = [s * x[v] for v, s in lits]
-    return all(v == vals[0] for v in vals)
+    return float(term_coefficients(inst, y) @ _weights(inst, w))
 
 
 def allequal_value(inst: Instance, x: np.ndarray, w=None) -> float:
     """Total weight of satisfied all-equal clauses under assignment x in {-1,+1}^n."""
     if inst.kind != ALLEQUAL:
         raise DomainError(f"allequal_value: instance kind is {inst.kind}")
-    x = check_cut(inst, x)
-    w = _weights(inst, w)
-    total = 0.0
-    for (lits, _), wc in zip(inst.clauses, w):
-        if clause_satisfied(lits, x):
-            total += wc
-    return float(total)
+    return float(term_coefficients(inst, x) @ _weights(inst, w))
 
 
 def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -373,7 +355,8 @@ def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
 
     Entry e is the factor multiplying w_e in the objective: (1 - y_i y_j)/2
     for maxcut edges, the forward-arc indicator for dicut, the satisfied
-    indicator for allequal.  Always in [0, 1].
+    indicator for allequal (all literal values s * y_v of the clause agree).
+    Always in [0, 1].
     """
     y = check_cut(inst, y)
     if inst.kind == MAXCUT:
@@ -382,8 +365,9 @@ def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
     if inst.kind == DICUT:
         i, j = inst.endpoints()
         return (1.0 + y[i]) * (1.0 - y[j]) / 4.0
-    return np.array([1.0 if clause_satisfied(lits, y) else 0.0
-                     for lits, _ in inst.clauses])
+    V, S = inst.clause_arrays
+    lit = S * y[V]
+    return np.all(lit == lit[:, :1], axis=1).astype(float)
 
 
 def total_weight(inst: Instance, w=None) -> float:

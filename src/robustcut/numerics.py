@@ -1,6 +1,6 @@
-"""Dense numerical kernels: PSD factorization, matrix square root, and a
-two-phase simplex solver with exact duals whose phase 1 can be kept and
-reused for any number of cost vectors.
+"""Dense numerical kernels: PSD matrix square root and a two-phase simplex
+solver with exact duals whose phase 1 can be kept and reused for any number
+of cost vectors.
 
 Matrices are plain ``numpy.ndarray``; everything here is deterministic for a
 fixed input (no randomized pivoting, Bland's rule throughout).
@@ -38,40 +38,6 @@ def _check_symmetric(M: np.ndarray, tol: float, what: str) -> np.ndarray:
     if skew > tol:
         raise NumericError(f"{what}: not symmetric (max |M - M^T| = {skew:.3e})")
     return 0.5 * (M + M.T)
-
-
-def cholesky_gram(Y: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Factor a correlation-like PSD matrix Y as U^T U with unit columns.
-
-    Outer-product Cholesky with pivot clamping: pivots in [-tol, tol] are
-    treated as exact zeros (rank deficiency), pivots below -tol raise
-    :class:`NumericError` naming the offending pivot.  Columns of the returned
-    U are renormalized to unit norm, so diag(U^T U) = 1 exactly.
-    """
-    Y = _check_symmetric(Y, tol, "cholesky_gram")
-    n = Y.shape[0]
-    bad = np.flatnonzero(np.abs(np.diag(Y) - 1.0) > tol)
-    if bad.size:
-        k = int(bad[0])
-        raise NumericError(f"cholesky_gram: diag[{k}] = {Y[k, k]:.6g} != 1 within tol")
-    L = np.zeros_like(Y)
-    for k in range(n):
-        d = Y[k, k] - float(L[k, :k] @ L[k, :k])
-        if d < -tol:
-            raise NumericError(
-                f"cholesky_gram: matrix not positive semidefinite (pivot {k} = {d:.3e})")
-        if d <= tol:
-            L[k, k] = 0.0
-            continue
-        L[k, k] = np.sqrt(d)
-        if k + 1 < n:
-            L[k + 1:, k] = (Y[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
-    U = L.T.copy()
-    norms = np.linalg.norm(U, axis=0)
-    if np.any(norms <= 0.0):
-        k = int(np.flatnonzero(norms <= 0.0)[0])
-        raise NumericError(f"cholesky_gram: zero column {k} (diag should be 1)")
-    return U / norms
 
 
 def sqrt_psd(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:

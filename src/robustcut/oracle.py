@@ -30,10 +30,8 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         term_coefficients)
 from .robust import SaddleSolution, inner_worst
 from .rounding import (ALLEQUAL_COEF, APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
-                       RoundConfig, allequal_round, expected_allequal_exact,
-                       expected_cut_exact, expected_dicut_exact, round_cut,
-                       sign_round_psd)
-from .sdp import GramFactor, term_gram_coefficients
+                       expected_rounded_value, rounding_draws)
+from .sdp import GramFactor
 from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
                           sample_feasible, worst_case_weights)
 
@@ -123,18 +121,13 @@ def mc_allequal_value(inst: Instance, z: np.ndarray, w, trials: int,
         raise DomainError(f"mc_allequal_value: instance kind is {inst.kind}")
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    k = inst.arity
-    p_plus = (1.0 + math.sqrt(2.0 / k) * z) / 2.0
+    p_plus = (1.0 + math.sqrt(2.0 / inst.arity) * z) / 2.0
     rng = streams.stream(seed, streams.TAG_MC, 1)
     draws = rng.random((trials, inst.n))
     X = np.where(draws < p_plus, 1.0, -1.0)
-    vals = np.zeros(trials)
-    for (lits, _), wc in zip(inst.clauses, w):
-        vidx = np.array([v for v, _ in lits])
-        sgns = np.array([s for _, s in lits], dtype=float)
-        lit_vals = X[:, vidx] * sgns
-        sat = np.abs(lit_vals.sum(axis=1)) == k
-        vals += wc * sat
+    V, S = inst.clause_arrays
+    lit = X[:, V] * S
+    vals = np.all(lit == lit[:, :, :1], axis=2).astype(float) @ w
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
@@ -175,7 +168,9 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
     """Certify the approximation sandwich around a solved saddle.
 
     Every inequality is checked with exact (closed-form or LP) quantities;
-    nothing here depends on Monte-Carlo noise or wall-clock.
+    nothing here depends on Monte-Carlo noise or wall-clock.  The upper half
+    tests `cuts`, by default ``rounding_draws(..., seed, 4)``: for the graph
+    kinds, the first 4 draws solve makes.
     """
     oracle = brute_force_robust(inst, spec)
     ratio = guarantee_ratio(inst)
@@ -194,31 +189,17 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
     rng = streams.stream(seed, streams.TAG_SAMPLE, 7)
     exact_tol = 1e-9 * scale
 
-    if inst.kind == ALLEQUAL:
-        A = allequal_quadratic_matrix(inst, sol.worst)
-        z = sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=32))
-        expected = expected_allequal_exact(inst, z, sol.worst)
-        checks.append(Check("lower_sandwich[worst]",
+    draws, _, z = rounding_draws(inst, sol.factor, sol.worst, seed, 4)
+    weights = [("worst", sol.worst)]
+    if inst.kind != ALLEQUAL and spec.kind != SINGLETON and samples > 0:
+        for s, wv in enumerate(sample_feasible(spec, rng, samples)):
+            weights.append((f"sample{s}", wv))
+    for label, wv in weights:
+        expected = expected_rounded_value(inst, sol.factor, z, wv)
+        checks.append(Check(f"lower_sandwich[{label}]",
                             expected >= ratio * oracle.value - exact_tol,
                             expected, ratio * oracle.value))
-        test_points = [allequal_round(z, inst.arity, RoundConfig(seed=seed), trial=t)
-                       for t in range(4)] if cuts is None else cuts
-    else:
-        expected_fn = expected_cut_exact if inst.kind == MAXCUT else expected_dicut_exact
-        weights = [("worst", sol.worst)]
-        if spec.kind != SINGLETON and samples > 0:
-            for s, wv in enumerate(sample_feasible(spec, rng, samples)):
-                weights.append((f"sample{s}", wv))
-        for label, wv in weights:
-            expected = expected_fn(inst, sol.factor, wv)
-            checks.append(Check(f"lower_sandwich[{label}]",
-                                expected >= ratio * oracle.value - exact_tol,
-                                expected, ratio * oracle.value))
-        if cuts is None:
-            test_points = [round_cut(inst, sol.factor, RoundConfig(seed=seed), trial=t)
-                           for t in range(4)]
-        else:
-            test_points = cuts
+    test_points = draws if cuts is None else cuts
 
     # upper half: the worst case of any fixed rounded solution is dominated
     # by the robust optimum
@@ -230,18 +211,3 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
     ok = all(c.passed for c in checks)
     return SandwichReport(ok=ok, ratio=ratio, solver_value=sol.value,
                           oracle_value=oracle.value, checks=checks)
-
-
-def allequal_quadratic_matrix(inst: Instance, w) -> np.ndarray:
-    """PSD matrix A = sum_C w_C a_C a_C^T whose quadratic form counts signed
-    clause agreement: z^T A z = sum_C w_C (sum_{i in C} s_i z_i)^2."""
-    if inst.kind != ALLEQUAL:
-        raise DomainError(f"allequal_quadratic_matrix: instance kind is {inst.kind}")
-    w = np.asarray(w, dtype=float)
-    A = np.zeros((inst.n, inst.n))
-    for (lits, _), wc in zip(inst.clauses, w):
-        a = np.zeros(inst.n)
-        for v, s in lits:
-            a[v] = s
-        A += wc * np.outer(a, a)
-    return A

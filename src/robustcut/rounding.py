@@ -24,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import streams
-from .instances import ALLEQUAL, DICUT, MAXCUT, DomainError, Instance
+from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
+                        term_coefficients)
 from .sdp import GramFactor, _check_factor
 
 APPROX_RATIO_MAXCUT = 0.878
@@ -73,21 +74,21 @@ def round_cut(inst: Instance, factor: GramFactor, cfg: RoundConfig,
     return s
 
 
-def best_of_roundings(inst: Instance, factor: GramFactor, w: np.ndarray,
-                      cfg: RoundConfig) -> tuple[np.ndarray, float, int]:
-    """Best cut among cfg.trials independent rounding draws, by value at w."""
-    from .instances import cut_value, dicut_value  # local to avoid cycle noise
-
-    value_of = cut_value if inst.kind == MAXCUT else dicut_value
-    best_y = None
-    best_v = -np.inf
-    best_t = 0
-    for t in range(max(1, cfg.trials)):
-        y = round_cut(inst, factor, cfg, trial=t)
-        v = value_of(inst, y, w)
-        if v > best_v:
-            best_y, best_v, best_t = y, v, t
-    return best_y, float(best_v), best_t
+def rounding_draws(inst: Instance, factor: GramFactor, w, seed: int,
+                   trials: int) -> tuple[list[np.ndarray], list[float], Optional[np.ndarray]]:
+    """The first `trials` rounding draws of a seed: each draw's cut or
+    assignment, its value ``term_coefficients(inst, x) @ w``, and the
+    all-equal seed vector z (None for the graph kinds), sign-rounded against
+    ``allequal_quadratic_matrix(inst, w)`` with at least max(8, trials) draws."""
+    cfg = RoundConfig(seed=seed, trials=trials)
+    if inst.kind == ALLEQUAL:
+        z = sign_round_psd(allequal_quadratic_matrix(inst, w), factor,
+                           RoundConfig(seed=seed, trials=max(8, trials)))
+        cuts = [allequal_round(z, inst.arity, cfg, trial=t) for t in range(trials)]
+    else:
+        z = None
+        cuts = [round_cut(inst, factor, cfg, trial=t) for t in range(trials)]
+    return cuts, [float(term_coefficients(inst, x) @ w) for x in cuts], z
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +139,21 @@ def expected_allequal_exact(inst: Instance, z: np.ndarray, w) -> float:
         raise DomainError(f"expected_allequal_exact: instance kind is {inst.kind}")
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    k = inst.arity
-    p_plus = (1.0 + math.sqrt(2.0 / k) * z) / 2.0
-    total = 0.0
-    for (lits, _), wc in zip(inst.clauses, w):
-        q = np.array([p_plus[v] if s > 0 else 1.0 - p_plus[v] for v, s in lits])
-        total += wc * (float(np.prod(q)) + float(np.prod(1.0 - q)))
-    return float(total)
+    V, S = inst.clause_arrays
+    p_plus = (1.0 + math.sqrt(2.0 / inst.arity) * z) / 2.0
+    q = np.where(S > 0, p_plus[V], 1.0 - p_plus[V])
+    return float(w @ (np.prod(q, axis=1) + np.prod(1.0 - q, axis=1)))
+
+
+def expected_rounded_value(inst: Instance, factor: GramFactor,
+                           z: Optional[np.ndarray], w) -> float:
+    """Exact expected value at w of the draws :func:`rounding_draws` makes,
+    given its seed vector z (used for all-equal only)."""
+    if inst.kind == ALLEQUAL:
+        return expected_allequal_exact(inst, z, w)
+    if inst.kind == MAXCUT:
+        return expected_cut_exact(inst, factor, w)
+    return expected_dicut_exact(inst, factor, w)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +323,7 @@ def sign_round_psd(A: np.ndarray, factor: GramFactor, cfg: RoundConfig) -> np.nd
     best_z = None
     best_v = -np.inf
     for t in range(100 * trials):
-        rng = streams.stream(cfg.seed, streams.TAG_ROUND, t)
-        r = rng.standard_normal(U.shape[0])
-        z = np.where(U.T @ r >= 0.0, 1.0, -1.0)
+        z = hyperplane_round(factor, cfg, t).astype(float)
         v = float(z @ A @ z)
         if v > best_v:
             best_v, best_z = v, z
@@ -329,13 +336,29 @@ def sign_round_psd(A: np.ndarray, factor: GramFactor, cfg: RoundConfig) -> np.nd
 
 def allequal_round(z: np.ndarray, k: int, cfg: RoundConfig, trial: int = 0) -> np.ndarray:
     """Biased assignment from a sign vector: x_i = +1 with probability
-    (1 + sqrt(2/k) z_i)/2.  Deterministic (x = z) at k = 2."""
+    (1 + sqrt(2/k) z_i)/2, from stream (seed, ASSIGN, trial) so that it is
+    independent of the hyperplane draws behind z.  Deterministic (x = z) at
+    k = 2."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) == 1.0):
         raise DomainError("allequal_round: z must be a +-1 vector")
     if k < 2:
         raise DomainError(f"allequal_round: arity {k} < 2")
     p_plus = (1.0 + math.sqrt(2.0 / k) * z) / 2.0
-    rng = streams.stream(cfg.seed, streams.TAG_ROUND, trial)
+    rng = streams.stream(cfg.seed, streams.TAG_ASSIGN, trial)
     draws = rng.random(len(z))
     return np.where(draws < p_plus, 1, -1).astype(int)
+
+
+def allequal_quadratic_matrix(inst: Instance, w) -> np.ndarray:
+    """PSD matrix A = sum_C w_C a_C a_C^T whose quadratic form counts signed
+    clause agreement: z^T A z = sum_C w_C (sum_{i in C} s_i z_i)^2."""
+    if inst.kind != ALLEQUAL:
+        raise DomainError(f"allequal_quadratic_matrix: instance kind is {inst.kind}")
+    w = np.asarray(w, dtype=float)
+    V, S = inst.clause_arrays
+    A = np.zeros((inst.n, inst.n))
+    # unbuffered, in clause order: each entry sums its clauses' terms in turn
+    np.add.at(A, (V[:, :, None], V[:, None, :]),
+              w[:, None, None] * (S[:, :, None] * S[:, None, :]))
+    return A

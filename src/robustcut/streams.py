@@ -5,8 +5,8 @@ Every random draw in the package comes from a PCG64 generator keyed by
 The rule is: one stream per (seed, purpose); within a Monte-Carlo run of T
 trials, trial t consumes row t of the pre-generated draw block.  Results are
 therefore bit-reproducible for a fixed seed regardless of chunking, and
-independent purposes (solver restarts, rounding, sampling) never share a
-stream.
+independent purposes (solver restarts, hyperplane rounding, all-equal
+assignments, sampling) never share a stream.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ TAG_ROUND = 2
 TAG_MC = 3
 TAG_GEN = 4
 TAG_SAMPLE = 5
+TAG_ASSIGN = 6
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -16,12 +16,13 @@ import numpy as np
 from robustcut import gen, streams
 from robustcut.cli import EXIT_OK, main
 from robustcut.instances import graph_instance, MAXCUT
-from robustcut.oracle import (allequal_quadratic_matrix, brute_force_robust,
-                              guarantee_ratio, mc_allequal_value)
+from robustcut.oracle import (brute_force_robust, guarantee_ratio,
+                              mc_allequal_value)
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               ellipsoid_reformulated_value, solve_robust)
-from robustcut.rounding import (RoundConfig, alpha_ratio,
-                                dicut_biased_ratio_search, expected_cut_exact,
+from robustcut.rounding import (RoundConfig, allequal_quadratic_matrix,
+                                alpha_ratio, dicut_biased_ratio_search,
+                                expected_cut_exact,
                                 feasible_pair_grid, large_cut_ratio,
                                 negative_weight_bound, sign_round_psd)
 from robustcut.sdp import (GramFactor, solve_elliptope_max,

@@ -223,6 +223,13 @@ def test_trials_below_one_rejected(tmp_path, capsys, cycle5, allequal_file, cmd,
         assert not out.exists()
 
 
+def test_verify_rejects_trials(capsys, triangle_file):
+    # verify certifies a fixed set of draws; --trials would be ignored there
+    assert run("verify", "--instance", triangle_file, "--trials", "8") == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "--trials" in err and "Traceback" not in err
+
+
 def test_validation_message_has_plain_numbers(tmp_path, capsys):
     inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
                                              "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
@@ -314,6 +321,17 @@ def test_round_command(tmp_path, cycle5):
     assert len(rep["per_trial"]) == 5
     assert rep["best"] == max(rep["per_trial"])
     assert rep["mean"] == pytest.approx(float(np.mean(rep["per_trial"])))
+
+
+def test_solve_reports_first_best_draw(tmp_path, triangle_file):
+    # on a triangle every nontrivial cut scores 2, so the draws tie
+    solved, rounded = tmp_path / "s.json", tmp_path / "r.json"
+    assert run("solve", "--instance", triangle_file, "--out", str(solved)) == EXIT_OK
+    assert run("round", "--instance", triangle_file, "--out", str(rounded)) == EXIT_OK
+    per_trial = json.loads(rounded.read_text())["per_trial"]
+    best = max(per_trial)
+    assert per_trial.count(best) > 1
+    assert json.loads(solved.read_text())["rounding"]["trial"] == per_trial.index(best)
 
 
 def test_round_allequal_best_matches_solve(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from robustcut import streams
 from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem,
                                 NumericError, UnboundedError, _pivot,
-                                cholesky_gram, simplex_solve, sqrt_psd)
+                                simplex_solve, sqrt_psd)
 
 
 def vertex_enum_min(c, A, b, senses):
@@ -40,48 +40,6 @@ def vertex_enum_min(c, A, b, senses):
         if ok and c @ x < best:
             best, best_x = c @ x, x
     return best, best_x
-
-
-# ---------------------------------------------------------------------------
-# cholesky_gram
-# ---------------------------------------------------------------------------
-
-def test_cholesky_identity():
-    U = cholesky_gram(np.eye(3))
-    assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
-
-
-def test_cholesky_all_ones_rank_one():
-    U = cholesky_gram(np.ones((3, 3)))
-    # rank-1 Gram matrix: all columns coincide
-    assert np.allclose(U.T @ U, 1.0, atol=1e-10)
-    assert np.allclose(U[:, 0:1], U, atol=1e-10)
-
-
-def test_cholesky_round_trip_random():
-    rng = streams.stream(5, streams.TAG_GEN, 0)
-    for _ in range(25):
-        r = int(rng.integers(1, 6))
-        n = int(rng.integers(2, 9))
-        U0 = rng.standard_normal((r, n))
-        U0 /= np.linalg.norm(U0, axis=0)
-        Y = U0.T @ U0
-        U = cholesky_gram(Y)
-        assert np.max(np.abs(U.T @ U - Y)) <= 1e-10
-        assert np.allclose(np.linalg.norm(U, axis=0), 1.0, atol=1e-10)
-
-
-def test_cholesky_rejects_indefinite():
-    Y = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    with pytest.raises(NumericError, match="pivot"):
-        cholesky_gram(Y)
-
-
-def test_cholesky_rejects_asymmetric_and_bad_diag():
-    with pytest.raises(NumericError):
-        cholesky_gram(np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(NumericError):
-        cholesky_gram(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

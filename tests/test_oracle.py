@@ -11,12 +11,13 @@ from robustcut.gen import box_for, gnp_instance, wasserstein_for
 from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
                                  allequal_value, cut_value, dicut_value,
                                  graph_instance)
-from robustcut.oracle import (BRUTE_FORCE_LIMIT, allequal_quadratic_matrix,
-                              brute_force_robust, certify_sandwich,
-                              enumerate_signs, guarantee_ratio,
-                              mc_allequal_value, mc_expected_cut)
+from robustcut.oracle import (BRUTE_FORCE_LIMIT, brute_force_robust,
+                              certify_sandwich, enumerate_signs,
+                              guarantee_ratio, mc_allequal_value,
+                              mc_expected_cut)
 from robustcut.robust import SolverConfig, solve_dro, solve_robust
-from robustcut.rounding import expected_cut_exact
+from robustcut.rounding import (allequal_quadratic_matrix, expected_cut_exact,
+                                rounding_draws)
 from robustcut.sdp import GramFactor
 from robustcut.uncertainty import (box_spec, polyhedral_spec, singleton_spec,
                                    wasserstein_spec)
@@ -320,6 +321,19 @@ def test_certify_accepts_explicit_cuts():
     uppers = [c for c in rep.checks if c.name.startswith("upper_sandwich")]
     assert len(uppers) == 2
     assert all(c.passed for c in uppers)
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+def test_certify_upper_points_are_solves_first_draws(kind):
+    inst = gnp_instance(7, 0.6, 12, kind=kind)
+    spec = box_for(inst, 0.2)
+    sol = solve_robust(inst, spec, SolverConfig(seed=4))
+    solve_cuts, _, _ = rounding_draws(inst, sol.factor, sol.worst, 4, 16)  # solve's default
+    rep = certify_sandwich(inst, spec, sol, seed=4)
+    explicit = certify_sandwich(inst, spec, sol, cuts=solve_cuts[:4], seed=4)
+    assert [c.name for c in rep.checks if c.name.startswith("upper")] == \
+        [f"upper_sandwich[round{t}]" for t in range(4)]
+    assert rep.checks == explicit.checks
 
 
 def test_allequal_quadratic_matrix():

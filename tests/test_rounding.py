@@ -1,24 +1,26 @@
 """Hyperplane rounding, exact expectations, and guarantee-ratio functions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from robustcut import streams
+from robustcut.cli import main
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
-                                 allequal_instance, cut_value, dicut_value,
-                                 graph_instance)
+                                 allequal_instance, graph_instance,
+                                 instance_to_json, term_coefficients)
 from robustcut.numerics import NumericError
 from robustcut.rounding import (APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
                                 CROSSOVER_GAMMA, RoundConfig, allequal_round,
-                                alpha_ratio, best_of_roundings,
-                                dicut_biased_ratio_search, dicut_triple_prob,
-                                expected_allequal_exact, expected_cut_exact,
-                                expected_dicut_exact, feasible_pair_grid,
-                                hyperplane_round, large_cut_ratio,
-                                negative_weight_bound, round_cut,
-                                sign_round_psd, uniform_arc_indicator)
+                                alpha_ratio, dicut_biased_ratio_search,
+                                dicut_triple_prob, expected_allequal_exact,
+                                expected_cut_exact, expected_dicut_exact,
+                                feasible_pair_grid, hyperplane_round,
+                                large_cut_ratio, negative_weight_bound,
+                                round_cut, rounding_draws, sign_round_psd,
+                                uniform_arc_indicator)
 from robustcut.sdp import GramFactor
 
 
@@ -107,20 +109,66 @@ def test_round_cut_rejects_allequal():
         round_cut(inst, factor, RoundConfig(seed=0))
 
 
-def test_best_of_roundings_improves():
-    inst = graph_instance(4, MAXCUT, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
-                                      (0, 3, 1.0), (0, 2, 1.0)])
-    rng = streams.stream(31, streams.TAG_GEN, 0)
-    U = rng.standard_normal((4, 4))
-    U /= np.linalg.norm(U, axis=0)
-    factor = GramFactor(U)
+def random_factor(ncols, seed):
+    rng = streams.stream(seed, streams.TAG_GEN, 0)
+    U = rng.standard_normal((4, ncols))
+    return GramFactor(U / np.linalg.norm(U, axis=0))
+
+
+DRAW_CASES = [
+    (graph_instance(4, MAXCUT, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                                (0, 3, 1.0), (0, 2, 1.0)]), 4),
+    (graph_instance(4, DICUT, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0),
+                               (3, 0, 0.5), (0, 2, 1.5)]), 5),
+    (allequal_instance(5, [([1, 2, -3], 1.0), ([2, -4, 5], 2.0),
+                           ([-1, 3, 4], 0.5), ([1, -5, 2], 1.5)]), 5),
+]
+
+
+@pytest.mark.parametrize("inst,ncols", DRAW_CASES, ids=lambda c: getattr(c, "kind", ""))
+def test_rounding_draws_scores_and_prefixes(inst, ncols):
+    factor = random_factor(ncols, 31)
     w = inst.nominal_weights()
-    y1, v1, _ = best_of_roundings(inst, factor, w, RoundConfig(seed=13, trials=1))
-    y8, v8, t8 = best_of_roundings(inst, factor, w, RoundConfig(seed=13, trials=8))
-    assert v1 == pytest.approx(cut_value(inst, y1, w))
-    assert v8 == pytest.approx(cut_value(inst, y8, w))
-    assert v8 >= v1
-    assert 0 <= t8 < 8
+    cuts1, vals1, z1 = rounding_draws(inst, factor, w, 13, 1)
+    cuts8, vals8, z8 = rounding_draws(inst, factor, w, 13, 8)
+    # fewer trials are a prefix of more (the all-equal seed vector takes at
+    # least 8 draws either way), so more draws never score worse
+    assert np.array_equal(cuts1[0], cuts8[0]) and vals1 == vals8[:1]
+    assert max(vals8) >= max(vals1)
+    assert (z1 is None) == (z8 is None) == (inst.kind != ALLEQUAL)
+    for t, (x, v) in enumerate(zip(cuts8, vals8)):
+        assert type(v) is float and v == float(term_coefficients(inst, x) @ w)
+        if inst.kind != ALLEQUAL:
+            assert np.array_equal(x, round_cut(inst, factor, RoundConfig(seed=13), trial=t))
+        else:
+            assert np.array_equal(x, allequal_round(z8, 3, RoundConfig(seed=13), trial=t))
+    if inst.kind == ALLEQUAL:
+        assert np.array_equal(z1, z8)
+
+
+def test_allequal_assignments_and_hyperplanes_use_disjoint_streams(tmp_path, monkeypatch):
+    # hyperplane draws (which pick the seed vector) and biased assignments
+    # are independent purposes, so an all-equal solve must never read the
+    # same stream for both
+    inst = allequal_instance(5, [([1, 2, -3], 1.0), ([2, -4, 5], 2.0),
+                                 ([-1, 3, 4], 0.5), ([1, -5, 2], 1.5)])
+    path = tmp_path / "ae.json"
+    path.write_text(instance_to_json(inst))
+    real = streams.stream
+    keys = {}
+
+    def recording(seed, *key):
+        caller = sys._getframe(1).f_code.co_name
+        keys.setdefault(caller, set()).add((seed, *key))
+        return real(seed, *key)
+
+    monkeypatch.setattr(streams, "stream", recording)
+    assert main(["solve", "--instance", str(path), "--seed", "3",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    hyperplane = keys.get("hyperplane_round", set()) | keys.get("sign_round_psd", set())
+    assign = keys.get("allequal_round", set())
+    assert len(hyperplane) >= 8 and len(assign) == 16
+    assert not hyperplane & assign
 
 
 # ---------------------------------------------------------------------------
