@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -309,10 +310,28 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _at_least_one(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """Argument type: a decimal integer >= low."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_at_least_zero = _int_at_least(0)
+_at_least_one = _int_at_least(1)
+
+
+def _positive_finite(text: str) -> float:
+    """Argument type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
@@ -321,10 +340,10 @@ def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0)
     if trials:  # verify makes no rounding draws of its own choosing
         p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
-    p.add_argument("--rank", type=int, default=0, help="factor rank (0 = auto)")
-    p.add_argument("--gap-tol", type=float, default=1e-6, dest="gap_tol")
-    p.add_argument("--max-iter", type=int, default=300, dest="max_iter")
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--rank", type=_at_least_zero, default=0, help="factor rank (0 = auto)")
+    p.add_argument("--gap-tol", type=_positive_finite, default=1e-6, dest="gap_tol")
+    p.add_argument("--max-iter", type=_at_least_one, default=300, dest="max_iter")
+    p.add_argument("--restarts", type=_at_least_one, default=3)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -341,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="solve and certify against brute force")
     _add_solver_flags(p, trials=False)
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_at_least_zero, default=20,
                    help="feasible weight samples for the lower sandwich")
     p.add_argument("--corrupt-value", type=float, default=0.0,
                    dest="corrupt_value", help=argparse.SUPPRESS)
@@ -375,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing smoke across sizes (times on stderr)")
     p.add_argument("--sizes", default="6,10,14")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=300, dest="max_iter")
+    p.add_argument("--max-iter", type=_at_least_one, default=300, dest="max_iter")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import streams
-from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
+from .instances import (DICUT, MAXCUT, DomainError, Instance,
                         allequal_instance, graph_instance)
 from .uncertainty import (UncertaintySpec, box_spec, ellipsoidal_spec,
                           singleton_spec, wasserstein_spec)

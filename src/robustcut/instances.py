@@ -312,9 +312,10 @@ def load_instance(path: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def check_cut(inst: Instance, y: np.ndarray) -> np.ndarray:
+    """A +-1 vector of shape (n,), or a block of them of shape (B, n), as ints."""
     y = np.asarray(y, dtype=int)
-    if y.shape != (inst.n,):
-        raise DomainError(f"cut: expected shape ({inst.n},), got {y.shape}")
+    if y.shape[-1:] != (inst.n,) or y.ndim > 2:
+        raise DomainError(f"cut: expected shape ({inst.n},) or (B, {inst.n}), got {y.shape}")
     if not np.all(np.abs(y) == 1):
         raise DomainError("cut: entries must be +-1")
     return y
@@ -329,25 +330,32 @@ def _weights(inst: Instance, w) -> np.ndarray:
     return w
 
 
+def _value(inst: Instance, y: np.ndarray, w) -> float:
+    """The objective of one cut/assignment y at weights w (nominal if None)."""
+    if np.ndim(y) != 1:
+        raise DomainError(f"cut: expected shape ({inst.n},), got {np.shape(y)}")
+    return float(term_coefficients(inst, y) @ _weights(inst, w))
+
+
 def cut_value(inst: Instance, y: np.ndarray, w=None) -> float:
     """Total weight of edges crossing the cut: sum_{(i,j)} w_ij (1 - y_i y_j)/2."""
     if inst.kind != MAXCUT:
         raise DomainError(f"cut_value: instance kind is {inst.kind}")
-    return float(term_coefficients(inst, y) @ _weights(inst, w))
+    return _value(inst, y, w)
 
 
 def dicut_value(inst: Instance, y: np.ndarray, w=None) -> float:
     """Total weight of arcs i -> j with y_i = +1 and y_j = -1."""
     if inst.kind != DICUT:
         raise DomainError(f"dicut_value: instance kind is {inst.kind}")
-    return float(term_coefficients(inst, y) @ _weights(inst, w))
+    return _value(inst, y, w)
 
 
 def allequal_value(inst: Instance, x: np.ndarray, w=None) -> float:
     """Total weight of satisfied all-equal clauses under assignment x in {-1,+1}^n."""
     if inst.kind != ALLEQUAL:
         raise DomainError(f"allequal_value: instance kind is {inst.kind}")
-    return float(term_coefficients(inst, x) @ _weights(inst, w))
+    return _value(inst, x, w)
 
 
 def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -356,18 +364,19 @@ def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
     Entry e is the factor multiplying w_e in the objective: (1 - y_i y_j)/2
     for maxcut edges, the forward-arc indicator for dicut, the satisfied
     indicator for allequal (all literal values s * y_v of the clause agree).
-    Always in [0, 1].
+    Always in [0, 1].  A (B, n) block of sign vectors gives a (B, m) block,
+    row by row the same numbers.
     """
     y = check_cut(inst, y)
     if inst.kind == MAXCUT:
         i, j = inst.endpoints()
-        return (1.0 - (y[i] * y[j]).astype(float)) / 2.0
+        return (1.0 - (y[..., i] * y[..., j]).astype(float)) / 2.0
     if inst.kind == DICUT:
         i, j = inst.endpoints()
-        return (1.0 + y[i]) * (1.0 - y[j]) / 4.0
+        return (1.0 + y[..., i]) * (1.0 - y[..., j]) / 4.0
     V, S = inst.clause_arrays
-    lit = S * y[V]
-    return np.all(lit == lit[:, :1], axis=1).astype(float)
+    lit = S * y[..., V]
+    return np.all(lit == lit[..., :1], axis=-1).astype(float)
 
 
 def total_weight(inst: Instance, w=None) -> float:

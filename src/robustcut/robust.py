@@ -30,7 +30,7 @@ from . import streams
 from .instances import DomainError, Instance
 from .numerics import sqrt_psd
 from .sdp import (GramFactor, SolveReport, default_rank, factor_columns,
-                  objective_gradient, relaxed_value, solve_elliptope_max,
+                  objective_gradient, solve_elliptope_max,
                   term_gram_coefficients, _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
                           UncertaintySpec, dual_polyhedral_value, require_valid,

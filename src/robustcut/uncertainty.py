@@ -259,11 +259,14 @@ def _feasible_tableau(spec: UncertaintySpec) -> FeasibleTableau:
     return tableau
 
 
-def _check_coef(spec: UncertaintySpec, coef) -> np.ndarray:
+def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
+    """`coef` of shape (dim,), or (B, dim) with `rows`, clipped at 0; a
+    DomainError for any other shape or an entry below -1e-9."""
     coef = np.asarray(coef, dtype=float)
     dim = spec.dim()
-    if coef.shape != (dim,):
-        raise DomainError(f"coef: expected shape ({dim},), got {coef.shape}")
+    if coef.shape[-1:] != (dim,) or coef.ndim != 1 + rows:
+        want = f"(B, {dim})" if rows else f"({dim},)"
+        raise DomainError(f"coef: expected shape {want}, got {coef.shape}")
     if np.any(coef < -1e-9):
         raise DomainError(f"coef: negative coefficient {coef.min():.3e}")
     return np.clip(coef, 0.0, None)
@@ -299,6 +302,33 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
     # wasserstein: worst mean weights
     _, mean_w, value = _worst_mean(spec, coef)
     return mean_w, value
+
+
+def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
+    """Minimum of c . w over the set for each row c of a B x dim block:
+    the values of :func:`worst_case_weights`, row by row, to roundoff.
+
+    Polyhedra and Wasserstein balls score the block against the optimal
+    bases their tableau keeps (:meth:`FeasibleTableau.values`); singletons
+    and ellipsoids evaluate their closed forms on the whole block.
+    """
+    C = _check_coef(spec, coef_block, rows=True)
+    if spec.kind == SINGLETON:
+        return C @ spec.weights
+    if spec.kind == POLYHEDRAL:
+        return _feasible_tableau(spec).values(C)
+    out = np.zeros(len(C))
+    live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
+    C = C[live]
+    if spec.kind == ELLIPSOIDAL:
+        q = C @ spec.Q.T  # row r is Q @ C[r]
+        denom = np.sqrt(np.einsum("ij,ij->i", C, q))
+        W = spec.w0 - np.sqrt(spec.a) * q / denom[:, None]
+        out[live] = np.einsum("ij,ij->i", C, W)
+    else:
+        k = spec.support.shape[0]
+        out[live] = _feasible_tableau(spec).values(np.repeat(C @ spec.support.T, k, axis=1))
+    return out
 
 
 def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray, float]:

@@ -223,6 +223,21 @@ def test_trials_below_one_rejected(tmp_path, capsys, cycle5, allequal_file, cmd,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("verify", "--gap-tol", "nan"), ("verify", "--gap-tol", "-1"),
+    ("solve", "--gap-tol", "0"), ("solve", "--gap-tol", "inf"),
+    ("verify", "--restarts", "-2"), ("solve", "--restarts", "0"),
+    ("round", "--max-iter", "0"), ("bench", "--max-iter", "-5"),
+    ("verify", "--samples", "-1"), ("verify", "--rank", "-1")])
+def test_out_of_range_solver_flags_rejected(tmp_path, capsys, triangle_file, cmd, flag, value):
+    out = tmp_path / "r.json"
+    args = [] if cmd == "bench" else ["--instance", triangle_file]
+    assert run(cmd, *args, flag, value, "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_rejects_trials(capsys, triangle_file):
     # verify certifies a fixed set of draws; --trials would be ignored there
     assert run("verify", "--instance", triangle_file, "--trials", "8") == EXIT_PARSE

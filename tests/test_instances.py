@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
-                                 Instance, ParseError, allequal_instance,
+from robustcut.instances import (DICUT, MAXCUT, DomainError, ParseError,
+                                 allequal_instance,
                                  allequal_value, check_cut, cut_value,
                                  dicut_value, graph_instance,
                                  instance_from_dict, instance_to_dict,
@@ -210,12 +210,33 @@ def test_term_coefficients_match_evaluators():
             assert term_coefficients(inst, y) @ w == pytest.approx(fn(inst, y, w))
 
 
+def test_term_coefficients_of_a_block_are_its_rows():
+    rng = streams.stream(41, streams.TAG_GEN, 0)
+    insts = [random_graph(rng, MAXCUT), random_graph(rng, DICUT),
+             allequal_instance(5, [([1, -2, 3], 1.0), ([2, 4, -5], 0.5),
+                                   ([-1, 3, 5], 2.0)])]
+    for inst in insts:
+        Y = np.where(rng.random((9, inst.n)) < 0.5, 1, -1)
+        block = term_coefficients(inst, Y)
+        assert block.shape == (9, inst.m)
+        for y, row in zip(Y, block):
+            assert row.tobytes() == term_coefficients(inst, y).tobytes()
+
+
 def test_check_cut_rejects_bad_vectors():
     inst = triangle()
     with pytest.raises(DomainError):
         check_cut(inst, np.array([1, 1]))          # wrong length
     with pytest.raises(DomainError):
         check_cut(inst, np.array([1, 0, -1]))      # entry not in {-1, +1}
+    with pytest.raises(DomainError):
+        check_cut(inst, np.ones((2, 2), dtype=int))      # block of wrong width
+    with pytest.raises(DomainError):
+        check_cut(inst, np.ones((2, 2, 3), dtype=int))   # not one block
+    with pytest.raises(DomainError):
+        check_cut(inst, np.array([[1, 1, 1], [1, 0, 1]]))
+    with pytest.raises(DomainError, match="shape"):
+        cut_value(inst, np.ones((1, 3), dtype=int))      # evaluators take one cut
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,29 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from robustcut import numerics, streams
-from robustcut.gen import box_for, gnp_instance, wasserstein_for
+from robustcut import numerics, oracle, streams
+from robustcut.gen import (box_for, complete_instance, cycle_instance,
+                           gnp_instance, random_allequal_instance,
+                           singleton_for, wasserstein_for)
 from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
                                  allequal_value, cut_value, dicut_value,
-                                 graph_instance)
-from robustcut.oracle import (BRUTE_FORCE_LIMIT, brute_force_robust,
-                              certify_sandwich, enumerate_signs,
+                                 graph_instance, term_coefficients)
+from robustcut.oracle import (BRUTE_FORCE_LIMIT, OracleResult,
+                              brute_force_robust, certify_sandwich,
                               guarantee_ratio, mc_allequal_value,
                               mc_expected_cut)
 from robustcut.robust import SolverConfig, solve_dro, solve_robust
 from robustcut.rounding import (allequal_quadratic_matrix, expected_cut_exact,
                                 rounding_draws)
 from robustcut.sdp import GramFactor
-from robustcut.uncertainty import (box_spec, polyhedral_spec, singleton_spec,
-                                   wasserstein_spec)
+from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
+                                   singleton_spec, wasserstein_spec,
+                                   worst_case_weights)
 
 
 def triangle(kind=MAXCUT, edges=None):
@@ -42,6 +46,40 @@ def exhaustive_max(inst, w):
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+def enumerate_signs(n, fix_first):
+    """Reference enumeration: all +-1 vectors of length n (first coordinate
+    pinned to +1 when the objective is flip-symmetric), one at a time."""
+    free = n - 1 if fix_first else n
+    y = np.empty(n, dtype=int)
+    for bits in range(1 << free):
+        if fix_first:
+            y[0] = 1
+            for i in range(free):
+                y[i + 1] = 1 if (bits >> i) & 1 else -1
+        else:
+            for i in range(free):
+                y[i] = 1 if (bits >> i) & 1 else -1
+        yield y
+
+
+def brute_force_loop(inst, spec):
+    """Reference brute force: one scalar inner oracle call per candidate,
+    the first strict maximum wins."""
+    best_v = -np.inf
+    best_y = None
+    best_w = None
+    count = 0
+    for y in enumerate_signs(inst.n, inst.kind != DICUT):
+        count += 1
+        w, v = worst_case_weights(spec, term_coefficients(inst, y))
+        if v > best_v:
+            best_v = v
+            best_y = y.copy()
+            best_w = w
+    return OracleResult(best=best_y, worst=best_w, value=float(best_v),
+                        enumerated=count)
+
 
 def test_enumerate_signs_counts_and_pinning():
     fixed = list(enumerate_signs(4, True))
@@ -142,6 +180,140 @@ def test_brute_force_guard():
     inst = graph_instance(n, MAXCUT, [(0, 1, 1.0)])
     with pytest.raises(DomainError, match="limit"):
         brute_force_robust(inst, singleton_spec(inst.nominal_weights()))
+
+
+def _scenario_hull(inst, seed):
+    """The segment between two weight scenarios, as pairs of opposite rows."""
+    rng = np.random.default_rng(seed)
+    w0 = inst.nominal_weights()
+    s1, s2 = w0 * rng.uniform(0.7, 1.3, size=(2, inst.m))
+    d = s2 - s1
+    N = np.linalg.svd(d[None, :])[2][1:]  # rows span the complement of d
+    A = np.vstack([N, -N, d, -d])
+    b = np.concatenate([N @ s1, -(N @ s1), [d @ s1], [-(d @ s2)]])
+    return polyhedral_spec(A, b)
+
+
+def _budgeted_box(inst, seed):
+    rng = np.random.default_rng(seed)
+    w0 = inst.nominal_weights()
+    R = rng.uniform(0.0, 1.0, size=(2, inst.m))
+    box = box_for(inst, 0.2)
+    return polyhedral_spec(np.vstack([box.A, R]), np.concatenate([box.b, R @ w0]))
+
+
+def _dense_ellipsoid(inst, seed):
+    rng = np.random.default_rng(seed)
+    w0 = inst.nominal_weights()
+    G = rng.standard_normal((inst.m, inst.m))
+    Q = G @ G.T / inst.m + 0.5 * np.eye(inst.m)
+    a = float(np.min((0.4 * w0) ** 2 / np.diag(Q)))
+    return ellipsoidal_spec(w0, Q, a)
+
+
+def _explicit_metric_ball(inst, seed):
+    spec = wasserstein_for(inst, 3, 0.3, seed=seed)
+    k = spec.support.shape[0]
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.5, 2.0, size=(k, k))
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    return wasserstein_spec(spec.support, spec.empirical, 0.4, D)
+
+
+SET_MAKERS = {
+    "singleton": lambda inst, seed: singleton_for(inst),
+    "box": lambda inst, seed: box_for(inst, 0.2),
+    "budgeted_box": _budgeted_box,
+    "scenario_hull": _scenario_hull,
+    "ellipsoid_dense": _dense_ellipsoid,
+    "wasserstein_auto": lambda inst, seed: wasserstein_for(inst, 4, 0.3, seed=seed),
+    "wasserstein_metric": _explicit_metric_ball,
+    "wasserstein_r0": lambda inst, seed: wasserstein_for(inst, 3, 0.0, seed=seed),
+}
+
+BRUTE_INSTANCES = {
+    "maxcut_gnp": lambda: gnp_instance(9, 0.5, 21),
+    "dicut_gnp": lambda: gnp_instance(8, 0.5, 22, kind=DICUT),
+    "allequal": lambda: random_allequal_instance(7, 3, 10, 23),
+    "unit_cycle": lambda: cycle_instance(8),
+    "unit_dicycle": lambda: cycle_instance(7, kind=DICUT),
+    "unit_complete": lambda: complete_instance(8),
+    "isolated_vertex": lambda: graph_instance(
+        8, MAXCUT, [(i, j, 1.0 + 0.1 * ((i * j) % 4)) for i in range(7)
+                    for j in range(i + 1, 7) if (i + j) % 3]),
+}
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.best, want.best)
+    assert got.best.dtype == want.best.dtype
+    assert got.worst.tobytes() == want.worst.tobytes()
+    assert got.value == want.value
+    assert got.enumerated == want.enumerated
+
+
+@pytest.mark.parametrize("set_name", sorted(SET_MAKERS))
+@pytest.mark.parametrize("inst_name", sorted(BRUTE_INSTANCES))
+def test_brute_force_equals_candidate_loop(inst_name, set_name):
+    inst = BRUTE_INSTANCES[inst_name]()
+    spec = SET_MAKERS[set_name](inst, 5)
+    assert_same_result(brute_force_robust(inst, spec), brute_force_loop(inst, spec))
+
+
+def test_brute_force_spans_several_blocks():
+    # 2^11 candidates in 16 blocks; a fresh spec and one whose tableau already
+    # keeps bases from an earlier run give the loop's result
+    inst = gnp_instance(12, 0.5, 11)
+    for spec in (box_for(inst, 0.2), wasserstein_for(inst, 4, 0.3, seed=11)):
+        want = brute_force_loop(inst, spec)
+        assert want.enumerated > 8 * oracle._BLOCK
+        assert_same_result(brute_force_robust(inst, spec), want)
+        assert_same_result(brute_force_robust(inst, spec), want)
+
+
+@pytest.mark.parametrize("spec_of", [singleton_for, lambda inst: box_for(inst, 0.2)])
+def test_brute_force_absorbs_block_value_error(monkeypatch, spec_of):
+    # unit K10: 126 tied maximizers over 4 blocks; block values off by 1e-9
+    # relative (far above roundoff, far below the margin) move the block
+    # maximum away from the first maximizer, which must still win
+    inst = complete_instance(10)
+    spec = spec_of(inst)
+    want = brute_force_loop(inst, spec)
+    rng = np.random.default_rng(3)
+    exact = oracle.worst_case_values
+
+    def off_by_roundoff(spec, coef_block):
+        v = exact(spec, coef_block)
+        return v * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=len(v)))
+
+    monkeypatch.setattr(oracle, "worst_case_values", off_by_roundoff)
+    assert_same_result(brute_force_robust(inst, spec), want)
+
+
+def test_brute_force_builds_only_one_block_at_a_time(monkeypatch):
+    # at the guard n = 24 all candidates would be 2^23 x 24 integers (1.6 GB)
+    inst = cycle_instance(BRUTE_FORCE_LIMIT)
+    spec = singleton_for(inst)
+    shapes = []
+
+    class Stop(Exception):
+        pass
+
+    def first_block_only(spec, coef_block):
+        shapes.append(coef_block.shape)
+        raise Stop
+
+    monkeypatch.setattr(oracle, "worst_case_values", first_block_only)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            brute_force_robust(inst, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(oracle._BLOCK, inst.m)]
+    assert peak < 4 << 20
 
 
 def test_brute_allequal_example():

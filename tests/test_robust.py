@@ -12,8 +12,7 @@ from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               solve_dro, solve_robust)
 from robustcut.sdp import GramFactor, solve_elliptope_max
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
-                                   singleton_spec, wasserstein_spec,
-                                   worst_case_weights)
+                                   singleton_spec, wasserstein_spec)
 
 
 def triangle():

@@ -12,9 +12,8 @@ from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
                                  allequal_instance, graph_instance,
                                  instance_to_json, term_coefficients)
 from robustcut.numerics import NumericError
-from robustcut.rounding import (APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
-                                CROSSOVER_GAMMA, RoundConfig, allequal_round,
-                                alpha_ratio, dicut_biased_ratio_search,
+from robustcut.rounding import (APPROX_RATIO_DICUT, CROSSOVER_GAMMA,
+                                RoundConfig, allequal_round, alpha_ratio, dicut_biased_ratio_search,
                                 dicut_triple_prob, expected_allequal_exact,
                                 expected_cut_exact, expected_dicut_exact,
                                 feasible_pair_grid, hyperplane_round,

@@ -19,7 +19,7 @@ from robustcut.uncertainty import (_chord, box_spec, dual_polyhedral_value,
                                    polyhedral_spec, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
                                    wasserstein_spec, worst_case_mean,
-                                   worst_case_weights)
+                                   worst_case_values, worst_case_weights)
 
 
 def pg_ellipsoid_min(w0, Q, a, coef, iters=4000):
@@ -221,6 +221,57 @@ def test_wasserstein_large_radius_reaches_cheapest_point():
 def test_worst_case_rejects_negative_coef():
     with pytest.raises(DomainError):
         worst_case_weights(singleton_spec(np.ones(2)), np.array([1.0, -0.5]))
+
+
+def value_test_sets(m, rng):
+    w0 = rng.uniform(0.5, 1.5, size=m)
+    G = rng.standard_normal((m, m))
+    Q = G @ G.T / m + 0.5 * np.eye(m)
+    support = w0 * rng.uniform(0.7, 1.3, size=(3, m))
+    D = rng.uniform(0.5, 2.0, size=(3, 3))
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    budget = rng.uniform(0.0, 1.0, size=m)
+    box = box_spec(0.8 * w0, 1.2 * w0)
+    return {
+        "singleton": singleton_spec(w0),
+        "box": box,
+        "budgeted_box": polyhedral_spec(np.vstack([box.A, budget]),
+                                        np.append(box.b, budget @ w0)),
+        "ellipsoid_dense": ellipsoidal_spec(w0, Q, float(np.min((0.4 * w0) ** 2 / np.diag(Q)))),
+        "wasserstein_auto": wasserstein_spec(support, np.full(3, 1 / 3), 0.3),
+        "wasserstein_metric": wasserstein_spec(support, np.full(3, 1 / 3), 0.3, D),
+        "wasserstein_r0": wasserstein_spec(support, np.full(3, 1 / 3), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["singleton", "box", "budgeted_box", "ellipsoid_dense",
+                                  "wasserstein_auto", "wasserstein_metric",
+                                  "wasserstein_r0"])
+def test_worst_case_values_match_scalar_oracle_row_by_row(name):
+    m = 6
+    rng = streams.stream(43, streams.TAG_GEN, 0)
+    spec = value_test_sets(m, rng)[name]
+    C = rng.uniform(0.0, 1.0, size=(40, m)) * (rng.random((40, m)) < 0.6)
+    C[3] = 0.0                       # all-zero row
+    C[7, 2] = -1e-10                 # within the accepted roundoff below zero
+    C[11] = 1e-15                    # below the degenerate threshold everywhere
+    got = worst_case_values(spec, C)
+    want = [worst_case_weights(spec, c)[1] for c in C]
+    assert got.shape == (40,)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert got[3] == want[3] == 0.0
+    assert worst_case_values(spec, C[:0]).shape == (0,)
+
+
+def test_worst_case_values_rejects_bad_blocks():
+    spec = box_spec(np.ones(3), 2.0 * np.ones(3))
+    with pytest.raises(DomainError, match="shape"):
+        worst_case_values(spec, np.ones(3))          # one row, not a block
+    with pytest.raises(DomainError, match="shape"):
+        worst_case_values(spec, np.ones((2, 4)))     # wrong width
+    with pytest.raises(DomainError, match="negative"):
+        worst_case_values(spec, np.array([[1.0, 1.0, 1.0], [1.0, -1e-6, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
