@@ -203,10 +203,7 @@ def instance_from_dict(d: dict) -> Instance:
         raise ParseError(f"kind: expected one of {KINDS}, got {kind!r}")
     if "n" not in d:
         raise ParseError("n: missing")
-    try:
-        n = int(d["n"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"n: not an integer ({d['n']!r})") from exc
+    n = _integer(d["n"], "n")
     signed = bool(d.get("signed", False))
     if kind == ALLEQUAL:
         raw = d.get("clauses")
@@ -216,7 +213,10 @@ def instance_from_dict(d: dict) -> Instance:
         for idx, c in enumerate(raw):
             if not isinstance(c, dict) or "literals" not in c or "weight" not in c:
                 raise ParseError(f"clauses[{idx}]: expected object with literals and weight")
-            cl.append((c["literals"], _finite_weight(c["weight"], f"clauses[{idx}].weight")))
+            if not isinstance(c["literals"], list):
+                raise ParseError(f"clauses[{idx}]: literals must be a list of integers")
+            cl.append(([_integer(lit, f"clauses[{idx}]") for lit in c["literals"]],
+                       _finite_weight(c["weight"], f"clauses[{idx}].weight")))
         return allequal_instance(n, cl, signed=signed)
     raw = d.get("edges")
     if not isinstance(raw, list):
@@ -225,12 +225,18 @@ def instance_from_dict(d: dict) -> Instance:
     for idx, e in enumerate(raw):
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise ParseError(f"edges[{idx}]: expected [i, j, w]")
-        try:
-            i, j = int(e[0]) - 1, int(e[1]) - 1
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"edges[{idx}]: endpoints must be integers ({exc})") from exc
+        i, j = _integer(e[0], f"edges[{idx}]") - 1, _integer(e[1], f"edges[{idx}]") - 1
         edges.append((i, j, _finite_weight(e[2], f"edges[{idx}]")))
     return graph_instance(n, kind, edges, signed=signed)
+
+
+def _integer(value, where: str) -> int:
+    """`value` as an int; a ParseError naming `where` unless it is an integral
+    JSON number (int() would truncate 3.5, parse "3" and accept true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{where}: not an integer ({value!r})")
+    return int(value)
 
 
 def _finite_weight(value, where: str) -> float:

@@ -57,6 +57,18 @@ def sqrt_psd(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return (V * np.sqrt(lam)) @ V.T
 
 
+def sqrt_psd_diagonal(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """:func:`sqrt_psd` of the diagonal matrix diag(q), returned as the root's
+    diagonal: elementwise square roots, with the same clamp and the same
+    error for negative entries.  Equal bit for bit to the diagonal of
+    ``sqrt_psd(np.diag(q))``, whose eigendecomposition returns q exactly."""
+    q = np.asarray(q, dtype=float)
+    scale = max(1.0, float(q.max())) if q.size else 1.0
+    if q.size and q.min() < -tol * scale:
+        raise NumericError(f"sqrt_psd: negative eigenvalue {q.min():.3e}")
+    return np.sqrt(np.clip(q, 0.0, None))
+
+
 # ---------------------------------------------------------------------------
 # linear programming
 # ---------------------------------------------------------------------------

@@ -28,13 +28,12 @@ import numpy as np
 
 from . import streams
 from .instances import DomainError, Instance
-from .numerics import sqrt_psd
 from .sdp import (GramFactor, SolveReport, default_rank, factor_columns,
                   objective_gradient, solve_elliptope_max,
                   term_gram_coefficients, _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
-                          UncertaintySpec, dual_polyhedral_value, require_valid,
-                          worst_case_mean, worst_case_weights)
+                          UncertaintySpec, dual_polyhedral_value, ellipsoid_root_norm,
+                          require_valid, worst_case_mean, worst_case_weights)
 
 
 @dataclass
@@ -246,8 +245,7 @@ def ellipsoid_reformulated_value(inst: Instance, spec: UncertaintySpec,
     if spec.kind != ELLIPSOIDAL:
         raise DomainError(f"ellipsoid_reformulated_value: set kind is {spec.kind}")
     coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
-    root = sqrt_psd(spec.Q)
-    return float(coef @ spec.w0 - np.sqrt(spec.a) * np.linalg.norm(root @ coef))
+    return float(coef @ spec.w0 - np.sqrt(spec.a) * ellipsoid_root_norm(spec, coef))
 
 
 def inner_worst(inst: Instance, spec: UncertaintySpec,

@@ -7,9 +7,15 @@ edges, arcs, or clauses):
 * ``singleton``    -- one fixed weight vector;
 * ``polyhedral``   -- {w : A w >= b, w >= 0}, worst case by simplex LP with a
   matching explicit dual (max b.p s.t. A^T p <= coef, p >= 0) for
-  cross-checking strong duality;
+  cross-checking strong duality.  An axis-aligned box (one nonzero per row,
+  one lower and one upper bound per weight, as :func:`box_spec` writes it)
+  is recognised once per set and answered in closed form, without a
+  tableau: its worst case for any coef >= 0 is the lower corner;
 * ``ellipsoidal``  -- {w : (w-w0)^T Q^{-1} (w-w0) <= a}, worst case in closed
-  form  w* = w0 - sqrt(a) Q coef / ||Q^{1/2} coef||  (boundary-active);
+  form  w* = w0 - sqrt(a) Q coef / ||Q^{1/2} coef||  (boundary-active).  A
+  diagonal Q is recognised once per set: validation sorts its diagonal
+  instead of an eigendecomposition, and Q coef and Q^{1/2} become
+  elementwise products;
 * ``wasserstein``  -- ball of radius r0 around an empirical distribution on a
   finite support, under a ground metric; the worst-case *mean* weight vector
   comes from a small transport LP over couplings.
@@ -21,6 +27,7 @@ Coefficients are nonnegative for every scheme this package produces.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -29,7 +36,7 @@ import numpy as np
 
 from .instances import DomainError, Instance, ParseError
 from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, UnboundedError,
-                       simplex_solve, sqrt_psd)
+                       simplex_solve, sqrt_psd, sqrt_psd_diagonal)
 
 SINGLETON = "singleton"
 POLYHEDRAL = "polyhedral"
@@ -58,9 +65,13 @@ class UncertaintySpec:
     radius: float = 0.0
     metric: Optional[np.ndarray] = None
     auto_metric: bool = False  # metric was derived as d_ij = ||s_i - s_j||_1
-    # (defining fields, FeasibleTableau) of the set's LP region, built on first
-    # use by _feasible_tableau; not part of the set's value
+    # (defining fields, value) caches built on first use and rebuilt when a
+    # defining field is reassigned; not part of the set's value.  _lp: the
+    # FeasibleTableau of the LP region (_feasible_tableau); _box: a box's
+    # (lower, upper) or None (_box_view); _diag: diag(Q) or None (_diag_view)
     _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _box: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _diag: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __eq__(self, other) -> bool:
         """Value equality: same kind and equal defining fields, array fields
@@ -105,7 +116,8 @@ def polyhedral_spec(A, b) -> UncertaintySpec:
 
 
 def box_spec(lower, upper) -> UncertaintySpec:
-    """Polyhedral box {l <= w <= u} as stacked rows (w >= l, -w >= -u)."""
+    """Polyhedral box {l <= w <= u} as stacked rows (w >= l, -w >= -u); the
+    oracles recognise the rows and answer in closed form (:func:`_box_view`)."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m = len(lower)
@@ -163,32 +175,35 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
             # +e_i) must not rely on the implicit w >= 0 clamp
             mask = np.abs(spec.A) > 1e-12
             rows = np.flatnonzero(np.count_nonzero(mask, axis=1) == 1)
-            cols = np.nonzero(mask[rows])[1]
+            cols = np.argmax(mask[rows], axis=1) if rows.size else rows  # the one entry
             keep = spec.A[rows, cols] > 0.0
             rows, cols = rows[keep], cols[keep]
             lower = spec.b[rows] / spec.A[rows, cols]
             for r in np.flatnonzero(lower < -1e-9):
                 v.append(f"polyhedron: negative declared lower bound "
                          f"{float(lower[r])!r} for weight {int(cols[r])}")
-            try:
-                tableau = _feasible_tableau(spec)
-            except InfeasibleError:
-                v.append("polyhedron: empty feasible set")
-            if not v:
+            if _box_view(spec) is None:  # a box is nonempty and bounded
                 try:
-                    tableau.solve(-np.ones(dim))
-                except UnboundedError:
-                    v.append("polyhedron: unbounded (no finite weight cap)")
+                    tableau = _feasible_tableau(spec)
+                except InfeasibleError:
+                    v.append("polyhedron: empty feasible set")
+                if not v:
+                    try:
+                        tableau.solve(-np.ones(dim))
+                    except UnboundedError:
+                        v.append("polyhedron: unbounded (no finite weight cap)")
     elif spec.kind == ELLIPSOIDAL:
+        q = _diag_view(spec)
         if spec.Q.shape != (dim, dim):
             v.append(f"Q: expected shape ({dim}, {dim}), got {spec.Q.shape}")
         else:
-            if np.max(np.abs(spec.Q - spec.Q.T)) > 1e-9 * (1.0 + np.max(np.abs(spec.Q))):
+            if q is None and \
+                    np.max(np.abs(spec.Q - spec.Q.T)) > 1e-9 * (1.0 + np.max(np.abs(spec.Q))):
                 v.append("Q: not symmetric")
             else:
                 # eigenvalues below dim * eps * lambda_max are roundoff of a
-                # singular matrix
-                eig = np.linalg.eigvalsh(spec.Q)
+                # singular matrix; a diagonal matrix's are its sorted diagonal
+                eig = np.linalg.eigvalsh(spec.Q) if q is None else np.sort(q)
                 if eig[0] <= dim * np.finfo(float).eps * eig[-1]:
                     v.append(f"Q: not positive definite (min eigenvalue {eig[0]:.3e})")
         if spec.a <= 0.0:
@@ -243,20 +258,72 @@ def _feasible_tableau(spec: UncertaintySpec) -> FeasibleTableau:
     fields was reassigned.  Each oracle call then runs phase 2 alone.
     """
     if spec.kind == POLYHEDRAL:
-        key = (spec.A, spec.b)
-    else:
-        key = (spec.empirical, spec.metric, spec.radius)
-    if spec._lp is not None and all(x is y for x, y in zip(spec._lp[0], key)):
-        return spec._lp[1]
-    if spec.kind == POLYHEDRAL:
-        tableau = FeasibleTableau(spec.A, spec.b, [">="] * spec.A.shape[0])
-    else:
-        k = spec.support.shape[0]
-        A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
-        tableau = FeasibleTableau(A, np.append(spec.empirical, spec.radius),
-                                  ["="] * k + ["<="])
-    spec._lp = (key, tableau)
-    return tableau
+        return _cached(spec, "_lp", (spec.A, spec.b), lambda: FeasibleTableau(
+            spec.A, spec.b, [">="] * spec.A.shape[0]))
+    k = spec.support.shape[0]
+    return _cached(spec, "_lp", (spec.empirical, spec.metric, spec.radius),
+                   lambda: FeasibleTableau(
+                       np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)]),
+                       np.append(spec.empirical, spec.radius), ["="] * k + ["<="]))
+
+
+def _cached(spec: UncertaintySpec, slot: str, key: tuple, build):
+    """The value cached in `slot` for the defining fields `key` (compared by
+    identity), or ``build()``, cached, when a field was reassigned."""
+    memo = getattr(spec, slot)
+    if memo is not None and all(x is y for x, y in zip(memo[0], key)):
+        return memo[1]
+    value = build()
+    setattr(spec, slot, (key, value))
+    return value
+
+
+def _box_view(spec: UncertaintySpec) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(lower, upper) of a polyhedron that is an axis-aligned box, else None.
+
+    The polyhedron is a box when every row of A has exactly one nonzero
+    entry, each weight has at most one row with a positive entry (l = b/a)
+    and exactly one with a negative entry (u = b/a), u is finite, and lower
+    = max(l, 0) <= u.  ``lower`` is then the exact minimizer of coef . w for
+    every coef >= 0.  Every other polyhedron keeps the tableau.
+    """
+    return _cached(spec, "_box", (spec.A, spec.b), lambda: _box_bounds(spec.A, spec.b))
+
+
+def _box_bounds(A: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_box_view` for the rows A w >= b."""
+    nonzero = A != 0.0
+    if A.ndim != 2 or b.shape != (A.shape[0],) or np.any(nonzero.sum(axis=1) != 1):
+        return None
+    m = A.shape[1]
+    rows = np.arange(A.shape[0])
+    cols = np.argmax(nonzero, axis=1)
+    a = A[rows, cols]
+    pos, neg = a > 0.0, a < 0.0
+    if np.any(np.bincount(cols[pos], minlength=m) > 1) or \
+            np.any(np.bincount(cols[neg], minlength=m) != 1):
+        return None
+    l = np.zeros(m)
+    upper = np.empty(m)
+    with np.errstate(over="ignore"):  # an infinite bound makes no box (below)
+        l[cols[pos]] = b[rows[pos]] / a[pos]
+        upper[cols[neg]] = b[rows[neg]] / a[neg]
+    lower = np.maximum(l, 0.0) + 0.0  # + 0.0: the tableau's zeros are +0.0
+    if not np.all(np.isfinite(upper)) or np.any(lower > upper):
+        return None
+    return lower, upper
+
+
+def _diag_view(spec: UncertaintySpec) -> Optional[np.ndarray]:
+    """diag(Q) when Q is square with no off-diagonal nonzero, else None."""
+    return _cached(spec, "_diag", (spec.Q,), lambda: _diagonal(spec.Q))
+
+
+def _diagonal(Q: np.ndarray) -> Optional[np.ndarray]:
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        return None
+    q = np.diagonal(Q)
+    return q.copy() if np.count_nonzero(Q) == np.count_nonzero(q) else None
 
 
 def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
@@ -288,13 +355,16 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
         return w, float(coef @ w)
 
     if spec.kind == POLYHEDRAL:
+        box = _box_view(spec)
+        if box is not None:
+            return box[0].copy(), float(coef @ box[0])
         res = _feasible_tableau(spec).solve(coef)
         return res.x, res.value
 
     if spec.kind == ELLIPSOIDAL:
         if degenerate:
             return spec.w0.copy(), 0.0
-        q = spec.Q @ coef
+        q = _q_times(spec, coef)
         denom = float(np.sqrt(coef @ q))
         w = spec.w0 - np.sqrt(spec.a) * q / denom
         return w, float(coef @ w)
@@ -308,20 +378,22 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
     """Minimum of c . w over the set for each row c of a B x dim block:
     the values of :func:`worst_case_weights`, row by row, to roundoff.
 
-    Polyhedra and Wasserstein balls score the block against the optimal
-    bases their tableau keeps (:meth:`FeasibleTableau.values`); singletons
-    and ellipsoids evaluate their closed forms on the whole block.
+    Polyhedra other than boxes, and Wasserstein balls, score the block
+    against the optimal bases their tableau keeps
+    (:meth:`FeasibleTableau.values`); singletons, boxes and ellipsoids
+    evaluate their closed forms on the whole block.
     """
     C = _check_coef(spec, coef_block, rows=True)
     if spec.kind == SINGLETON:
         return C @ spec.weights
     if spec.kind == POLYHEDRAL:
-        return _feasible_tableau(spec).values(C)
+        box = _box_view(spec)
+        return _feasible_tableau(spec).values(C) if box is None else C @ box[0]
     out = np.zeros(len(C))
     live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
     C = C[live]
     if spec.kind == ELLIPSOIDAL:
-        q = C @ spec.Q.T  # row r is Q @ C[r]
+        q = _q_times(spec, C)  # row r is Q @ C[r]
         denom = np.sqrt(np.einsum("ij,ij->i", C, q))
         W = spec.w0 - np.sqrt(spec.a) * q / denom[:, None]
         out[live] = np.einsum("ij,ij->i", C, W)
@@ -329,6 +401,32 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
         k = spec.support.shape[0]
         out[live] = _feasible_tableau(spec).values(np.repeat(C @ spec.support.T, k, axis=1))
     return out
+
+
+def _q_times(spec: UncertaintySpec, C: np.ndarray) -> np.ndarray:
+    """Q @ c for a vector c, or each row times Q for a block (C @ Q.T); an
+    elementwise product when Q is diagonal (the same bits: the dense
+    products only add zeros)."""
+    q = _diag_view(spec)
+    if q is not None:
+        return C * q
+    return spec.Q @ C if C.ndim == 1 else C @ spec.Q.T
+
+
+def _root_times(spec: UncertaintySpec, X: np.ndarray) -> np.ndarray:
+    """Q^{1/2} @ x for a vector x, or each row times Q^{1/2} for a block
+    (X @ Q^{1/2}.T), with the root of :func:`sqrt_psd`; an elementwise
+    product with :func:`sqrt_psd_diagonal` when Q is diagonal."""
+    q = _diag_view(spec)
+    if q is not None:
+        return X * sqrt_psd_diagonal(q)
+    root = sqrt_psd(spec.Q)
+    return root @ X if X.ndim == 1 else X @ root.T
+
+
+def ellipsoid_root_norm(spec: UncertaintySpec, coef: np.ndarray) -> float:
+    """||Q^{1/2} coef|| for an ellipsoidal set."""
+    return float(np.linalg.norm(_root_times(spec, coef)))
 
 
 def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray, float]:
@@ -387,21 +485,24 @@ def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
         return np.tile(spec.weights, (count, 1))
 
     if spec.kind == ELLIPSOIDAL:
-        root = sqrt_psd(spec.Q)
         z = rng.standard_normal((count, dim))
         z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
         rho = rng.random(count) ** (1.0 / dim)
-        pts = spec.w0 + np.sqrt(spec.a) * (rho[:, None] * z) @ root.T
+        pts = spec.w0 + _root_times(spec, np.sqrt(spec.a) * (rho[:, None] * z))
         return np.clip(pts, 0.0, None)  # clip roundoff-level negatives
 
     if spec.kind == POLYHEDRAL:
-        start = _feasible_tableau(spec).solve(np.zeros(dim)).x
+        box = _box_view(spec)
+        w = _feasible_tableau(spec).solve(np.zeros(dim)).x if box is None else box[0].copy()
+        if box is not None and np.all(np.abs(spec.A[spec.A != 0.0]) == 1.0):
+            chord = functools.partial(_box_chord, *box)  # unit rows: the dense chord's bits
+        else:
+            chord = functools.partial(_chord, spec.A, spec.b)
         out = np.empty((count, dim))
-        w = start.copy()
         for t in range(count):
             for _ in range(2 * dim):  # a few hit-and-run steps between samples
                 d = rng.standard_normal(dim)
-                lo, hi = _chord(spec.A, spec.b, w, d)
+                lo, hi = chord(w, d)
                 if hi <= lo:
                     continue
                 w = w + rng.uniform(lo, hi) * d
@@ -432,8 +533,20 @@ def _chord(A: np.ndarray, b: np.ndarray, w: np.ndarray, d: np.ndarray,
            eps: float = 1e-12) -> tuple[float, float]:
     """Step range t so that w + t d stays in {A x >= b, x >= 0}."""
     # every row, of A x >= b and of x >= 0 alike, reads slack + t * rate >= 0
-    rate = np.concatenate([A @ d, d])
-    slack = np.concatenate([A @ w - b, w])
+    return _step_range(np.concatenate([A @ d, d]), np.concatenate([A @ w - b, w]), eps)
+
+
+def _box_chord(lower: np.ndarray, upper: np.ndarray, w: np.ndarray, d: np.ndarray,
+               eps: float = 1e-12) -> tuple[float, float]:
+    """:func:`_chord` of a box from its bounds: the rows w >= lower and
+    -w >= -upper, in O(m).  The rows x >= 0 are implied (lower >= 0) and
+    never bind tighter; for unit rows the slacks and rates are the same
+    floats as the dense ones, so the chord is too."""
+    return _step_range(np.concatenate([d, -d]), np.concatenate([w - lower, upper - w]), eps)
+
+
+def _step_range(rate: np.ndarray, slack: np.ndarray, eps: float) -> tuple[float, float]:
+    """Range of t with slack + t * rate >= 0 on every row whose |rate| > eps."""
     down = rate < -eps
     up = rate > eps
     hi = float(np.min(slack[down] / -rate[down], initial=np.inf))
@@ -453,27 +566,38 @@ def spec_from_dict(d: dict) -> UncertaintySpec:
         raise ParseError(f"kind: expected one of {SET_KINDS}, got {kind!r}")
     try:
         if kind == SINGLETON:
-            return singleton_spec(_numbers(d, "weights"))
+            return singleton_spec(_numbers(d, "weights", _VECTOR))
         if kind == POLYHEDRAL:
-            return polyhedral_spec(_numbers(d, "A"), _numbers(d, "b"))
+            return polyhedral_spec(_numbers(d, "A", _MATRIX), _numbers(d, "b", _VECTOR))
         if kind == ELLIPSOIDAL:
-            return ellipsoidal_spec(_numbers(d, "w0"), _numbers(d, "Q"), _numbers(d, "a"))
+            return ellipsoidal_spec(_numbers(d, "w0", _VECTOR), _numbers(d, "Q", _MATRIX),
+                                    _numbers(d, "a", _NUMBER))
         metric = d.get("metric", "l1")
         if not isinstance(metric, str):
-            metric = _numbers(d, "metric")
-        return wasserstein_spec(_numbers(d, "support"), _numbers(d, "empirical"),
-                                _numbers(d, "radius"), metric)
+            metric = _numbers(d, "metric", _MATRIX)
+        return wasserstein_spec(_numbers(d, "support", _MATRIX),
+                                _numbers(d, "empirical", _VECTOR),
+                                _numbers(d, "radius", _NUMBER), metric)
     except KeyError as exc:
         raise ParseError(f"spec field missing: {exc.args[0]}") from exc
 
 
-def _numbers(d: dict, key: str) -> np.ndarray:
-    """Field `key` as a float array; a ParseError names the first entry that
-    is not a finite number (JSON text may carry NaN and Infinity)."""
+# a spec field's form and the array dimensions it accepts; a matrix of lower
+# dimension is promoted by numpy.atleast_2d
+_NUMBER, _VECTOR, _MATRIX = "a number", "a list of numbers", "a matrix of numbers"
+_NDIM = {_NUMBER: (0,), _VECTOR: (1,), _MATRIX: (0, 1, 2)}
+
+
+def _numbers(d: dict, key: str, form: str) -> np.ndarray:
+    """Field `key` as a float array of the dimensions `form` accepts; a
+    ParseError names the field, or the first entry that is not a finite
+    number (JSON text may carry NaN and Infinity)."""
     try:
         arr = np.asarray(d[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{key}: expected numbers ({exc})") from exc
+    if arr.ndim not in _NDIM[form]:
+        raise ParseError(f"{key}: expected {form}, got an array of shape {arr.shape}")
     finite = np.isfinite(arr)
     if not np.all(finite):
         at = tuple(int(i) for i in np.argwhere(~finite)[0]) if arr.ndim else ()

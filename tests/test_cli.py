@@ -245,6 +245,53 @@ def test_verify_rejects_trials(capsys, triangle_file):
     assert "--trials" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "ellipsoidal", "w0": [1.0, 1.0], "Q": [[0.1, 0], [0, 0.1]], "a": [0.01]}, "a"),
+    ({"kind": "wasserstein", "support": [[1.0, 1.0]], "empirical": [1.0],
+      "radius": [0.1]}, "radius"),
+    ({"kind": "singleton", "weights": 1}, "weights"),
+    ({"kind": "polyhedral", "A": [[[1, 0]], [[0, 1]]], "b": [0.5, 0.5]}, "A"),
+    ({"kind": "polyhedral", "A": [[-1, 0], [0, -1]], "b": [[-1], [-1]]}, "b"),
+    ({"kind": "ellipsoidal", "w0": [[1.0, 1.0]], "Q": [[0.1, 0], [0, 0.1]], "a": 0.01}, "w0"),
+])
+def test_spec_field_dimensions_checked_at_parse(tmp_path, capsys, command, spec, field):
+    inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
+                                             "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
+    path = write_json(tmp_path / "spec.json", spec)
+    out = tmp_path / "r.json"
+    assert run(command, "--instance", inst, "--spec", path, "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instance, field", [
+    ({"kind": "maxcut", "n": 3.5, "edges": [[1, 2, 1.0]]}, "n"),
+    ({"kind": "maxcut", "n": "3", "edges": [[1, 2, 1.0]]}, "n"),
+    ({"kind": "maxcut", "n": True, "edges": [[1, 2, 1.0]]}, "n"),
+    ({"kind": "maxcut", "n": 3, "edges": [[1.5, 2, 1.0]]}, "edges[0]"),
+    ({"kind": "dicut", "n": 3, "edges": [[1, 2, 1.0], [2, False, 1.0]]}, "edges[1]"),
+    ({"kind": "allequal", "n": 3, "clauses": [{"literals": [1.5, 2], "weight": 1.0}]},
+     "clauses[0]"),
+    ({"kind": "allequal", "n": 3, "clauses": [{"literals": [1, True], "weight": 1.0}]},
+     "clauses[0]"),
+])
+def test_integer_fields_not_truncated(tmp_path, capsys, instance, field):
+    inst = write_json(tmp_path / "inst.json", instance)
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", inst, "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {field}: not an integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_floats_accepted_as_integers(tmp_path):
+    inst = write_json(tmp_path / "inst.json", {"kind": "maxcut", "n": 3.0,
+                                               "edges": [[1.0, 2, 1.0], [2, 3.0, 1.0]]})
+    assert run("solve", "--instance", inst, "--out", str(tmp_path / "r.json")) == EXIT_OK
+
+
 def test_validation_message_has_plain_numbers(tmp_path, capsys):
     inst = write_json(tmp_path / "p3.json", {"kind": "maxcut", "n": 3,
                                              "edges": [[1, 2, 1.0], [2, 3, 1.0]]})

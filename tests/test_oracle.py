@@ -137,12 +137,7 @@ def test_brute_wasserstein_zero_radius_reduces():
     assert res.value == pytest.approx(exhaustive_max(inst, mean), abs=1e-9)
 
 
-@pytest.mark.parametrize("make_spec", [lambda inst: box_for(inst, 0.2),
-                                       lambda inst: wasserstein_for(inst, 3, 0.3)])
-def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
-    # 2^(n-1) oracle calls share one phase 1 (validation builds it)
-    inst = gnp_instance(8, 0.5, 3)
-    spec = make_spec(inst)
+def count_tableaus(monkeypatch):
     built = []
     init = numerics.FeasibleTableau.__init__
 
@@ -151,9 +146,28 @@ def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(numerics.FeasibleTableau, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("make_spec", [lambda inst: _budgeted_box(inst, 3),
+                                       lambda inst: wasserstein_for(inst, 3, 0.3)])
+def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
+    # 2^(n-1) oracle calls share one phase 1 (validation builds it)
+    inst = gnp_instance(8, 0.5, 3)
+    spec = make_spec(inst)
+    built = count_tableaus(monkeypatch)
     res = brute_force_robust(inst, spec)
     assert res.enumerated == 2 ** 7
     assert len(built) == 1
+
+
+def test_brute_force_box_builds_no_tableau(monkeypatch):
+    # a box is answered in closed form: validation and oracle build no LP
+    inst = gnp_instance(8, 0.5, 3)
+    built = count_tableaus(monkeypatch)
+    res = brute_force_robust(inst, box_for(inst, 0.2))
+    assert res.enumerated == 2 ** 7
+    assert built == []
 
 
 def test_brute_singleton_matches_exhaustive_sweep():

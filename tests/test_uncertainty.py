@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 
 from robustcut import streams
+from robustcut.gen import ellipsoid_for, gnp_instance
 from robustcut.instances import DomainError
-from robustcut.numerics import sqrt_psd
+from robustcut.numerics import FeasibleTableau, sqrt_psd
 from robustcut.instances import ParseError
-from robustcut.uncertainty import (_chord, box_spec, dual_polyhedral_value,
+from robustcut.robust import ellipsoid_reformulated_value
+from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank, factor_columns,
+                           term_gram_coefficients)
+from robustcut.uncertainty import (_box_chord, _box_view, _chord, _diag_view,
+                                   box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
@@ -459,10 +464,14 @@ def test_spec_equality_by_value():
     assert wasserstein_spec(sup, [0.5, 0.5], 0.3) == wasserstein_spec(sup, [0.5, 0.5], 0.3)
     assert wasserstein_spec(sup, [0.5, 0.5], 0.3) != \
         wasserstein_spec(sup, [0.5, 0.5], 0.3, metric=[[0.0, 2.0], [2.0, 0.0]])
-    # the cached phase-1 tableau is not part of the value
+    # the cached phase-1 tableau is not part of the value; a box builds none
     worst_case_weights(spec, np.ones(2))
-    assert spec._lp is not None
-    assert spec == box_spec(np.zeros(2), np.ones(2))
+    assert spec._lp is None
+    budget = polyhedral_spec(np.vstack([spec.A, np.ones((1, 2))]), np.append(spec.b, 0.5))
+    twin = polyhedral_spec(budget.A.copy(), budget.b.copy())
+    worst_case_weights(budget, np.ones(2))
+    assert budget._lp is not None
+    assert budget == twin and budget != spec
 
 
 def chord_loops(A, b, w, d, eps=1e-12):
@@ -543,3 +552,258 @@ def test_load_spec_from_file(tmp_path):
     path.write_text(spec_to_json(spec))
     again = load_spec(str(path))
     assert again.kind == spec.kind
+
+
+# ---------------------------------------------------------------------------
+# closed-form boxes and diagonal ellipsoids against the dense routes
+# ---------------------------------------------------------------------------
+
+def same_bits(x, y):
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def tableau_worst(spec, coef):
+    """The simplex route for a polyhedron: phase 2 of a fresh tableau."""
+    res = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(np.clip(coef, 0.0, None))
+    return res.x, res.value
+
+
+def tableau_hit_and_run(spec, rng, count):
+    """The simplex route of sample_feasible for a polyhedron: start at the
+    tableau's vertex for a zero cost, step along the dense chords."""
+    dim = spec.dim()
+    w = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(np.zeros(dim)).x
+    out = np.empty((count, dim))
+    for t in range(count):
+        for _ in range(2 * dim):
+            d = rng.standard_normal(dim)
+            lo, hi = _chord(spec.A, spec.b, w, d)
+            if hi <= lo:
+                continue
+            w = w + rng.uniform(lo, hi) * d
+        out[t] = np.clip(w, 0.0, None)
+    return out
+
+
+def coef_cases(rng, m):
+    c = rng.uniform(0.1, 2.0, m)
+    sparse = c * (rng.random(m) < 0.5)
+    roundoff = c.copy()
+    roundoff[::2] = -1e-10       # accepted, clipped to 0
+    return [c, np.zeros(m), sparse, roundoff]
+
+
+def _box_cases():
+    rng = streams.stream(53, streams.TAG_GEN, 0)
+    m = 6
+    lower = rng.uniform(0.2, 1.0, m)
+    upper = lower + rng.uniform(0.1, 1.0, m)
+    eye = np.eye(m)
+    perm = rng.permutation(2 * m)
+    A = np.vstack([2.0 * eye, -3.0 * eye])
+    b = np.concatenate([2.0 * lower, -3.0 * upper])
+    # weight 0 has no lower row, weight 1 a lower bound 0, weight 2 a point
+    # interval, weight 3 a lower bound -0.0
+    edge_lower = lower.copy()
+    edge_lower[1] = 0.0
+    edge_lower[2] = upper[2]
+    edge_lower[3] = -0.0
+    edge = box_spec(edge_lower, upper)
+    return {
+        "box_spec": box_spec(lower, upper),
+        "permuted_scaled_rows": polyhedral_spec(A[perm], b[perm]),
+        "open_zero_and_point_bounds": polyhedral_spec(edge.A[1:], edge.b[1:]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_box_cases()))
+def test_box_view_is_the_tableau_vertex_bit_for_bit(name):
+    spec = _box_cases()[name]
+    lower, upper = _box_view(spec)
+    assert validate_set(spec, m=6).ok
+    rng = streams.stream(59, streams.TAG_GEN, 0)
+    coefs = coef_cases(rng, 6)
+    for c in coefs:
+        w, v = worst_case_weights(spec, c)
+        x, value = tableau_worst(spec, c)
+        assert same_bits(w, x) and same_bits(v, value)
+        assert same_bits(w, lower)
+    got = worst_case_values(spec, np.array(coefs))
+    assert np.allclose(got, [tableau_worst(spec, c)[1] for c in coefs], rtol=1e-15, atol=0.0)
+    assert spec._lp is None  # validation, oracle and block built no tableau
+    if name == "open_zero_and_point_bounds":
+        assert same_bits(lower[[0, 1, 3]], np.zeros(3)) and lower[2] == upper[2]
+
+
+def _fallback_cases():
+    box = box_spec(np.array([0.5, 1.0]), np.array([1.5, 2.0]))
+    return {
+        "budget_row": (polyhedral_spec(np.vstack([box.A, [[1.0, 1.0]]]),
+                                       np.append(box.b, 2.0)), []),
+        "duplicate_bound": (polyhedral_spec(np.vstack([box.A, [[1.0, 0.0]]]),
+                                            np.append(box.b, 0.7)), []),
+        "missing_cap": (polyhedral_spec(box.A[[0, 1, 3]], box.b[[0, 1, 3]]),
+                        ["polyhedron: unbounded (no finite weight cap)"]),
+        # inside the phase-1 tolerance: the tableau accepts it
+        "lower_above_upper_by_1e-12": (box_spec([1.0 + 1e-12, 1.0], [1.0, 2.0]), []),
+        "lower_above_upper_by_1": (box_spec([2.5, 1.0], [1.5, 2.0]),
+                                   ["polyhedron: empty feasible set"]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_cases()))
+def test_box_view_fallbacks_keep_the_tableau(name):
+    spec, violations = _fallback_cases()[name]
+    assert _box_view(spec) is None
+    assert validate_set(spec, m=2).violations == violations
+    if violations:
+        return
+    for c in coef_cases(streams.stream(61, streams.TAG_GEN, 0), 2):
+        w, v = worst_case_weights(spec, c)
+        x, value = tableau_worst(spec, c)
+        assert same_bits(w, x) and same_bits(v, value)
+    assert spec._lp is not None
+
+
+def _tied_box_cases():
+    """Boxes on which the tableau's vertex is not `lower`: its ratio tests tie
+    within the 1e-9 pivot tolerance, and which row wins depends on the row
+    order and scale.  Each maps to (spec, coef, tableau's first weight)."""
+    return {
+        # u - l below the tolerance: phase 1 picks u, phase 2 keeps it for a
+        # zero coefficient
+        "bounds_tied": (box_spec([1.0, 1.0], [1.0 + 1e-12, 2.0]), np.zeros(2), 1.0 + 1e-12),
+        # point intervals with u |a| at or below the tolerance: phase 2 moves
+        # them to 0, outside the set, when the lower row comes first
+        "point_below_pivot_tol": (box_spec([1e-10, 1.0], [1e-10, 2.0]), np.ones(2), 0.0),
+        "scaled_point": (polyhedral_spec([[0.1, 0.0], [-0.1, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                         [0.1 * 5e-9, -0.1 * 5e-9, 1.0, -2.0]),
+                         np.ones(2), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tied_box_cases()))
+def test_box_view_answers_tied_bounds_at_lower(name):
+    spec, coef, tableau_first = _tied_box_cases()[name]
+    assert tableau_worst(spec, coef)[0][0] == tableau_first
+    lower, upper = _box_view(spec)
+    assert np.all(lower <= upper) and lower[1] == 1.0
+    assert np.isclose(lower[0], {"bounds_tied": 1.0, "point_below_pivot_tol": 1e-10,
+                                 "scaled_point": 5e-9}[name], rtol=1e-15, atol=0.0)
+    assert validate_set(spec, m=2).ok
+    for c in (coef, np.array([0.5, 2.0])):
+        w, v = worst_case_weights(spec, c)
+        assert same_bits(w, lower) and same_bits(v, float(c @ lower))
+    assert spec._lp is None
+
+
+def test_box_chord_matches_dense_chord_bit_for_bit():
+    rng = streams.stream(67, streams.TAG_GEN, 0)
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        lower = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
+        upper = lower + rng.uniform(0.01, 1.0, m) * (rng.random(m) < 0.9)
+        spec = box_spec(lower, upper)
+        lo_w, up_w = _box_view(spec)
+        # interior points and points on faces (zero slack)
+        w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
+        d = rng.standard_normal(m) * (rng.random(m) < 0.8)
+        d[rng.random(m) < 0.1] = 1e-13  # below the chord's rate threshold
+        assert same_bits(_box_chord(lo_w, up_w, w, d), _chord(spec.A, spec.b, w, d))
+
+
+def test_box_samples_match_tableau_route_bit_for_bit():
+    inst = gnp_instance(9, 0.5, 2)
+    w0 = inst.nominal_weights()
+    # rows scaled by 2 and -3 take the dense chord: the O(m) one matches its
+    # bits on unit rows only
+    for spec in (box_spec(0.8 * w0, 1.2 * w0),
+                 box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
+                 _box_cases()["permuted_scaled_rows"]):
+        got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
+        want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
+        assert same_bits(got, want)
+        assert spec._lp is None
+
+
+def dense_ellipsoid_worst(w0, Q, a, coef):
+    """The dense route of the ellipsoid oracle, with Q @ coef."""
+    coef = np.clip(coef, 0.0, None)
+    q = Q @ coef
+    w = w0 - np.sqrt(a) * q / float(np.sqrt(coef @ q))
+    return w, float(coef @ w)
+
+
+def _diag_ellipsoid(m=7, seed=73):
+    rng = streams.stream(seed, streams.TAG_GEN, 0)
+    w0 = rng.uniform(1.0, 2.0, m)
+    q = rng.uniform(0.05, 3.0, m)
+    return w0, q, float(np.min(0.25 * w0 ** 2 / q))
+
+
+def test_diagonal_q_matches_dense_route_bit_for_bit():
+    w0, q, a = _diag_ellipsoid()
+    Q = np.diag(q)
+    spec = ellipsoidal_spec(w0, Q, a)
+    assert same_bits(_diag_view(spec), q)
+    assert validate_set(spec, m=7).ok
+    rng = streams.stream(79, streams.TAG_GEN, 0)
+    coefs = coef_cases(rng, 7)
+    for c in coefs[:1] + coefs[2:]:  # coefs[1] = 0 returns the center
+        w, v = worst_case_weights(spec, c)
+        w_d, v_d = dense_ellipsoid_worst(w0, Q, a, c)
+        assert same_bits(w, w_d) and same_bits(v, v_d)
+    # block values: the dense block product C @ Q.T
+    C = np.clip(rng.uniform(0.0, 1.0, (16, 7)) * (rng.random((16, 7)) < 0.7), 0.0, None)
+    C[0] = 0.0
+    live = C.max(axis=1) > 1e-14
+    qC = C[live] @ Q.T
+    W = w0 - np.sqrt(a) * qC / np.sqrt(np.einsum("ij,ij->i", C[live], qC))[:, None]
+    want = np.zeros(16)
+    want[live] = np.einsum("ij,ij->i", C[live], W)
+    assert same_bits(worst_case_values(spec, C), want)
+    # sampling: the dense root from the eigendecomposition
+    rng_a, rng_b = (streams.stream(83, streams.TAG_GEN, 0) for _ in range(2))
+    z = rng_b.standard_normal((20, 7))
+    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
+    rho = rng_b.random(20) ** (1.0 / 7)
+    want = np.clip(w0 + np.sqrt(a) * (rho[:, None] * z) @ sqrt_psd(Q).T, 0.0, None)
+    assert same_bits(sample_feasible(spec, rng_a, 20), want)
+
+
+def test_diagonal_q_validation_message_matches_eigvalsh():
+    w0, q, a = _diag_ellipsoid()
+    for bad in (1e-20, 0.0, -0.5):
+        qb = q.copy()
+        qb[3] = bad
+        eig = np.linalg.eigvalsh(np.diag(qb))
+        spec = ellipsoidal_spec(w0, np.diag(qb), a)
+        assert _diag_view(spec) is not None
+        assert validate_set(spec, m=7).violations == \
+            [f"Q: not positive definite (min eigenvalue {eig[0]:.3e})"]
+
+
+def test_diagonal_q_norm_route_matches_dense_root():
+    inst = gnp_instance(8, 0.5, 4)
+    spec = ellipsoid_for(inst, 0.5, seed=2)
+    assert _diag_view(spec) is not None
+    ncols = factor_columns(inst)
+    rng = streams.stream(89, streams.TAG_GEN, 0)
+    for _ in range(3):
+        factor = GramFactor(_random_unit_columns(default_rank(ncols), ncols, rng))
+        coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
+        want = float(coef @ spec.w0 - np.sqrt(spec.a) * np.linalg.norm(sqrt_psd(spec.Q) @ coef))
+        assert same_bits(ellipsoid_reformulated_value(inst, spec, factor), want)
+
+
+def test_q_with_tiny_off_diagonal_keeps_the_dense_route():
+    w0, q, a = _diag_ellipsoid()
+    Q = np.diag(q)
+    Q[0, 1] = Q[1, 0] = 1e-300
+    spec = ellipsoidal_spec(w0, Q, a)
+    assert _diag_view(spec) is None
+    assert validate_set(spec, m=7).ok
+    c = np.linspace(0.1, 1.0, 7)
+    w, v = worst_case_weights(spec, c)
+    w_d, v_d = dense_ellipsoid_worst(w0, Q, a, c)
+    assert same_bits(w, w_d) and same_bits(v, v_d)
