@@ -109,19 +109,15 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
         wbar = w.copy()  # running mean of adversary responses (fictitious play)
         nresp = 1
         w_prev = w
-        stable = 0
         converged = False
         saddle = False
         residual = np.inf
         iters = 0
         for t in range(1, cfg.max_iter + 1):
             iters = t
-            if np.allclose(w, w_prev, rtol=1e-9, atol=1e-12):
-                stable += 1
-            else:
-                stable = 0
+            frozen = np.allclose(w, w_prev, rtol=1e-9, atol=1e-12)
             w_prev = w
-            if stable >= 1:
+            if frozen:
                 # frozen adversary: polish the factor at fixed weights, then
                 # re-check the response
                 fac, _ = solve_elliptope_max(inst, w, rank=rank, restarts=0,
@@ -136,7 +132,6 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                     break
                 U = fac.U
                 w, phi, extra = w2, phi2, extra2
-                stable = 0
                 hist.append(r_best[0])
                 continue
             G = objective_gradient(inst, GramFactor(U, reference=is_dicut), w)
@@ -190,9 +185,10 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                  cfg: SolverConfig | None = None) -> SaddleSolution:
     """Solve the relaxed robust problem  max_U min_{w in set} relaxed value.
 
-    Singleton sets reduce to the nominal elliptope solve; Wasserstein sets are
-    delegated to :func:`solve_dro`.  The returned ``value`` always equals the
-    exact inner minimum at the returned factor.
+    Singleton sets reduce to the nominal elliptope solve; every other kind,
+    Wasserstein balls included (the :func:`solve_dro` counterpart), runs the
+    saddle loop.  The returned ``value`` always equals the exact inner
+    minimum at the returned factor.
     """
     cfg = cfg or SolverConfig()
     require_valid(spec, inst)
@@ -203,8 +199,6 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                                              restarts=cfg.restarts, seed=cfg.seed)
         return SaddleSolution(factor=factor, worst=w.copy(), value=report.value,
                               report=report)
-    if spec.kind == WASSERSTEIN:
-        return solve_dro(inst, spec, cfg)
     return _saddle_loop(inst, cfg, spec)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import streams
 from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         term_coefficients)
+from .numerics import NumericError
 from .sdp import GramFactor, _check_factor
 
 APPROX_RATIO_MAXCUT = 0.878
@@ -310,8 +311,6 @@ def sign_round_psd(A: np.ndarray, factor: GramFactor, cfg: RoundConfig) -> np.nd
     reaches it quickly; draws continue past cfg.trials if needed, up to 100x,
     after which a NumericError is raised (practically unreachable for PSD A).
     """
-    from .numerics import NumericError
-
     A = np.asarray(A, dtype=float)
     U = np.asarray(factor.U, dtype=float)
     n = U.shape[1]

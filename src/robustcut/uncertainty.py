@@ -27,7 +27,6 @@ Coefficients are nonnegative for every scheme this package produces.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -478,7 +477,18 @@ def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
                     count: int) -> np.ndarray:
     """Draw `count` feasible weight vectors (mean weights for wasserstein).
 
-    Not uniform -- just well-spread feasible points for inequality sweeps.
+    Any feasible point serves the certification sweeps, so each kind draws
+    the cheapest way it has:
+
+    * a box: uniform on [lower, upper], ``lower + U (upper - lower)`` with
+      ``U = rng.random((count, m))``;
+    * an ellipsoid: uniform in the ball, through Q^{1/2};
+    * a Wasserstein ball: the mean of the mixture (1 - lam) p_hat + lam e_i
+      that moves the share lam of every atom's mass to one atom i, drawn
+      uniformly, with lam uniform on [0, min(1, r / cost_i)) where cost_i =
+      sum_j p_hat_j d_ij is the cost of moving all the mass to i;
+    * any other polyhedron: hit-and-run (2 m steps between samples) from the
+      tableau's vertex for a zero cost.
     """
     dim = spec.dim()
     if spec.kind == SINGLETON:
@@ -493,60 +503,39 @@ def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
 
     if spec.kind == POLYHEDRAL:
         box = _box_view(spec)
-        w = _feasible_tableau(spec).solve(np.zeros(dim)).x if box is None else box[0].copy()
-        if box is not None and np.all(np.abs(spec.A[spec.A != 0.0]) == 1.0):
-            chord = functools.partial(_box_chord, *box)  # unit rows: the dense chord's bits
-        else:
-            chord = functools.partial(_chord, spec.A, spec.b)
+        if box is not None:
+            lower, upper = box
+            return lower + rng.random((count, dim)) * (upper - lower)
+        w = _feasible_tableau(spec).solve(np.zeros(dim)).x
         out = np.empty((count, dim))
         for t in range(count):
             for _ in range(2 * dim):  # a few hit-and-run steps between samples
                 d = rng.standard_normal(dim)
-                lo, hi = chord(w, d)
+                lo, hi = _chord(spec.A, spec.b, w, d)
                 if hi <= lo:
                     continue
                 w = w + rng.uniform(lo, hi) * d
             out[t] = np.clip(w, 0.0, None)
         return out
 
-    # wasserstein: mix the empirical mean with random transport-feasible vertices
-    out = np.empty((count, dim))
+    # wasserstein: an atom within r of all the mass (cost_i <= r, 0 included)
+    # can take all of it
+    k = spec.support.shape[0]
     emp_mean = spec.support.T @ spec.empirical
-    for t in range(count):
-        g = rng.random(spec.support.shape[0])
-        _, mean_v, _ = worst_case_mean(spec, _vertex_coef(spec, g))
-        lam = rng.random()
-        out[t] = lam * emp_mean + (1.0 - lam) * mean_v
-    return out
-
-
-def _vertex_coef(spec: UncertaintySpec, g: np.ndarray) -> np.ndarray:
-    """A nonnegative coefficient vector whose per-point costs equal g (up to a
-    shift), used to steer the transport LP toward varied vertices."""
-    # solve support @ coef ~ g in least squares, then shift into the orthant
-    coef, *_ = np.linalg.lstsq(spec.support, g, rcond=None)
-    coef = coef - coef.min() + 1e-3
-    return coef
+    cost = spec.metric @ spec.empirical
+    reach = np.divide(spec.radius, cost, out=np.ones(k), where=cost > spec.radius)
+    atom = rng.integers(k, size=count)
+    lam = rng.random(count) * reach[atom]
+    return emp_mean + lam[:, None] * (spec.support[atom] - emp_mean)
 
 
 def _chord(A: np.ndarray, b: np.ndarray, w: np.ndarray, d: np.ndarray,
            eps: float = 1e-12) -> tuple[float, float]:
     """Step range t so that w + t d stays in {A x >= b, x >= 0}."""
-    # every row, of A x >= b and of x >= 0 alike, reads slack + t * rate >= 0
-    return _step_range(np.concatenate([A @ d, d]), np.concatenate([A @ w - b, w]), eps)
-
-
-def _box_chord(lower: np.ndarray, upper: np.ndarray, w: np.ndarray, d: np.ndarray,
-               eps: float = 1e-12) -> tuple[float, float]:
-    """:func:`_chord` of a box from its bounds: the rows w >= lower and
-    -w >= -upper, in O(m).  The rows x >= 0 are implied (lower >= 0) and
-    never bind tighter; for unit rows the slacks and rates are the same
-    floats as the dense ones, so the chord is too."""
-    return _step_range(np.concatenate([d, -d]), np.concatenate([w - lower, upper - w]), eps)
-
-
-def _step_range(rate: np.ndarray, slack: np.ndarray, eps: float) -> tuple[float, float]:
-    """Range of t with slack + t * rate >= 0 on every row whose |rate| > eps."""
+    # every row, of A x >= b and of x >= 0 alike, reads slack + t * rate >= 0;
+    # rows with |rate| <= eps do not bound t
+    rate = np.concatenate([A @ d, d])
+    slack = np.concatenate([A @ w - b, w])
     down = rate < -eps
     up = rate > eps
     hi = float(np.min(slack[down] / -rate[down], initial=np.inf))

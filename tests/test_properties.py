@@ -1,5 +1,6 @@
 """Property tests: the closed-form box and diagonal-ellipsoid routes give the
-exact box vertex and the dense routes' bits on randomly drawn sets.
+exact box vertex and the dense routes' bits on randomly drawn sets, and box
+samples are uniform draws inside the box.
 
 Drawn with ``hypothesis`` (a test-only dependency) at a fixed seed
 (``derandomize``), without an example database, so every run checks the same
@@ -13,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from robustcut.numerics import FeasibleTableau, sqrt_psd  # noqa: E402
-from robustcut.uncertainty import (_box_view, _chord, _diag_view,  # noqa: E402
+from robustcut.uncertainty import (_box_view, _diag_view,  # noqa: E402
                                    ellipsoidal_spec, polyhedral_spec,
                                    sample_feasible, validate_set,
                                    worst_case_values, worst_case_weights)
@@ -88,22 +89,17 @@ def test_random_box_oracle_is_the_exact_vertex(box, data):
 
 @FIXED
 @given(boxes(), st.integers(0, 2 ** 32 - 1))
-def test_random_box_samples_match_dense_hit_and_run(box, seed):
-    spec, vertex, _ = box
+def test_random_box_samples_are_uniform_draws(box, seed):
+    spec, _, _ = box
     m = spec.dim()
-    got = sample_feasible(spec, np.random.default_rng(seed), 3)
-    rng = np.random.default_rng(seed)
-    w = vertex.copy()
-    want = np.empty((3, m))
-    for t in range(3):
-        for _ in range(2 * m):
-            d = rng.standard_normal(m)
-            lo, hi = _chord(spec.A, spec.b, w, d)
-            if hi <= lo:
-                continue
-            w = w + rng.uniform(lo, hi) * d
-        want[t] = np.clip(w, 0.0, None)
-    assert same_bits(got, want)
+    lower, upper = _box_view(spec)
+    got = sample_feasible(spec, np.random.default_rng(seed), 5)
+    U = np.random.default_rng(seed).random((5, m))
+    assert same_bits(got, lower + U * (upper - lower))
+    assert np.all(got >= lower) and np.all(got <= upper)
+    point = lower == upper  # the draws are exactly the point
+    assert same_bits(got[:, point], np.broadcast_to(lower[point], (5, point.sum())))
+    assert spec._lp is None
 
 
 @st.composite

@@ -456,6 +456,18 @@ def test_sign_round_psd_rejects_negative_definite():
         sign_round_psd(np.eye(2), GramFactor(U), RoundConfig(seed=0))
 
 
+def test_sign_round_psd_exhausts_its_draws():
+    """With A = -I every sign vector scores -n, below the target -(2/pi) n:
+    the function gives up after 100 * trials draws with a NumericError."""
+    rng = streams.stream(83, streams.TAG_GEN, 4)
+    U = rng.standard_normal((3, 5))
+    U /= np.linalg.norm(U, axis=0)
+    with pytest.raises(NumericError) as err:
+        sign_round_psd(-np.eye(5), GramFactor(U), RoundConfig(seed=4, trials=2))
+    assert str(err.value) == \
+        "sign_round_psd: best value -5 below target -3.1831 after 200 draws"
+
+
 def test_allequal_round_k2_deterministic():
     z = np.array([1, -1, 1, 1, -1])
     for seed in range(4):

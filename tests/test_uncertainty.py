@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.gen import ellipsoid_for, gnp_instance
+from robustcut.gen import ellipsoid_for, gnp_instance, wasserstein_for
 from robustcut.instances import DomainError
-from robustcut.numerics import FeasibleTableau, sqrt_psd
+from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem, simplex_solve,
+                                sqrt_psd)
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
 from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank, factor_columns,
                            term_gram_coefficients)
-from robustcut.uncertainty import (_box_chord, _box_view, _chord, _diag_view,
+from robustcut.uncertainty import (_box_view, _chord, _diag_view,
                                    box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, sample_feasible,
@@ -697,7 +698,21 @@ def test_box_view_answers_tied_bounds_at_lower(name):
     assert spec._lp is None
 
 
+def box_chord(lower, upper, w, d, eps=1e-12):
+    """The chord of a box from its bounds, in O(m): the rows w >= lower and
+    -w >= -upper read slack + t * rate >= 0; the rows w >= 0 are implied."""
+    rate = np.concatenate([d, -d])
+    slack = np.concatenate([w - lower, upper - w])
+    down = rate < -eps
+    up = rate > eps
+    hi = float(np.min(slack[down] / -rate[down], initial=np.inf))
+    lo = float(np.max(-slack[up] / rate[up], initial=-np.inf))
+    return lo, hi
+
+
 def test_box_chord_matches_dense_chord_bit_for_bit():
+    """On unit rows the dense chord's slacks and rates are the same floats as
+    the bounds' ones, so its step range is too."""
     rng = streams.stream(67, streams.TAG_GEN, 0)
     for _ in range(300):
         m = int(rng.integers(1, 7))
@@ -709,21 +724,147 @@ def test_box_chord_matches_dense_chord_bit_for_bit():
         w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
         d = rng.standard_normal(m) * (rng.random(m) < 0.8)
         d[rng.random(m) < 0.1] = 1e-13  # below the chord's rate threshold
-        assert same_bits(_box_chord(lo_w, up_w, w, d), _chord(spec.A, spec.b, w, d))
+        assert same_bits(box_chord(lo_w, up_w, w, d), _chord(spec.A, spec.b, w, d))
 
 
 def test_box_samples_match_tableau_route_bit_for_bit():
+    """Box draws are uniform on the corners the tableau reaches: on unit rows
+    its vertices for the costs +1 (lower) and -1 (upper) are the same floats
+    as the box's bounds, so the draws are the same bits.  (On rows scaled by
+    -3 the tableau's upper corner can differ from b / a in the last bit;
+    test_box_samples_are_uniform_draws covers those rows.)"""
     inst = gnp_instance(9, 0.5, 2)
     w0 = inst.nominal_weights()
-    # rows scaled by 2 and -3 take the dense chord: the O(m) one matches its
-    # bits on unit rows only
     for spec in (box_spec(0.8 * w0, 1.2 * w0),
                  box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
-                 _box_cases()["permuted_scaled_rows"]):
+                 _box_cases()["box_spec"],
+                 _box_cases()["open_zero_and_point_bounds"]):
+        m = spec.dim()
         got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-        want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-        assert same_bits(got, want)
         assert spec._lp is None
+        tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
+        lower, upper = tableau.solve(np.ones(m)).x, tableau.solve(-np.ones(m)).x
+        U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
+        assert same_bits(got, lower + U * (upper - lower))
+
+
+def test_box_samples_are_uniform_draws():
+    inst = gnp_instance(9, 0.5, 2)
+    w0 = inst.nominal_weights()
+    for spec in (box_spec(0.8 * w0, 1.2 * w0),
+                 box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
+                 _box_cases()["permuted_scaled_rows"],
+                 _box_cases()["open_zero_and_point_bounds"]):
+        lower, upper = _box_view(spec)
+        m = spec.dim()
+        got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
+        U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
+        assert same_bits(got, lower + U * (upper - lower))
+        assert np.all(got >= lower) and np.all(got <= upper)
+        point = lower == upper
+        assert same_bits(got[:, point], np.broadcast_to(lower[point], (12, point.sum())))
+        assert spec._lp is None
+
+
+def _general_polyhedra():
+    """A box with two random budget rows, and the segment between two weight
+    scenarios written as opposite pairs of rows: neither is a box."""
+    inst = gnp_instance(7, 0.5, 3)
+    w0 = inst.nominal_weights()
+    rng = np.random.default_rng(5)
+    box = box_spec(0.8 * w0, 1.2 * w0)
+    R = rng.uniform(0.0, 1.0, size=(2, inst.m))
+    s1, s2 = w0 * rng.uniform(0.7, 1.3, size=(2, inst.m))
+    d = s2 - s1
+    N = np.linalg.svd(d[None, :])[2][1:]  # rows span the complement of d
+    return {
+        "budgeted_box": polyhedral_spec(np.vstack([box.A, R]),
+                                        np.concatenate([box.b, R @ w0])),
+        "scenario_hull": polyhedral_spec(
+            np.vstack([N, -N, d, -d]),
+            np.concatenate([N @ s1, -(N @ s1), [d @ s1], [-(d @ s2)]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_general_polyhedra()))
+def test_general_polyhedron_samples_match_tableau_route_bit_for_bit(name):
+    spec = _general_polyhedra()[name]
+    assert _box_view(spec) is None and validate_set(spec).ok
+    got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
+    want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
+    assert same_bits(got, want)
+    assert np.all(spec.A @ got.T >= spec.b[:, None] - 1e-9)
+
+
+def in_wasserstein_ball(spec, w):
+    """A cold feasibility LP over couplings K >= 0 (K_ij: mass moved from
+    atom j to atom i): column marginals equal the empirical weights, the
+    mean sum_ij K_ij s_i equals w, and the transport cost is at most r."""
+    k, m = spec.support.shape
+    marginals = np.tile(np.eye(k), k)
+    mean_rows = np.repeat(spec.support.T, k, axis=1)
+    A = np.vstack([marginals, mean_rows, spec.metric.reshape(1, -1)])
+    b = np.concatenate([spec.empirical, w, [spec.radius]])
+    try:
+        simplex_solve(LpProblem(np.zeros(k * k), A, b, ["="] * (k + m) + ["<="]))
+    except InfeasibleError:
+        return False
+    return True
+
+
+def _wasserstein_cases():
+    inst = gnp_instance(6, 0.6, 5)
+    ball = wasserstein_for(inst, 4, 0.3, seed=2)
+    D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]])
+    pts = ball.support[:3]
+    return {
+        "auto_metric": ball,
+        "explicit_metric": wasserstein_spec(pts, np.array([0.2, 0.5, 0.3]), 0.4, D),
+        # large enough that some atoms take all the mass (reach 1)
+        "wide": wasserstein_spec(ball.support, ball.empirical, 50.0),
+        "radius_0": wasserstein_spec(ball.support, ball.empirical, 0.0),
+        "one_point": wasserstein_spec(ball.support[:1], np.array([1.0]), 0.3),
+        # atom 1 holds all the mass: moving it there costs 0
+        "all_mass_on_one_atom": wasserstein_spec(pts, np.array([0.0, 1.0, 0.0]), 0.2),
+        "all_mass_radius_0": wasserstein_spec(pts, np.array([0.0, 1.0, 0.0]), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_wasserstein_cases()))
+def test_wasserstein_samples_lie_in_the_ball(name):
+    spec = _wasserstein_cases()[name]
+    assert validate_set(spec).ok
+    k = spec.support.shape[0]
+    got = sample_feasible(spec, streams.stream(97, streams.TAG_GEN, 0), 16)
+    assert got.shape == (16, spec.dim())
+    for w in got:
+        assert in_wasserstein_ball(spec, w)
+    emp_mean = spec.support.T @ spec.empirical
+    # the draws: mixtures (1 - lam) p_hat + lam e_i, lam below min(1, r / cost_i)
+    rng = streams.stream(97, streams.TAG_GEN, 0)
+    atom = rng.integers(k, size=16)
+    share = rng.random(16)
+    cost = spec.metric @ spec.empirical
+    reach = np.array([1.0 if c <= spec.radius else spec.radius / c for c in cost])
+    lam = share * reach[atom]
+    assert same_bits(got, emp_mean + lam[:, None] * (spec.support[atom] - emp_mean))
+    if spec.radius == 0.0 or k == 1:
+        # no mass can move, or it all sits where it would go: the mean
+        assert same_bits(got, np.broadcast_to(emp_mean, got.shape))
+    if name == "wide":
+        assert np.any(reach == 1.0) and np.any(lam > 0.5)
+
+
+def test_wasserstein_ball_check_rejects_points_outside():
+    """The feasibility LP above has teeth: a support point the radius does
+    not reach, and a point off the support's hull, are outside the ball."""
+    spec = _wasserstein_cases()["auto_metric"]
+    cost = spec.metric @ spec.empirical
+    far = int(np.argmax(cost))
+    assert cost[far] > spec.radius
+    assert not in_wasserstein_ball(spec, spec.support[far])
+    assert not in_wasserstein_ball(spec, 1.5 * spec.support.max(axis=0))
+    assert in_wasserstein_ball(spec, spec.support.T @ spec.empirical)
 
 
 def dense_ellipsoid_worst(w0, Q, a, coef):
