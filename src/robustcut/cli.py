@@ -14,6 +14,7 @@ or validation error, 2 solver non-convergence, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -52,17 +53,21 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _digest(path: str) -> str:
+def _read(path: str) -> tuple[bytes, str]:
+    """A file's bytes and their sha256, read once for parsing and hashing."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _load_inputs(args) -> tuple[Instance, UncertaintySpec, dict]:
-    inst = load_instance(args.instance)
-    meta = {"instance_digest": _digest(args.instance)}
+    data, digest = _read(args.instance)
+    inst = load_instance(args.instance, data)
+    meta = {"instance_digest": digest}
     if getattr(args, "spec", None):
-        spec = load_spec(args.spec)
-        meta["spec_digest"] = _digest(args.spec)
+        data, digest = _read(args.spec)
+        spec = load_spec(args.spec, data)
+        meta["spec_digest"] = digest
     else:
         spec = singleton_spec(inst.nominal_weights())
         meta["spec_digest"] = None
@@ -400,10 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing leaves
+    no state on it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (_CliError, ParseError, DomainError, NumericError, InfeasibleError,
             UnboundedError, OSError, json.JSONDecodeError) as exc:

@@ -49,8 +49,9 @@ class Instance:
     clause length k (0 for the graph kinds).
 
     The index arrays derived from ``edges`` or ``clauses`` (:meth:`endpoints`,
-    :attr:`clause_arrays`, :attr:`pair_table`) are built on first use, kept
-    on the instance and read-only; they are not part of its value.
+    :attr:`clause_arrays`, :attr:`pair_table`, :attr:`colour_classes`) are
+    built on first use, kept on the instance and read-only; they are not part
+    of its value.
     """
 
     n: int
@@ -116,6 +117,34 @@ class Instance:
         beta = (2.0 - (ra == rb)) * S[:, ra] * S[:, rb] / (k * k)
         return _pair_table(0.0, np.repeat(np.arange(self.m), len(ra)),
                            V[:, ra].ravel(), V[:, rb].ravel(), beta.ravel())
+
+    @functools.cached_property
+    def colour_classes(self) -> tuple[np.ndarray, ...]:
+        """The factor columns split into classes that share no pair of
+        :attr:`pair_table` with ``a != b``: a greedy colouring, in column
+        order, of the graph those pairs draw on the columns.  Columns of one
+        class do not interact in the relaxed objective, so a block-coordinate
+        sweep may update a whole class at once.  The classes depend on the
+        pairs only, never on the weights.  Each class lists its columns in
+        increasing order; classes come in colour order.  Read-only, built
+        once."""
+        _, _, a, b, _ = self.pair_table
+        ncols = self.n + 1 if self.kind == DICUT else self.n
+        off = a != b
+        nbrs: list[set[int]] = [set() for _ in range(ncols)]
+        for x, y in zip(a[off].tolist(), b[off].tolist()):
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+        colour = [0] * ncols
+        for v in range(ncols):
+            taken = {colour[u] for u in nbrs[v] if u < v}
+            c = 0
+            while c in taken:
+                c += 1
+            colour[v] = c
+        colours = np.array(colour)
+        return tuple(_frozen(np.flatnonzero(colours == c))
+                     for c in range(colours.max() + 1))
 
 
 def _pair_table(c0: float, *arrays: np.ndarray) -> tuple:
@@ -303,10 +332,23 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
 
 
-def load_instance(path: str) -> Instance:
-    """Load an instance from a ``.json`` file or a plain edge-list file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def read_text(path: str, data: bytes | None = None) -> str:
+    """The UTF-8 text of the file at `path`, with its line ends translated as
+    a text-mode :func:`open` does.  `data` is the file's bytes when the
+    caller has already read them."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def load_instance(path: str, data: bytes | None = None) -> Instance:
+    """Load an instance from a ``.json`` file or a plain edge-list file;
+    `data` is the file's bytes when the caller has already read them."""
+    text = read_text(path, data)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_instance(text)

@@ -29,7 +29,7 @@ import numpy as np
 from . import streams
 from .instances import DomainError, Instance
 from .sdp import (GramFactor, SolveReport, default_rank, factor_columns,
-                  objective_gradient, solve_elliptope_max,
+                  objective_gradient, relaxed_value, solve_elliptope_max,
                   term_gram_coefficients, _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
                           UncertaintySpec, dual_polyhedral_value, ellipsoid_root_norm,
@@ -197,8 +197,9 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
         factor, report = solve_elliptope_max(inst, w, rank=cfg.rank,
                                              max_iter=cfg.max_iter * 10,
                                              restarts=cfg.restarts, seed=cfg.seed)
-        return SaddleSolution(factor=factor, worst=w.copy(), value=report.value,
-                              report=report)
+        value = relaxed_value(inst, factor, w)
+        return SaddleSolution(factor=factor, worst=w.copy(), value=value,
+                              report=replace(report, value=value))
     return _saddle_loop(inst, cfg, spec)
 
 

@@ -23,11 +23,19 @@ allequal   0     literal pairs a <= b of a clause: (2 - [a = b]) s_a s_b / k^2
 The table scatters w[term] * beta into a symmetric ncols x ncols matrix C(w)
 with objective sum_t w_t c0 + <C(w), U^T U>/2, so the Euclidean gradient is
 U C(w).  Block-coordinate ascent (the mixing method of Wang, Chang & Kolter
-2017 on the Burer-Monteiro factor) sets each column in turn to the unit
-vector along U C[:, i] with C's diagonal zeroed, which maximizes its local
-linear term and is monotone in the objective.  With rank ceil(sqrt(2n)) + 1
-and a few random restarts this reliably reaches the global optimum at the
-scales this package targets.
+2017 on the Burer-Monteiro factor) sets each column to the unit vector along
+U C[:, i] with C's diagonal zeroed, which maximizes its local linear term and
+is monotone in the objective.  Columns that share no pair do not enter each
+other's local terms, so a sweep visits the instance's colour classes
+(:attr:`instances.Instance.colour_classes`, a greedy colouring of the pairs
+in column order) and updates each class in one product U C[class]^T: the
+column-by-column sweep in class order, with a few numpy calls per class
+instead of per column.  The stall test reads the objective after each sweep
+from the same C(w), as sum_t w_t c0 + <U, U C(w)>/2 (diagonal kept), scaled
+by a power of two so that it overflows only where the objective does;
+reported values come from :func:`relaxed_value`.  With rank
+ceil(sqrt(2n)) + 1 and a few random restarts this reliably reaches the global
+optimum at the scales this package targets.
 """
 
 from __future__ import annotations
@@ -133,23 +141,59 @@ def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.
     return U
 
 
-def _ascent_pass(inst: Instance, w: np.ndarray):
-    """One in-place block-coordinate sweep over the factor columns at weights
-    `w`: each column in turn becomes the unit vector maximizing its local
-    linear term, u_i <- U C[:, i] / ||U C[:, i]||.  A column whose local
-    term is zero stays put."""
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """Block-coordinate ascent at fixed weights, by colour class: calling it
+    on U runs one sweep in place, :meth:`value` reads the objective."""
+
+    # per class: its columns and their rows of C(w), the diagonal zeroed;
+    # unscaled, so a sweep at weights near the float limit overflows as the
+    # column-by-column sweep did
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # the objective's terms over `scale`, a power of two near max |w|, so the
+    # value overflows only at its last product: C(w) / scale with the
+    # diagonal kept, and c0 * sum(w) / scale
+    C: np.ndarray
+    base: float
+    scale: float
+
+    def __call__(self, U: np.ndarray) -> None:
+        for cols, rows in self.blocks:
+            G = U @ rows.T
+            nrm = np.sqrt((G * G).sum(axis=0))
+            if np.count_nonzero(nrm) == nrm.size:
+                U[:, cols] = G / nrm
+            else:  # a column whose local term is zero stays put
+                live = nrm > 0.0
+                U[:, cols[live]] = G[:, live] / nrm[live]
+
+    def value(self, U: np.ndarray) -> float:
+        """sum_t w_t c0 + <C(w), U^T U>/2 at the factor U."""
+        return self.scale * (self.base + 0.5 * float(np.vdot(U, U @ self.C)))
+
+
+def _ascent_pass(inst: Instance, w: np.ndarray) -> _Sweep:
+    """The block-coordinate sweep at weights `w`.  It visits the colour
+    classes of :attr:`instances.Instance.colour_classes` in turn and sets
+    every column u_i of a class at once to the unit vector maximizing its
+    local linear term, U C[:, i] / ||U C[:, i]|| with C's diagonal zeroed.
+    Columns of a class share no pair, so this is the column-by-column sweep
+    in class order.  A column whose C row is zero is skipped, and one whose
+    local term is zero stays put."""
     C = _weight_matrix(inst, w)
-    np.fill_diagonal(C, 0.0)
-    cols = np.flatnonzero(C.any(axis=0)).tolist()
-
-    def sweep(U: np.ndarray) -> None:
-        for i in cols:
-            g = U @ C[i]  # C is symmetric: row i is column i
-            nrm = math.sqrt(g @ g)
-            if nrm > 0.0:
-                U[:, i] = g / nrm
-
-    return sweep
+    w = np.asarray(w, dtype=float)
+    off = np.count_nonzero(C, axis=0) > (np.diagonal(C) != 0.0)  # an off-diagonal entry
+    blocks = []
+    for cls in inst.colour_classes:
+        cols = cls[off[cls]]
+        if cols.size:
+            rows = C[cols]
+            rows[np.arange(cols.size), cols] = 0.0
+            blocks.append((cols, rows))
+    top = float(np.max(np.abs(w), initial=0.0))
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    return _Sweep(tuple(blocks), C / scale,
+                  inst.pair_table[0] * float(np.sum(w / scale)), scale)
 
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
@@ -162,8 +206,10 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
     counts as start 0) of block-coordinate ascent and keeps the best; the
     report names the starts run and the winning one.  Converged means the
     relative objective improvement of a full sweep stayed below `tol` for two
-    consecutive sweeps before `max_iter` was hit.  Identical (instance, w,
-    seed, rank) inputs reproduce the factor bitwise.
+    consecutive sweeps before `max_iter` was hit.  The report's value is the
+    objective as the stall test reads it from C(w), equal to
+    :func:`relaxed_value` up to roundoff.  Identical (instance, w, seed, rank)
+    inputs reproduce the factor bitwise.
     """
     w = np.asarray(w, dtype=float)
     ncols = factor_columns(inst)
@@ -173,14 +219,13 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
 
     def run(U0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         U = U0.copy()
-        fac = GramFactor(U, reference=(inst.kind == DICUT))
-        val = relaxed_value(inst, fac, w)
+        val = step.value(U)
         stall = 0
         residual = 0.0
         for sweep in range(1, max_iter + 1):
             before = U.copy()
             step(U)
-            new = relaxed_value(inst, fac, w)
+            new = step.value(U)
             residual = abs(new - val) / max(1.0, abs(new))
             val = new
             if np.array_equal(U, before):  # exact fixed point

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .instances import DomainError, Instance, ParseError
+from .instances import DomainError, Instance, ParseError, read_text
 from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, UnboundedError,
                        simplex_solve, sqrt_psd, sqrt_psd_diagonal)
 
@@ -67,10 +67,12 @@ class UncertaintySpec:
     # (defining fields, value) caches built on first use and rebuilt when a
     # defining field is reassigned; not part of the set's value.  _lp: the
     # FeasibleTableau of the LP region (_feasible_tableau); _box: a box's
-    # (lower, upper) or None (_box_view); _diag: diag(Q) or None (_diag_view)
+    # (lower, upper) or None (_box_view); _diag: diag(Q) or None (_diag_view);
+    # _valid: the term count a clean validation was for (require_valid)
     _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _box: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _diag: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _valid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __eq__(self, other) -> bool:
         """Value equality: same kind and equal defining fields, array fields
@@ -238,9 +240,19 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
 
 def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
                   m: int | None = None) -> None:
-    rep = validate_set(spec, inst, m)
+    """Raise :class:`DomainError` naming every violation :func:`validate_set`
+    finds.  A set that passed is not checked again for the same term count
+    until one of its defining fields is reassigned."""
+    if m is None and inst is not None:
+        m = inst.m
+    key = tuple(getattr(spec, f.name) for f in fields(spec) if f.compare)
+    if spec._valid is not None and spec._valid[1] == m and \
+            all(x is y for x, y in zip(spec._valid[0], key)):
+        return
+    rep = validate_set(spec, m=m)
     if not rep.ok:
         raise DomainError("invalid uncertainty set: " + "; ".join(rep.violations))
+    spec._valid = (key, m)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +638,7 @@ def spec_to_json(spec: UncertaintySpec) -> str:
     return json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n"
 
 
-def load_spec(path: str) -> UncertaintySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+def load_spec(path: str, data: bytes | None = None) -> UncertaintySpec:
+    """Load a set from a JSON file; `data` is the file's bytes when the
+    caller has already read them."""
+    return parse_spec(read_text(path, data))

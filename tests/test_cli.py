@@ -1,14 +1,17 @@
 """End-to-end command-line contract: exit codes, report determinism, formats."""
 
+import builtins
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from robustcut import cli, uncertainty
 from robustcut.cli import (EXIT_CERT_FAIL, EXIT_NO_CONVERGE, EXIT_OK,
                            EXIT_PARSE, main)
 from robustcut.instances import load_instance
-from robustcut.uncertainty import load_spec, worst_case_weights
+from robustcut.uncertainty import load_spec, parse_spec, worst_case_weights
 
 
 def run(*argv):
@@ -368,6 +371,89 @@ def test_verify_with_box_spec(tmp_path, triangle_file):
                "--instance", triangle_file, "--out", str(spec_path)) == EXIT_OK
     assert run("verify", "--instance", triangle_file, "--spec", str(spec_path),
                "--seed", "1", "--out", str(tmp_path / "v.json")) == EXIT_OK
+
+
+def test_verify_validates_the_set_once(tmp_path, triangle_file, monkeypatch):
+    spec_path = tmp_path / "box.json"
+    assert run("gen", "--spec", "box", "--width", "0.1",
+               "--instance", triangle_file, "--out", str(spec_path)) == EXIT_OK
+    calls = []
+    validate = uncertainty.validate_set
+    monkeypatch.setattr(uncertainty, "validate_set",
+                        lambda *a, **k: calls.append(a) or validate(*a, **k))
+    assert run("verify", "--instance", triangle_file, "--spec", str(spec_path),
+               "--seed", "1", "--out", str(tmp_path / "v.json")) == EXIT_OK
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# input files, the parser
+# ---------------------------------------------------------------------------
+
+def test_each_input_file_is_read_once(tmp_path, triangle_file, monkeypatch):
+    spec_path = tmp_path / "box.json"
+    assert run("gen", "--spec", "box", "--width", "0.1",
+               "--instance", triangle_file, "--out", str(spec_path)) == EXIT_OK
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open",
+                        lambda path, *a, **k: opened.append(str(path)) or real_open(path, *a, **k))
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", triangle_file, "--spec", str(spec_path),
+               "--out", str(out)) == EXIT_OK
+    assert sorted(opened) == sorted([triangle_file, str(spec_path), str(out)])
+    rep = json.loads(out.read_text())
+    for key, path in (("instance_digest", triangle_file), ("spec_digest", spec_path)):
+        with real_open(path, "rb") as fh:
+            assert rep[key] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_crlf_files_parse_and_fail_as_text_mode_reads_them(tmp_path, capsys, triangle_file):
+    spec_path = tmp_path / "box.json"
+    assert run("gen", "--spec", "box", "--width", "0.1",
+               "--instance", triangle_file, "--out", str(spec_path)) == EXIT_OK
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(spec_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_spec(str(crlf)) == load_spec(str(spec_path))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "box",\r\n "A": [1,\r\r ]}\r\n')
+    with open(bad, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(Exception) as want:
+        parse_spec(text)
+    assert run("solve", "--instance", triangle_file, "--spec", str(bad)) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+    edges = tmp_path / "k3.txt"
+    edges.write_bytes(b"1 2 1.0\r\n1 3 1.0\r2 3 1.0\r\n")
+    assert load_instance(str(edges)) == load_instance(triangle_file)
+
+
+def test_parser_reused_across_calls(tmp_path, capsys, triangle_file):
+    calls = [("solve", "--instance", triangle_file, "--trials", "0"),
+             ("solve", "--instance", triangle_file, "--seed", "2",
+              "--out", str(tmp_path / "r.json")),
+             ("verify", "--instance", triangle_file, "--bogus"),
+             ("round", "--instance", triangle_file, "--trials", "3", "--seed", "1",
+              "--out", str(tmp_path / "q.json"))]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = run(*argv)
+            err = capsys.readouterr().err
+            got.append((code, [line for line in err.splitlines()
+                               if not line.startswith("[time]")]))
+        return got
+
+    fresh = outcomes(True)
+    assert [code for code, _ in fresh] == [EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_OK]
+    assert "--trials" in fresh[0][1][0] and "--bogus" in fresh[2][1][0]
+    first = cli._parser()
+    assert outcomes(False) == fresh
+    assert cli._parser() is first
+    assert cli.build_parser() is not cli.build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,17 @@ def test_brute_force_guard():
         brute_force_robust(inst, singleton_spec(inst.nominal_weights()))
 
 
+def test_brute_force_rejects_an_invalid_set():
+    inst = triangle()
+    with pytest.raises(DomainError, match="invalid uncertainty set: dim"):
+        brute_force_robust(inst, singleton_spec(np.ones(4)))
+    spec = box_spec(np.zeros(3), np.ones(3))
+    brute_force_robust(inst, spec)
+    spec.b = np.concatenate([-np.ones(3), -np.ones(3)])  # negative lower bounds
+    with pytest.raises(DomainError, match="negative declared lower bound"):
+        brute_force_robust(inst, spec)
+
+
 def _scenario_hull(inst, seed):
     """The segment between two weight scenarios, as pairs of opposite rows."""
     rng = np.random.default_rng(seed)

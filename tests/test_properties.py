@@ -1,6 +1,7 @@
 """Property tests: the closed-form box and diagonal-ellipsoid routes give the
-exact box vertex and the dense routes' bits on randomly drawn sets, and box
-samples are uniform draws inside the box.
+exact box vertex and the dense routes' bits on randomly drawn sets, box
+samples are uniform draws inside the box, and the colour classes of randomly
+drawn instances of every kind are valid classes for the ascent sweep.
 
 Drawn with ``hypothesis`` (a test-only dependency) at a fixed seed
 (``derandomize``), without an example database, so every run checks the same
@@ -13,6 +14,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from robustcut import sdp  # noqa: E402
+from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT,  # noqa: E402
+                                 allequal_instance, graph_instance)
 from robustcut.numerics import FeasibleTableau, sqrt_psd  # noqa: E402
 from robustcut.uncertainty import (_box_view, _diag_view,  # noqa: E402
                                    ellipsoidal_spec, polyhedral_spec,
@@ -147,3 +151,87 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     rho = rng.random(4) ** (1.0 / m)
     want = np.clip(w0 + np.sqrt(a) * (rho[:, None] * z) @ sqrt_psd(Q).T, 0.0, None)
     assert same_bits(sample_feasible(spec, np.random.default_rng(seed), 4), want)
+
+
+# ---------------------------------------------------------------------------
+# colour classes of the elliptope ascent
+# ---------------------------------------------------------------------------
+
+weight = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+
+@st.composite
+def instances(draw):
+    """An instance of any kind with 1-9 vertices (2-9 variables for
+    allequal): graphs with isolated vertices, no edges at all or every pair
+    (the dicut reference column then meets every vertex), and weights that
+    may be zero."""
+    kind = draw(st.sampled_from([MAXCUT, DICUT, ALLEQUAL]))
+    if kind == ALLEQUAL:
+        n = draw(st.integers(2, 9))
+        k = draw(st.integers(2, min(n, 4)))
+        clauses = []
+        for _ in range(draw(st.integers(1, 12))):
+            vs = draw(st.permutations(range(1, n + 1)))[:k]
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+            clauses.append(([v * s for v, s in zip(vs, signs)], draw(weight)))
+        return allequal_instance(n, clauses)
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and (kind == DICUT or i < j)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_instance(n, kind, [(i, j, draw(weight))
+                                    for (i, j), kept in zip(pairs, keep) if kept])
+
+
+@FIXED
+@given(instances())
+def test_colour_classes_partition_the_columns_without_a_shared_pair(inst):
+    ncols = sdp.factor_columns(inst)
+    classes = inst.colour_classes
+    assert sorted(np.concatenate(classes).tolist()) == list(range(ncols))
+    assert all(cls.size and np.all(np.diff(cls) > 0) for cls in classes)
+    colour = np.empty(ncols, dtype=int)
+    for c, cls in enumerate(classes):
+        colour[cls] = c
+    _, _, a, b, _ = inst.pair_table
+    off = a != b
+    assert not np.any(colour[a[off]] == colour[b[off]])
+    # greedy in column order: each column takes the least colour its
+    # lower-numbered partners leave free
+    for v in range(ncols):
+        lower = set(colour[b[off & (a == v) & (b < v)]]) | set(colour[a[off & (b == v) & (a < v)]])
+        assert colour[v] == min(set(range(len(classes) + 1)) - lower)
+
+
+@FIXED
+@given(instances())
+def test_colour_classes_are_read_only_and_built_once(inst):
+    classes = inst.colour_classes
+    assert inst.colour_classes is classes
+    for cls in classes:
+        assert not cls.flags.writeable
+        with pytest.raises(ValueError):
+            cls[0] = 0
+    # the classes are not part of the instance's value
+    if inst.kind == ALLEQUAL:
+        again = allequal_instance(inst.n, [([s * (v + 1) for v, s in lits], w)
+                                           for lits, w in inst.clauses])
+    else:
+        again = graph_instance(inst.n, inst.kind, inst.edges)
+    assert again == inst and "colour_classes" not in vars(again)
+
+
+@FIXED
+@given(instances(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_sweep_value_is_the_relaxed_value(inst, rank, seed):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((rank, sdp.factor_columns(inst)))
+    U /= np.linalg.norm(U, axis=0)
+    fac = sdp.GramFactor(U, reference=inst.kind == DICUT)
+    w = inst.nominal_weights()
+    step = sdp._ascent_pass(inst, w)
+    for _ in range(3):
+        want = sdp.relaxed_value(inst, fac, w)
+        assert abs(step.value(U) - want) <= 1e-12 * max(1.0, abs(want))
+        step(U)

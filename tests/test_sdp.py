@@ -184,8 +184,8 @@ def test_default_rank_formula():
 # the pair-table kernels against per-column / per-term loop references
 # ---------------------------------------------------------------------------
 
-def ref_pass_maxcut(U, nbrs, nw):
-    for i in range(len(nbrs)):
+def ref_pass_maxcut(U, nbrs, nw, order):
+    for i in order:
         if nbrs[i].size == 0:
             continue
         g = -(U[:, nbrs[i]] @ nw[i])
@@ -195,9 +195,9 @@ def ref_pass_maxcut(U, nbrs, nw):
             U[:, i] = g
 
 
-def ref_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w):
+def ref_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w, order):
     n = U.shape[1] - 1
-    for col in range(n + 1):
+    for col in order:
         if col == 0:
             g = np.zeros(U.shape[0])
             for i in range(n):
@@ -216,9 +216,9 @@ def ref_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w):
             U[:, col] = g
 
 
-def ref_pass_allequal(U, var_clauses, clause_vars, clause_signs, w):
+def ref_pass_allequal(U, var_clauses, clause_vars, clause_signs, w, order):
     sums = [U[:, clause_vars[t]] @ clause_signs[t] for t in range(len(clause_vars))]
-    for i in range(U.shape[1]):
+    for i in order:
         g = np.zeros(U.shape[0])
         for t, s in var_clauses[i]:
             g += (w[t] * s) * (sums[t] - s * U[:, i])
@@ -232,7 +232,10 @@ def ref_pass_allequal(U, var_clauses, clause_vars, clause_signs, w):
 
 
 def ref_pass(inst, w):
-    """One sweep built the loop way: O(n m) adjacency masks per call."""
+    """One sweep built the loop way: O(n m) adjacency masks per call.  It
+    visits the columns class by class, in the order of the instance's colour
+    classes, as the class sweep does."""
+    order = np.concatenate(inst.colour_classes).tolist()
     if inst.kind == MAXCUT:
         i_idx = np.array([e[0] for e in inst.edges], dtype=int)
         j_idx = np.array([e[1] for e in inst.edges], dtype=int)
@@ -241,7 +244,7 @@ def ref_pass(inst, w):
             mask_i, mask_j = i_idx == v, j_idx == v
             nbrs.append(np.concatenate([j_idx[mask_i], i_idx[mask_j]]))
             nw.append(np.concatenate([w[mask_i], w[mask_j]]))
-        return lambda U: ref_pass_maxcut(U, nbrs, nw)
+        return lambda U: ref_pass_maxcut(U, nbrs, nw, order)
     if inst.kind == DICUT:
         i_idx = np.array([e[0] for e in inst.edges], dtype=int)
         j_idx = np.array([e[1] for e in inst.edges], dtype=int)
@@ -252,14 +255,15 @@ def ref_pass(inst, w):
             out_w.append(w[mask_o] / 4.0)
             in_nbrs.append(i_idx[mask_in])
             in_w.append(w[mask_in] / 4.0)
-        return lambda U: ref_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w)
+        return lambda U: ref_pass_dicut(U, out_nbrs, out_w, in_nbrs, in_w, order)
     clause_vars = [np.array([v for v, _ in lits], dtype=int) for lits, _ in inst.clauses]
     clause_signs = [np.array([s for _, s in lits], dtype=float) for lits, _ in inst.clauses]
     var_clauses = [[] for _ in range(inst.n)]
     for t, (lits, _) in enumerate(inst.clauses):
         for v, s in lits:
             var_clauses[v].append((t, float(s)))
-    return lambda U: ref_pass_allequal(U, var_clauses, clause_vars, clause_signs, w)
+    return lambda U: ref_pass_allequal(U, var_clauses, clause_vars, clause_signs, w,
+                                       order)
 
 
 def ref_coefficients_maxcut(inst, U):
@@ -395,6 +399,20 @@ def test_ascent_pass_matches_loop_reference(rank):
             step(U)
             ref(U_ref)
             assert_close(U, U_ref)
+
+
+def test_sweep_value_does_not_overflow_before_the_objective():
+    # C(w) has entries of 1e308; the value 1.5e308 is finite
+    inst = graph_instance(3, MAXCUT, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+    w = inst.nominal_weights()
+    fac = GramFactor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    step = sdp._ascent_pass(inst, w)
+    with np.errstate(over="raise"):
+        assert step.value(fac.U) == relaxed_value(inst, fac, w) == 1.5e308
+    assert step.scale == 2.0 ** 1023
+    # an exponent of two: C(w) / scale is exact, so small weights keep their bits
+    small = sdp._ascent_pass(inst, np.array([3.0, 1.0, 0.25]))
+    assert small.scale == 2.0 and small.C[0, 1] == -0.75
 
 
 def test_rank1_ascent_pass_is_monotone_with_exact_fixed_points():

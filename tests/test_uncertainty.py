@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from robustcut import streams
+from robustcut import streams, uncertainty
 from robustcut.gen import ellipsoid_for, gnp_instance, wasserstein_for
 from robustcut.instances import DomainError
 from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem, simplex_solve,
@@ -22,7 +22,7 @@ from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank, facto
 from robustcut.uncertainty import (_box_view, _chord, _diag_view,
                                    box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
-                                   polyhedral_spec, sample_feasible,
+                                   polyhedral_spec, require_valid, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
                                    wasserstein_spec, worst_case_mean,
                                    worst_case_values, worst_case_weights)
@@ -131,6 +131,31 @@ def test_wasserstein_validation():
 def test_dimension_mismatch_flagged():
     rep = validate_set(singleton_spec(np.ones(3)), m=4)
     assert not rep.ok
+
+
+def test_require_valid_checks_a_set_once_per_term_count(monkeypatch):
+    calls = []
+    validate = uncertainty.validate_set
+    monkeypatch.setattr(uncertainty, "validate_set",
+                        lambda *a, **k: calls.append(k.get("m")) or validate(*a, **k))
+    spec = ellipsoidal_spec(np.ones(3), np.diag([0.1, 0.2, 0.3]), 0.5)
+    for _ in range(3):
+        require_valid(spec, m=3)
+    assert calls == [3]
+    with pytest.raises(DomainError, match="dim: set dimension 3 != instance term count 4"):
+        require_valid(spec, m=4)
+    require_valid(spec, m=3)
+    assert calls == [3, 4]
+    # reassigning a defining field, array or scalar, checks the set again
+    spec.w0 = np.ones(3)
+    require_valid(spec, m=3)
+    spec.a = 0.25
+    require_valid(spec, m=3)
+    assert calls == [3, 4, 3, 3]
+    spec.a = -1.0
+    with pytest.raises(DomainError, match="a: radius parameter must be positive"):
+        require_valid(spec, m=3)
+    assert spec == ellipsoidal_spec(np.ones(3), np.diag([0.1, 0.2, 0.3]), -1.0)
 
 
 # ---------------------------------------------------------------------------
