@@ -120,8 +120,8 @@ def _stderr_time(label: str, seconds: float) -> None:
 
 
 def _write_csv(path: str, inst: Instance, sol: SaddleSolution, cut) -> None:
-    """Per-term table: endpoints/literals, worst weight, relaxed coefficient,
-    rounded contribution."""
+    """Per-term table: endpoints/literals (1-based, as in instance files),
+    worst weight, relaxed coefficient, rounded contribution."""
     coef = term_gram_coefficients(inst, sol.factor)
     contrib = term_coefficients(inst, np.asarray(cut))
     with open(path, "w") as fh:
@@ -130,7 +130,7 @@ def _write_csv(path: str, inst: Instance, sol: SaddleSolution, cut) -> None:
             labels = ["|".join(str(s * (v + 1)) for v, s in lits)
                       for lits, _ in inst.clauses]
         else:
-            labels = [f"{i}->{j}" if inst.kind == DICUT else f"{i}-{j}"
+            labels = [f"{i + 1}->{j + 1}" if inst.kind == DICUT else f"{i + 1}-{j + 1}"
                       for i, j, _ in inst.edges]
         for t, label in enumerate(labels):
             fh.write(f"{t},{label},{float(sol.worst[t])!r},"
@@ -282,7 +282,7 @@ def cmd_gen(args) -> int:
         elif args.kind == "gnp":
             inst = genmod.gnp_instance(args.n, args.p, args.seed, kind=args.graph,
                                        w_low=args.w_low, w_high=args.w_high)
-        elif args.kind == "allequal":
+        elif args.kind == ALLEQUAL:
             inst = genmod.random_allequal_instance(args.n, args.k, args.m, args.seed,
                                                    w_low=args.w_low,
                                                    w_high=args.w_high)
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_round)
 
     p = sub.add_parser("gen", help="generate instances / uncertainty sets")
-    p.add_argument("--kind", choices=["cycle", "complete", "gnp", "allequal"])
+    p.add_argument("--kind", choices=["cycle", "complete", "gnp", ALLEQUAL])
     p.add_argument("--spec", dest="spec_kind",
                    choices=["singleton", "box", "ellipsoid", "wasserstein"])
     p.add_argument("--instance", help="anchor instance for --spec")

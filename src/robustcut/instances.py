@@ -62,6 +62,18 @@ class Instance:
     signed: bool = False
 
     @property
+    def reference(self) -> bool:
+        """True when factor column 0 is a reference direction u0 (dicut): it
+        orients the rounding, vertex i is column i+1, and the objective is not
+        flip-symmetric.  Otherwise column i is vertex/variable i."""
+        return self.kind == DICUT
+
+    @property
+    def ncols(self) -> int:
+        """Number of factor columns: ``n``, plus one for the reference."""
+        return self.n + self.reference
+
+    @property
     def m(self) -> int:
         """Number of weighted terms (edges, arcs, or clauses)."""
         return len(self.clauses) if self.kind == ALLEQUAL else len(self.edges)
@@ -98,8 +110,8 @@ class Instance:
         """``(c0, term, a, b, beta)``: each term's relaxed coefficient as an
         affine function of the Gram matrix of the factor columns u,
         ``coef[t] = c0 + sum of beta[p] <u_a[p], u_b[p]>`` over the pairs p
-        with ``term[p] == t``.  Column 0 of a dicut factor is the reference
-        and vertex i is column i+1.  Read-only, built once."""
+        with ``term[p] == t``, in the column layout of :attr:`reference`.
+        Read-only, built once."""
         if self.kind == MAXCUT:
             i, j = self.endpoints()
             return _pair_table(0.5, np.arange(self.m), i, j, np.full(self.m, -0.5))
@@ -129,7 +141,7 @@ class Instance:
         increasing order; classes come in colour order.  Read-only, built
         once."""
         _, _, a, b, _ = self.pair_table
-        ncols = self.n + 1 if self.kind == DICUT else self.n
+        ncols = self.ncols
         off = a != b
         nbrs: list[set[int]] = [set() for _ in range(ncols)]
         for x, y in zip(a[off].tolist(), b[off].tolist()):
@@ -333,13 +345,16 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def read_text(path: str, data: bytes | None = None) -> str:
-    """The UTF-8 text of the file at `path`, with its line ends translated as
-    a text-mode :func:`open` does.  `data` is the file's bytes when the
-    caller has already read them."""
+    """The UTF-8 text of the file at `path` (a ParseError naming it if it is
+    not UTF-8), line ends translated as a text-mode :func:`open` does.  `data`
+    is the file's bytes when the caller has already read them."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

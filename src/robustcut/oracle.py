@@ -31,7 +31,8 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         term_coefficients)
 from .robust import SaddleSolution, inner_worst
 from .rounding import (ALLEQUAL_COEF, APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
-                       expected_rounded_value, rounding_draws)
+                       assignment_prob, expected_rounded_value, oriented_cut,
+                       rounding_draws)
 from .sdp import GramFactor
 from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
                           sample_feasible, worst_case_values,
@@ -82,7 +83,7 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     if inst.n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force: n = {inst.n} exceeds limit {BRUTE_FORCE_LIMIT}")
     require_valid(spec, inst)
-    fix_first = inst.kind != DICUT  # directed objectives are not flip-symmetric
+    fix_first = not inst.reference  # oriented objectives are not flip-symmetric
     count = 1 << (inst.n - 1 if fix_first else inst.n)
     top = -np.inf
     near: list[tuple[np.ndarray, np.ndarray]] = []  # (rows t, block values)
@@ -115,25 +116,19 @@ def mc_expected_cut(inst: Instance, factor: GramFactor, w, trials: int,
                     seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the rounded cut value over
     `trials` hyperplane draws (trial t = row t of the seeded draw block)."""
-    if inst.kind not in (MAXCUT, DICUT):
+    if inst.kind == ALLEQUAL:
         raise DomainError(f"mc_expected_cut: instance kind is {inst.kind}")
     U = np.asarray(factor.U, dtype=float)
     w = np.asarray(w, dtype=float)
     rng = streams.stream(seed, streams.TAG_MC, 1)
     vals = np.empty(trials)
-    i, j = inst.endpoints()
     done = 0
     chunk = max(1, min(trials, 1 << 14))
     while done < trials:
         b = min(chunk, trials - done)
         R = rng.standard_normal((b, U.shape[0]))
-        S = np.where(R @ U >= 0.0, 1.0, -1.0)
-        if inst.kind == MAXCUT:
-            cross = (1.0 - S[:, i] * S[:, j]) / 2.0
-        else:
-            Y = S[:, 1:] * S[:, :1]  # orient by the reference column
-            cross = (1.0 + Y[:, i]) * (1.0 - Y[:, j]) / 4.0
-        vals[done:done + b] = cross @ w
+        S = np.where(R @ U >= 0.0, 1, -1)
+        vals[done:done + b] = term_coefficients(inst, oriented_cut(inst, S)) @ w
         done += b
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -146,15 +141,11 @@ def mc_allequal_value(inst: Instance, z: np.ndarray, w, trials: int,
     assignment scheme seeded from sign vector z."""
     if inst.kind != ALLEQUAL:
         raise DomainError(f"mc_allequal_value: instance kind is {inst.kind}")
-    z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    p_plus = (1.0 + math.sqrt(2.0 / inst.arity) * z) / 2.0
+    p_plus = assignment_prob(z, inst.arity)
     rng = streams.stream(seed, streams.TAG_MC, 1)
     draws = rng.random((trials, inst.n))
-    X = np.where(draws < p_plus, 1.0, -1.0)
-    V, S = inst.clause_arrays
-    lit = X[:, V] * S
-    vals = np.all(lit == lit[:, :, :1], axis=2).astype(float) @ w
+    vals = term_coefficients(inst, np.where(draws < p_plus, 1, -1)) @ w
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import streams
 from .instances import DomainError, Instance
-from .sdp import (GramFactor, SolveReport, default_rank, factor_columns,
-                  objective_gradient, relaxed_value, solve_elliptope_max,
-                  term_gram_coefficients, _random_unit_columns)
+from .sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+                  relaxed_value, solve_elliptope_max, term_gram_coefficients,
+                  _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
                           UncertaintySpec, dual_polyhedral_value, ellipsoid_root_norm,
                           require_valid, worst_case_mean, worst_case_weights)
@@ -43,15 +43,6 @@ class SolverConfig:
     rank: int = 0          # 0 = ceil(sqrt(2 ncols)) + 1
     restarts: int = 3
     seed: int = 0
-
-    @staticmethod
-    def from_dict(d: dict) -> "SolverConfig":
-        cfg = SolverConfig()
-        known = {f for f in cfg.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise DomainError(f"solver config: unknown keys {sorted(bad)}")
-        return replace(cfg, **d)
 
 
 @dataclass
@@ -80,12 +71,11 @@ def _best_response(spec: UncertaintySpec, coef: np.ndarray,
 
 def _saddle_loop(inst: Instance, cfg: SolverConfig,
                  spec: UncertaintySpec) -> SaddleSolution:
-    ncols = factor_columns(inst)
+    ncols = inst.ncols
     rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
-    is_dicut = inst.kind == "dicut"
 
     def respond(U: np.ndarray):
-        fac = GramFactor(U, reference=is_dicut)
+        fac = GramFactor(U)
         return _best_response(spec, np.clip(term_gram_coefficients(inst, fac), 0.0, None))
 
     best_phi = -np.inf
@@ -100,7 +90,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
         w, phi, extra = respond(U)
         # polish against the first response before any gradient work
         fac, _ = solve_elliptope_max(inst, w, rank=rank, restarts=0,
-                                     seed=cfg.seed, start=GramFactor(U, reference=is_dicut))
+                                     seed=cfg.seed, start=GramFactor(U))
         U = fac.U
         w, phi, extra = respond(U)
 
@@ -121,8 +111,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                 # frozen adversary: polish the factor at fixed weights, then
                 # re-check the response
                 fac, _ = solve_elliptope_max(inst, w, rank=rank, restarts=0,
-                                             seed=cfg.seed,
-                                             start=GramFactor(U, reference=is_dicut))
+                                             seed=cfg.seed, start=GramFactor(U))
                 w2, phi2, extra2 = respond(fac.U)
                 if phi2 >= r_best[0]:
                     r_best = (phi2, fac.U.copy(), w2, extra2)
@@ -134,7 +123,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
                 w, phi, extra = w2, phi2, extra2
                 hist.append(r_best[0])
                 continue
-            G = objective_gradient(inst, GramFactor(U, reference=is_dicut), w)
+            G = objective_gradient(inst, GramFactor(U), w)
             gn = float(np.linalg.norm(G))
             if gn == 0.0:
                 converged = True
@@ -151,8 +140,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
             if t % 10 == 0:
                 # fictitious play: best reply to the averaged adversary
                 fac, _ = solve_elliptope_max(inst, wbar, rank=rank, restarts=0,
-                                             seed=cfg.seed,
-                                             start=GramFactor(U, reference=is_dicut))
+                                             seed=cfg.seed, start=GramFactor(U))
                 w_f, phi_f, extra_f = respond(fac.U)
                 if phi_f > r_best[0]:
                     r_best = (phi_f, fac.U.copy(), w_f, extra_f)
@@ -176,7 +164,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
 
     assert best_U is not None and best_report is not None
     best_report.restarts = restart + 1
-    return SaddleSolution(factor=GramFactor(best_U, reference=is_dicut),
+    return SaddleSolution(factor=GramFactor(best_U),
                           worst=best_w, value=best_phi, report=best_report,
                           worst_dist=best_extra)
 

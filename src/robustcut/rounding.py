@@ -60,19 +60,21 @@ def hyperplane_round(factor: GramFactor, cfg: RoundConfig, trial: int = 0) -> np
     return np.where(U.T @ r >= 0.0, 1, -1).astype(int)
 
 
+def oriented_cut(inst: Instance, S: np.ndarray) -> np.ndarray:
+    """The cut that the hyperplane signs S of the factor columns give, S of
+    shape (ncols,) or one row per draw.  When column 0 is the reference
+    (:attr:`instances.Instance.reference`) it fixes the orientation: the cut
+    is s_0 * s_{i+1}, so the reference itself always lands on the +1 side."""
+    return S[..., 1:] * S[..., :1] if inst.reference else S
+
+
 def round_cut(inst: Instance, factor: GramFactor, cfg: RoundConfig,
               trial: int = 0) -> np.ndarray:
-    """Round a factor to a +-1 vector for the instance's vertices.
-
-    For dicut factors the reference column fixes the orientation: the cut is
-    s_0 * s_{i+1} so the reference itself always lands on the +1 side.
-    """
+    """Round a factor to a +-1 vector for the instance's vertices, oriented
+    by :func:`oriented_cut`."""
     if inst.kind == ALLEQUAL:
         raise DomainError("round_cut: allequal uses sign_round_psd + allequal_round")
-    s = hyperplane_round(factor, cfg, trial)
-    if inst.kind == DICUT:
-        return (s[0] * s[1:]).astype(int)
-    return s
+    return oriented_cut(inst, hyperplane_round(factor, cfg, trial))
 
 
 def rounding_draws(inst: Instance, factor: GramFactor, w, seed: int,
@@ -98,7 +100,7 @@ def rounding_draws(inst: Instance, factor: GramFactor, w, seed: int,
 
 def _pair_dots(inst: Instance, U: np.ndarray) -> np.ndarray:
     i, j = inst.endpoints()
-    off = 1 if inst.kind == DICUT else 0
+    off = int(inst.reference)
     return np.clip(np.einsum("ri,ri->i", U[:, i + off], U[:, j + off]), -1.0, 1.0)
 
 
@@ -141,7 +143,7 @@ def expected_allequal_exact(inst: Instance, z: np.ndarray, w) -> float:
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     V, S = inst.clause_arrays
-    p_plus = (1.0 + math.sqrt(2.0 / inst.arity) * z) / 2.0
+    p_plus = assignment_prob(z, inst.arity)
     q = np.where(S > 0, p_plus[V], 1.0 - p_plus[V])
     return float(w @ (np.prod(q, axis=1) + np.prod(1.0 - q, axis=1)))
 
@@ -333,9 +335,15 @@ def sign_round_psd(A: np.ndarray, factor: GramFactor, cfg: RoundConfig) -> np.nd
         f"after {100 * trials} draws")
 
 
+def assignment_prob(z: np.ndarray, k: int) -> np.ndarray:
+    """P(x_i = +1) = (1 + sqrt(2/k) z_i)/2 of the biased assignment built from
+    the sign vector z for clauses of arity k."""
+    return (1.0 + math.sqrt(2.0 / k) * np.asarray(z, dtype=float)) / 2.0
+
+
 def allequal_round(z: np.ndarray, k: int, cfg: RoundConfig, trial: int = 0) -> np.ndarray:
     """Biased assignment from a sign vector: x_i = +1 with probability
-    (1 + sqrt(2/k) z_i)/2, from stream (seed, ASSIGN, trial) so that it is
+    :func:`assignment_prob`, from stream (seed, ASSIGN, trial) so that it is
     independent of the hyperplane draws behind z.  Deterministic (x = z) at
     k = 2."""
     z = np.asarray(z, dtype=float)
@@ -343,7 +351,7 @@ def allequal_round(z: np.ndarray, k: int, cfg: RoundConfig, trial: int = 0) -> n
         raise DomainError("allequal_round: z must be a +-1 vector")
     if k < 2:
         raise DomainError(f"allequal_round: arity {k} < 2")
-    p_plus = (1.0 + math.sqrt(2.0 / k) * z) / 2.0
+    p_plus = assignment_prob(z, k)
     rng = streams.stream(cfg.seed, streams.TAG_ASSIGN, trial)
     draws = rng.random(len(z))
     return np.where(draws < p_plus, 1, -1).astype(int)

@@ -46,20 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .instances import DICUT, DomainError, Instance
+from .instances import DomainError, Instance
 
 
 @dataclass
 class GramFactor:
-    """Unit-column factor U (shape rank x ncols).
-
-    For dicut factors ``reference`` is True and column 0 is the reference
-    direction u0; problem vertex i lives in column i+1.  Otherwise column i
-    is vertex/variable i.
-    """
+    """Unit-column factor U (shape rank x ncols), its columns laid out as
+    :attr:`instances.Instance.reference` says."""
 
     U: np.ndarray
-    reference: bool = False
 
     @property
     def rank(self) -> int:
@@ -86,25 +81,22 @@ def default_rank(ncols: int) -> int:
     return int(math.ceil(math.sqrt(2.0 * ncols))) + 1
 
 
-def factor_columns(inst: Instance) -> int:
-    return inst.n + 1 if inst.kind == DICUT else inst.n
-
-
 def _check_factor(inst: Instance, factor: GramFactor) -> np.ndarray:
     U = np.asarray(factor.U, dtype=float)
-    want = factor_columns(inst)
-    if U.ndim != 2 or U.shape[1] != want:
-        raise DomainError(f"factor: expected {want} columns for {inst.kind}, got shape {U.shape}")
-    if inst.kind == DICUT and not factor.reference:
-        raise DomainError("factor: dicut factor must carry a reference column")
+    if U.ndim != 2 or U.shape[1] != inst.ncols:
+        raise DomainError(f"factor: expected {inst.ncols} columns for {inst.kind}, "
+                          f"got shape {U.shape}")
     return U
 
 
 def term_gram_coefficients(inst: Instance, factor: GramFactor) -> np.ndarray:
     """Per-term relaxation coefficients at a factor (the factor multiplying
-    each weight in the relaxed objective).  All entries are >= 0 up to
-    roundoff; they reduce to :func:`instances.term_coefficients` at integral
-    factors."""
+    each weight in the relaxed objective); they reduce to
+    :func:`instances.term_coefficients` at integral factors.  They are >= 0
+    up to roundoff for maxcut and allequal; a dicut entry is
+    (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and the callers in :mod:`robust`
+    clip it at 0 (``_saddle_loop``, ``inner_worst`` and both reformulated
+    values; ROADMAP item 1)."""
     U = _check_factor(inst, factor)
     c0, term, a, b, beta = inst.pair_table
     dots = np.einsum("ri,ri->i", U[:, a], U[:, b])
@@ -123,7 +115,7 @@ def _weight_matrix(inst: Instance, w: np.ndarray) -> np.ndarray:
     if w.shape != (inst.m,):
         raise DomainError(f"weights: expected shape ({inst.m},), got {w.shape}")
     _, term, a, b, beta = inst.pair_table
-    ncols = factor_columns(inst)
+    ncols = inst.ncols
     C = np.bincount(a * ncols + b, w[term] * beta,
                     minlength=ncols * ncols).reshape(ncols, ncols)
     return C + C.T
@@ -212,7 +204,7 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
     inputs reproduce the factor bitwise.
     """
     w = np.asarray(w, dtype=float)
-    ncols = factor_columns(inst)
+    ncols = inst.ncols
     if rank <= 0:
         rank = default_rank(ncols)
     step = _ascent_pass(inst, w)  # checks the shape of w
@@ -268,4 +260,4 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
             rep.restart = r
     assert best_U is not None and best_rep is not None
     best_rep.restarts = len(starts)
-    return GramFactor(best_U, reference=(inst.kind == DICUT)), best_rep
+    return GramFactor(best_U), best_rep

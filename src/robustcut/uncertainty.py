@@ -22,7 +22,9 @@ edges, arcs, or clauses):
 
 The oracle argument ``coef`` is the per-term coefficient vector of the
 (relaxed) objective, i.e. the inner problem is  min_w  coef . w  over the set.
-Coefficients are nonnegative for every scheme this package produces.
+The oracles take coef >= 0 (below -1e-9 is a DomainError, the rest is clipped
+at 0).  Relaxed dicut coefficients reach -1/8, so :mod:`robustcut.robust`
+clips them first (ROADMAP item 1; see :func:`sdp.term_gram_coefficients`).
 """
 
 from __future__ import annotations

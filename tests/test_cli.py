@@ -143,7 +143,7 @@ def test_solve_csv(tmp_path, cycle5):
     assert lines[0] == "term,spec,worst_weight,relaxed_coef,rounded_coef"
     assert len(lines) == 6  # header + one row per edge
     first = lines[1].split(",")
-    assert first[0] == "0" and "-" in first[1]
+    assert first[:2] == ["0", "1-2"]  # 1-based, as the instance file stores [1, 2, w]
     float(first[2]); float(first[3]); float(first[4])
 
 
@@ -426,6 +426,17 @@ def test_crlf_files_parse_and_fail_as_text_mode_reads_them(tmp_path, capsys, tri
     edges = tmp_path / "k3.txt"
     edges.write_bytes(b"1 2 1.0\r\n1 3 1.0\r2 3 1.0\r\n")
     assert load_instance(str(edges)) == load_instance(triangle_file)
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--spec"])
+def test_non_utf8_file_exits_1_naming_it(tmp_path, capsys, triangle_file, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"kind": "maxcut"}')
+    files = {"--instance": triangle_file, "--spec": None, flag: str(bad)}
+    argv = [arg for f, path in files.items() if path for arg in (f, path)]
+    assert run("solve", *argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text") and "Traceback" not in err
 
 
 def test_parser_reused_across_calls(tmp_path, capsys, triangle_file):

@@ -43,6 +43,15 @@ def test_triangle_construction():
     assert np.allclose(inst.nominal_weights(), 1.0)
 
 
+def test_column_layout_of_each_kind():
+    # only dicut carries a reference column u0 ahead of the vertex columns
+    cases = [(triangle(), False, 3),
+             (graph_instance(3, DICUT, [(0, 1, 1.0), (2, 1, 1.0)]), True, 4),
+             (allequal_instance(4, [([1, -2, 3], 1.0)]), False, 4)]
+    for inst, reference, ncols in cases:
+        assert (inst.reference, inst.ncols) == (reference, ncols)
+
+
 def test_self_loop_rejected():
     with pytest.raises(DomainError):
         graph_instance(3, MAXCUT, [(1, 1, 1.0)])

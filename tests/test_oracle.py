@@ -382,7 +382,7 @@ def test_mc_expected_cut_pentagon():
 def test_mc_expected_cut_dicut_always():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     U = np.array([[1.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
-    factor = GramFactor(U, reference=True)
+    factor = GramFactor(U)
     mean, stderr = mc_expected_cut(inst, factor, [1.0], trials=300, seed=1)
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert stderr == 0.0
@@ -403,6 +403,51 @@ def test_mc_expected_cut_determinism_and_kind():
     ae = allequal_instance(2, [([1, 2], 1.0)])
     with pytest.raises(DomainError, match="kind"):
         mc_expected_cut(ae, factor, [1.0], trials=10, seed=0)
+
+
+def mean_and_stderr(vals):
+    """The estimators' summary of per-draw values."""
+    vals = np.array(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+# The weights below are small integers, so every per-draw value is exact in
+# any summation order and the loops must match the estimators bit for bit.
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+def test_mc_expected_cut_matches_per_draw_loop(kind):
+    inst = gnp_instance(7, 0.6, 31, kind=kind)
+    rng = streams.stream(103, streams.TAG_GEN, 0)
+    U = rng.standard_normal((3, inst.n + (kind == DICUT)))
+    U /= np.linalg.norm(U, axis=0)
+    w = rng.integers(1, 5, size=inst.m).astype(float)
+    trials = 700
+    vals = []
+    for r in streams.stream(17, streams.TAG_MC, 1).standard_normal((trials, 3)):
+        s = [1 if x >= 0.0 else -1 for x in r @ U]
+        if kind == DICUT:  # orient by the reference column
+            y = [s[0] * s[v + 1] for v in range(inst.n)]
+            vals.append(sum(wt for i, j, wt in zip(*inst.endpoints(), w)
+                            if y[i] == 1 and y[j] == -1))
+        else:
+            vals.append(sum(wt for i, j, wt in zip(*inst.endpoints(), w) if s[i] != s[j]))
+    got = mc_expected_cut(inst, GramFactor(U), w, trials=trials, seed=17)
+    assert [x.hex() for x in got] == [x.hex() for x in mean_and_stderr(vals)]
+
+
+def test_mc_allequal_value_matches_per_draw_loop():
+    inst = random_allequal_instance(6, 3, 9, 37)
+    z = np.array([1, -1, -1, 1, 1, -1])
+    w = np.arange(1.0, inst.m + 1.0)
+    trials = 700
+    p_plus = [(1.0 + math.sqrt(2.0 / 3) * zi) / 2.0 for zi in z]
+    vals = []
+    for u in streams.stream(19, streams.TAG_MC, 1).random((trials, inst.n)):
+        x = [1 if u[v] < p_plus[v] else -1 for v in range(inst.n)]
+        vals.append(sum(wt for (lits, _), wt in zip(inst.clauses, w)
+                        if len({s * x[v] for v, s in lits}) == 1))
+    got = mc_allequal_value(inst, z, w, trials=trials, seed=19)
+    assert [x.hex() for x in got] == [x.hex() for x in mean_and_stderr(vals)]
 
 
 def test_mc_allequal_value_k2_deterministic():

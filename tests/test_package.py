@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import robustcut
+from robustcut.instances import KINDS
 
 
 def test_star_import_resolves_every_export():
@@ -39,3 +40,17 @@ def test_no_unused_imports():
     files = sorted((root / "src" / "robustcut").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def test_only_instances_spells_an_instance_kind():
+    """Other modules name a kind through instances.MAXCUT, DICUT or ALLEQUAL
+    (and ask an Instance for its column layout), never by a string literal."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "robustcut"
+    files = sorted(src.glob("*.py"))
+    assert len(files) > 5
+    hits = [f"{path.name}:{node.lineno}: {node.value!r}"
+            for path in files if path.name != "instances.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in KINDS]
+    assert hits == []

@@ -187,7 +187,7 @@ def instances(draw):
 @FIXED
 @given(instances())
 def test_colour_classes_partition_the_columns_without_a_shared_pair(inst):
-    ncols = sdp.factor_columns(inst)
+    ncols = inst.ncols
     classes = inst.colour_classes
     assert sorted(np.concatenate(classes).tolist()) == list(range(ncols))
     assert all(cls.size and np.all(np.diff(cls) > 0) for cls in classes)
@@ -226,9 +226,9 @@ def test_colour_classes_are_read_only_and_built_once(inst):
 @given(instances(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_sweep_value_is_the_relaxed_value(inst, rank, seed):
     rng = np.random.default_rng(seed)
-    U = rng.standard_normal((rank, sdp.factor_columns(inst)))
+    U = rng.standard_normal((rank, inst.ncols))
     U /= np.linalg.norm(U, axis=0)
-    fac = sdp.GramFactor(U, reference=inst.kind == DICUT)
+    fac = sdp.GramFactor(U)
     w = inst.nominal_weights()
     step = sdp._ascent_pass(inst, w)
     for _ in range(3):

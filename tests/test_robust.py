@@ -30,10 +30,10 @@ def two_scenario_hull():
     return polyhedral_spec(A, b)
 
 
-def random_unit_factor(rng, rank, ncols, reference=False):
+def random_unit_factor(rng, rank, ncols):
     U = rng.standard_normal((rank, ncols))
     U /= np.linalg.norm(U, axis=0)
-    return GramFactor(U, reference=reference)
+    return GramFactor(U)
 
 
 def test_singleton_reduces_to_nominal():
@@ -137,7 +137,7 @@ def test_dicut_robust_saddle():
     sol = solve_robust(inst, spec, SolverConfig(seed=6))
     bf = brute_force_robust(inst, spec)
     assert sol.value >= bf.value - 1e-6
-    assert sol.factor.reference  # dicut factors carry the orientation column
+    assert sol.factor.ncols == inst.ncols == 5  # dicut factors carry the orientation column
 
 
 def test_monotone_in_set_size():
@@ -350,13 +350,6 @@ def test_singleton_reports_its_restarts():
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-def test_solver_config_from_dict():
-    cfg = SolverConfig.from_dict({"seed": 9, "max_iter": 50, "gap_tol": 1e-5})
-    assert cfg.seed == 9 and cfg.max_iter == 50 and cfg.gap_tol == 1e-5
-    with pytest.raises(DomainError):
-        SolverConfig.from_dict({"seeds": 1})
-
 
 def test_non_convergence_reported():
     inst = triangle()

@@ -23,8 +23,8 @@ from robustcut.rounding import (APPROX_RATIO_DICUT, CROSSOVER_GAMMA,
 from robustcut.sdp import GramFactor
 
 
-def factor_from_columns(*cols, reference=False):
-    return GramFactor(np.column_stack(cols).astype(float), reference=reference)
+def factor_from_columns(*cols):
+    return GramFactor(np.column_stack(cols).astype(float))
 
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -95,7 +95,7 @@ def test_hyperplane_seed_and_trial_determinism():
 
 def test_round_cut_dicut_orientation():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
-    factor = factor_from_columns(E1, E1, -E1, reference=True)
+    factor = factor_from_columns(E1, E1, -E1)
     for trial in range(4):
         y = round_cut(inst, factor, RoundConfig(seed=9), trial)
         assert np.array_equal(y, [1, -1])
@@ -208,15 +208,15 @@ def test_expected_cut_linear_in_weights():
 def test_expected_cut_wrong_kind():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     with pytest.raises(DomainError, match="kind"):
-        expected_cut_exact(inst, factor_from_columns(E1, E1, E2, reference=True),
+        expected_cut_exact(inst, factor_from_columns(E1, E1, E2),
                            [1.0])
 
 
 def test_expected_dicut_anchors():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
-    always = factor_from_columns(E1, E1, -E1, reference=True)
+    always = factor_from_columns(E1, E1, -E1)
     assert expected_dicut_exact(inst, always, [1.0]) == pytest.approx(1.0, abs=1e-12)
-    ortho = factor_from_columns(E1, E2, E3, reference=True)
+    ortho = factor_from_columns(E1, E2, E3)
     assert expected_dicut_exact(inst, ortho, [1.0]) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(DomainError, match="kind"):
         expected_dicut_exact(graph_instance(2, MAXCUT, [(0, 1, 1.0)]),
@@ -231,7 +231,7 @@ def test_expected_dicut_matches_triple_prob():
     for _ in range(20):
         U = rng.standard_normal((4, 3))
         U /= np.linalg.norm(U, axis=0)
-        factor = GramFactor(U, reference=True)
+        factor = GramFactor(U)
         p = expected_dicut_exact(inst, factor, [1.0])
         q = dicut_triple_prob(U[:, 0], U[:, 1], -U[:, 2])
         assert p == pytest.approx(q, abs=1e-12)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from robustcut import sdp, streams
-from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, allequal_instance,
-                                 cut_value, graph_instance)
+from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
+                                 allequal_instance, cut_value, graph_instance)
 from robustcut.sdp import (GramFactor, default_rank, objective_gradient,
                            relaxed_value, solve_elliptope_max,
                            term_gram_coefficients)
@@ -64,12 +64,21 @@ def test_dicut_coefficient_formula():
     inst = graph_instance(4, DICUT, [(0, 1, 1.0), (2, 1, 1.0), (3, 2, 1.0)])
     U = rng.standard_normal((3, 5))
     U /= np.linalg.norm(U, axis=0)
-    coef = term_gram_coefficients(inst, GramFactor(U, reference=True))
+    coef = term_gram_coefficients(inst, GramFactor(U))
     u0 = U[:, 0]
     for t, (i, j, _) in enumerate(inst.edges):
         ui, uj = U[:, i + 1], U[:, j + 1]
         want = (1.0 + u0 @ ui - u0 @ uj - ui @ uj) / 4.0
         assert coef[t] == pytest.approx(want, abs=1e-12)
+
+
+def test_factor_width_follows_the_column_layout():
+    inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
+    with pytest.raises(DomainError, match="expected 3 columns for dicut"):
+        term_gram_coefficients(inst, GramFactor(np.eye(2)))
+    with pytest.raises(DomainError, match="expected 3 columns for dicut"):
+        objective_gradient(inst, GramFactor(np.ones((2, 4))), [1.0])
+    assert term_gram_coefficients(inst, GramFactor(np.ones((1, 3))))[0] == 0.0
 
 
 def test_allequal_coefficient_formula():
@@ -86,16 +95,16 @@ def test_allequal_coefficient_formula():
 def test_gradient_matches_finite_differences():
     rng = streams.stream(15, streams.TAG_GEN, 0)
     cases = [
-        (graph_instance(4, MAXCUT, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)]), False),
-        (graph_instance(4, DICUT, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]), True),
-        (allequal_instance(4, [([1, 2, -3], 1.0), ([2, -3, 4], 1.0)]), False),
+        graph_instance(4, MAXCUT, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0)]),
+        graph_instance(4, DICUT, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]),
+        allequal_instance(4, [([1, 2, -3], 1.0), ([2, -3, 4], 1.0)]),
     ]
-    for inst, ref in cases:
-        ncols = inst.n + 1 if ref else inst.n
+    for inst in cases:
+        ncols = inst.ncols
         U = rng.standard_normal((3, ncols))
         U /= np.linalg.norm(U, axis=0)
         w = rng.uniform(0.2, 1.5, size=inst.m)
-        G = objective_gradient(inst, GramFactor(U, reference=ref), w)
+        G = objective_gradient(inst, GramFactor(U), w)
         eps = 1e-6
         for _ in range(6):
             r, c = int(rng.integers(3)), int(rng.integers(ncols))
@@ -104,8 +113,8 @@ def test_gradient_matches_finite_differences():
             Um = U.copy()
             Um[r, c] -= eps
             # unnormalized directional derivative of the quadratic objective
-            num = (relaxed_value(inst, GramFactor(Up, reference=ref), w)
-                   - relaxed_value(inst, GramFactor(Um, reference=ref), w)) / (2 * eps)
+            num = (relaxed_value(inst, GramFactor(Up), w)
+                   - relaxed_value(inst, GramFactor(Um), w)) / (2 * eps)
             assert G[r, c] == pytest.approx(num, abs=1e-5)
 
 
@@ -365,9 +374,9 @@ def kernel_cases():
 
 
 def random_factor(rng, inst, rank):
-    U = rng.standard_normal((rank, sdp.factor_columns(inst)))
+    U = rng.standard_normal((rank, inst.ncols))
     U /= np.linalg.norm(U, axis=0)
-    return GramFactor(U, reference=(inst.kind == DICUT))
+    return GramFactor(U)
 
 
 def assert_close(got, want, tol=1e-12):
@@ -433,7 +442,7 @@ def test_rank1_ascent_pass_is_monotone_with_exact_fixed_points():
             if np.array_equal(fac.U, before):
                 fixed += 1
                 _, rep = solve_elliptope_max(inst, w, rank=1, restarts=0,
-                                             start=GramFactor(before, fac.reference))
+                                             start=GramFactor(before))
                 assert (rep.iterations, rep.residual, rep.converged) == (1, 0.0, True)
     assert fixed > 0
 
@@ -443,7 +452,7 @@ def test_solver_fixed_point_and_degenerate_instances():
     for inst in (graph_instance(1, MAXCUT, []), graph_instance(1, DICUT, [])):
         factor, rep = solve_elliptope_max(inst, np.zeros(0), seed=0)
         assert rep.iterations == 1 and rep.converged and rep.value == 0.0
-        assert factor.U.shape[1] == sdp.factor_columns(inst)
+        assert factor.U.shape[1] == inst.ncols
     inst = kernel_cases()[4]
     _, rep = solve_elliptope_max(inst, inst.nominal_weights(), seed=0)
     assert rep.converged

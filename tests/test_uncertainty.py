@@ -17,7 +17,7 @@ from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem, sim
                                 sqrt_psd)
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
-from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank, factor_columns,
+from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank,
                            term_gram_coefficients)
 from robustcut.uncertainty import (_box_view, _chord, _diag_view,
                                    box_spec, dual_polyhedral_value,
@@ -953,7 +953,7 @@ def test_diagonal_q_norm_route_matches_dense_root():
     inst = gnp_instance(8, 0.5, 4)
     spec = ellipsoid_for(inst, 0.5, seed=2)
     assert _diag_view(spec) is not None
-    ncols = factor_columns(inst)
+    ncols = inst.ncols
     rng = streams.stream(89, streams.TAG_GEN, 0)
     for _ in range(3):
         factor = GramFactor(_random_unit_columns(default_rank(ncols), ncols, rng))
