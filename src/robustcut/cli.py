@@ -275,6 +275,8 @@ def cmd_gen(args) -> int:
                                           seed=args.seed)
         text = spec_to_json(spec)
     else:
+        if args.w_low > args.w_high:
+            raise _CliError(f"argument --w-low: {args.w_low} exceeds --w-high {args.w_high}")
         if args.kind == "cycle":
             inst = genmod.cycle_instance(args.n, kind=args.graph, weight=args.weight)
         elif args.kind == "complete":
@@ -328,15 +330,21 @@ _at_least_zero = _int_at_least(0)
 _at_least_one = _int_at_least(1)
 
 
-def _positive_finite(text: str) -> float:
-    """Argument type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _finite(want: str = "", ok=lambda v: True):
+    """Argument type: a finite number for which ok(value) holds; `want`
+    ends the message, saying which numbers are expected."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite number{want}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_finite = _finite(" > 0", lambda v: v > 0.0)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
@@ -376,22 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_round)
 
     p = sub.add_parser("gen", help="generate instances / uncertainty sets")
+    non_negative = _finite(" >= 0", lambda v: v >= 0.0)
     p.add_argument("--kind", choices=["cycle", "complete", "gnp", ALLEQUAL])
     p.add_argument("--spec", dest="spec_kind",
                    choices=["singleton", "box", "ellipsoid", "wasserstein"])
     p.add_argument("--instance", help="anchor instance for --spec")
     p.add_argument("--graph", choices=[MAXCUT, DICUT], default=MAXCUT)
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_finite(" in [0, 1]", lambda v: 0.0 <= v <= 1.0), default=0.5)
     p.add_argument("--k", type=int, default=3, help="clause arity (allequal)")
     p.add_argument("--m", type=int, default=8, help="clause count (allequal)")
-    p.add_argument("--weight", type=float, default=1.0)
-    p.add_argument("--w-low", type=float, default=0.5, dest="w_low")
-    p.add_argument("--w-high", type=float, default=1.5, dest="w_high")
-    p.add_argument("--width", type=float, default=0.2, help="box half-width factor")
+    p.add_argument("--weight", type=_finite(), default=1.0)
+    p.add_argument("--w-low", type=_finite(), default=0.5, dest="w_low")
+    p.add_argument("--w-high", type=_finite(), default=1.5, dest="w_high")
+    p.add_argument("--width", type=non_negative, default=0.2, help="box half-width factor")
     p.add_argument("--spread", type=float, default=0.5, help="ellipsoid semi-axis factor")
     p.add_argument("--scenarios", type=int, default=3)
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=non_negative, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)

@@ -173,30 +173,6 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
             raise NumericError(f"simplex: pivot limit {max_pivots} exceeded")
 
 
-# Optimal bases a FeasibleTableau keeps for values().  A row that no kept
-# basis certifies is tested against every one of them, so on regions where
-# most cost vectors have their own optimal basis an unbounded list would make
-# a block quadratic in the number of bases.
-BASIS_CACHE = 8
-
-
-class _OptimalBasis:
-    """An optimal basis of a phase-2 tableau: the final rows B^-1 A of the
-    basic structural variables over the allowed columns, and the vertex x."""
-
-    def __init__(self, T: np.ndarray, basis: np.ndarray, x: np.ndarray, ncols: int):
-        rows = np.flatnonzero(basis < len(x))  # basic variables with a cost
-        self._cols = basis[rows]
-        self._rows = T[rows, :ncols]
-        self.x = x
-
-    def certifies(self, C: np.ndarray, tol: float) -> np.ndarray:
-        """Rows of C whose reduced costs here are all >= -tol."""
-        reduced = -(C[:, self._cols] @ self._rows)
-        reduced[:, :C.shape[1]] += C
-        return np.all(reduced >= -tol, axis=1)
-
-
 class FeasibleTableau:
     """Phase 1 of the dense two-phase simplex for the fixed region
     {x : A x (senses) b, x >= lb}, run once.
@@ -206,9 +182,7 @@ class FeasibleTableau:
     basis; it raises :class:`InfeasibleError` when the region is empty.
     :meth:`solve` runs phase 2 for one cost vector on a copy of them, so
     every solve starts from the same phase-1 basis and no state carries over
-    between solves.  :meth:`values` scores a block of cost vectors against
-    the optimal bases its earlier phase-2 runs found.  ``phase1_pivots``
-    counts the constructor's pivots.
+    between solves.  ``phase1_pivots`` counts the constructor's pivots.
     """
 
     def __init__(self, A, b, senses, lb=None, tol: float = 1e-9):
@@ -291,32 +265,9 @@ class FeasibleTableau:
         self._T = T
         self._basis = basis
         self._allowed = ~art_mask  # the first ncols columns: all but the artificials
-        self._ncols = ncols
-        self._bases: list[_OptimalBasis] = []  # most recently used first, for values()
         self._ident_col = ident_col
         self._flip = flip
         self._max_pivots = max_pivots
-
-    def _phase2(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Phase 2 for a checked cost vector on a copy of the phase-1 tableau;
-        returns the optimal tableau, its basis and the pivot count."""
-        n = len(self._lb)
-        T = self._T.copy()
-        basis = self._basis.copy()
-        total = T.shape[1] - 1
-        cost = np.zeros(total)
-        cost[:n] = c
-        T[-1, :total] = cost
-        T[-1, -1] = 0.0
-        for i in np.flatnonzero(cost[basis] != 0.0):
-            T[-1] -= cost[basis[i]] * T[i]
-        pivots = _run_simplex(T, basis, self._allowed, self._tol, self._max_pivots)
-        return T, basis, pivots
-
-    def _vertex(self, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        x_std = np.zeros(T.shape[1] - 1)
-        x_std[basis] = T[:-1, -1]
-        return x_std[:len(self._lb)] + self._lb
 
     def solve(self, c) -> LpResult:
         """Phase 2 for  min c.x  over the region, from the phase-1 basis.
@@ -327,54 +278,26 @@ class FeasibleTableau:
         b.dual whenever lb = 0).  ``iterations`` counts this call's phase-2
         pivots only.
         """
-        c = _check_cost(c, len(self._lb))
-        T, basis, pivots = self._phase2(c)
-        x = self._vertex(T, basis)
+        n = len(self._lb)
+        c = _check_cost(c, n)
+        T = self._T.copy()
+        basis = self._basis.copy()
+        total = T.shape[1] - 1
+        cost = np.zeros(total)
+        cost[:n] = c
+        T[-1, :total] = cost
+        T[-1, -1] = 0.0
+        for i in np.flatnonzero(cost[basis] != 0.0):
+            T[-1] -= cost[basis[i]] * T[i]
+        pivots = _run_simplex(T, basis, self._allowed, self._tol, self._max_pivots)
+        x_std = np.zeros(total)
+        x_std[basis] = T[:-1, -1]
+        x = x_std[:n] + self._lb
         value = float(c @ x)
         # duals read off the reduced costs of the initial identity columns
         y_tilde = -T[-1, self._ident_col]
         dual = y_tilde * self._flip
         return LpResult(x=x, value=value, dual=dual, iterations=pivots)
-
-    def values(self, C) -> np.ndarray:
-        """Optimal values of  min c.x  for each row c of the B x n block C.
-
-        A row is certified by a kept optimal basis when its reduced costs on
-        the allowed columns are all >= -tol (the test phase 2 stops on); its
-        value is then c.x at that basis's vertex.  Rows no kept basis
-        certifies run phase 2 from the phase-1 basis in row order, as
-        :meth:`solve` does, and give its value bit for bit.  Each new basis
-        goes to the front of the tableau's :data:`BASIS_CACHE` most recently
-        used ones, and the rest of the block is tested against it.  Values of
-        certified rows agree with :meth:`solve` to roundoff.
-        """
-        n = len(self._lb)
-        C = np.asarray(C, dtype=float)
-        if C.ndim != 2 or C.shape[1] != n:
-            raise ValueError(f"C: expected shape (B, {n}), got {C.shape}")
-        out = np.empty(len(C))
-        todo = np.arange(len(C))
-        used = []
-        for kept in self._bases:
-            if not todo.size:
-                break
-            ok = kept.certifies(C[todo], self._tol)
-            if ok.any():
-                out[todo[ok]] = C[todo[ok]] @ kept.x
-                todo = todo[~ok]
-                used.append(kept)
-        self._bases = used + [kept for kept in self._bases if kept not in used]
-        while todo.size:
-            c = C[todo[0]]
-            T, basis, _ = self._phase2(c)
-            found = _OptimalBasis(T, basis, self._vertex(T, basis), self._ncols)
-            self._bases = [found] + self._bases[:BASIS_CACHE - 1]
-            out[todo[0]] = float(c @ found.x)
-            todo = todo[1:]
-            ok = found.certifies(C[todo], self._tol)
-            out[todo[ok]] = C[todo[ok]] @ found.x
-            todo = todo[~ok]
-        return out
 
 
 def simplex_solve(lp: LpProblem, tol: float = 1e-9) -> LpResult:

@@ -42,10 +42,9 @@ BRUTE_FORCE_LIMIT = 24
 _BLOCK = 128  # candidates scored at once; peak memory grows with it
 # Candidates whose block value is within _MARGIN * max(1, |max|) of the block
 # maximum are rescored exactly.  Block values differ from the exact ones by
-# roundoff (<= 4.4e-16 relative measured), or, where a kept basis passes the
-# simplex's -1e-9 reduced-cost test but is not the one phase 2 reaches, by at
-# most 1e-9 times the sum of the standardized variables, a few 1e-9 relative
-# for the sets here; the margin stays above twice either.
+# roundoff only (<= 4.4e-16 relative measured): every block route is the
+# closed form or the phase 2 that worst_case_weights runs.  The margin stays
+# far above twice that.
 _MARGIN = 1e-6
 
 

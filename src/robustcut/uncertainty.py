@@ -17,8 +17,10 @@ edges, arcs, or clauses):
   instead of an eigendecomposition, and Q coef and Q^{1/2} become
   elementwise products;
 * ``wasserstein``  -- ball of radius r0 around an empirical distribution on a
-  finite support, under a ground metric; the worst-case *mean* weight vector
-  comes from a small transport LP over couplings.
+  finite support, under a ground metric; the worst distribution, whose mean
+  is the worst-case weight vector, comes in closed form: the greedy optimum
+  of a fractional multiple-choice knapsack (:func:`_worst_distributions`).
+  No LP is built for it.
 
 The oracle argument ``coef`` is the per-term coefficient vector of the
 (relaxed) objective, i.e. the inner problem is  min_w  coef . w  over the set.
@@ -68,7 +70,7 @@ class UncertaintySpec:
     auto_metric: bool = False  # metric was derived as d_ij = ||s_i - s_j||_1
     # (defining fields, value) caches built on first use and rebuilt when a
     # defining field is reassigned; not part of the set's value.  _lp: the
-    # FeasibleTableau of the LP region (_feasible_tableau); _box: a box's
+    # FeasibleTableau of a polyhedron (_feasible_tableau); _box: a box's
     # (lower, upper) or None (_box_view); _diag: diag(Q) or None (_diag_view);
     # _valid: the term count a clean validation was for (require_valid)
     _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -156,13 +158,20 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
     """Check structural and domain invariants; returns every violation found.
 
     After a clean validation each set kind is a nonempty, bounded subset of
-    the nonnegative orthant (distributions, for wasserstein).
+    the nonnegative orthant (distributions, for wasserstein).  A NaN or an
+    infinity in a defining field is reported, naming the field, before
+    anything else is checked.
     """
-    v: list[str] = []
     if m is None and inst is not None:
         m = inst.m
     if spec.kind not in SET_KINDS:
         return ValidationReport(False, [f"kind: unknown set kind {spec.kind!r}"])
+    names = {SINGLETON: ("weights",), POLYHEDRAL: ("A", "b"), ELLIPSOIDAL: ("w0", "Q", "a"),
+             WASSERSTEIN: ("support", "empirical", "radius", "metric")}[spec.kind]
+    v = [bad for bad in (_non_finite(name, np.asarray(getattr(spec, name), dtype=float))
+                         for name in names) if bad]
+    if v:
+        return ValidationReport(False, v)
     dim = spec.dim()
     if m is not None and dim != m:
         v.append(f"dim: set dimension {dim} != instance term count {m}")
@@ -262,22 +271,11 @@ def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
 # ---------------------------------------------------------------------------
 
 def _feasible_tableau(spec: UncertaintySpec) -> FeasibleTableau:
-    """Phase 1 of the set's LP region, run once per set: the rows A w >= b of
-    a polyhedron, or the transport rows of a Wasserstein ball (coupling K >= 0
-    flattened row-major, index i*k + j; column marginals sum_i K_ij equal the
-    empirical weights; transport cost sum d_ij K_ij <= r0).
-
-    The tableau is kept on the spec and rebuilt only when one of its defining
-    fields was reassigned.  Each oracle call then runs phase 2 alone.
-    """
-    if spec.kind == POLYHEDRAL:
-        return _cached(spec, "_lp", (spec.A, spec.b), lambda: FeasibleTableau(
-            spec.A, spec.b, [">="] * spec.A.shape[0]))
-    k = spec.support.shape[0]
-    return _cached(spec, "_lp", (spec.empirical, spec.metric, spec.radius),
-                   lambda: FeasibleTableau(
-                       np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)]),
-                       np.append(spec.empirical, spec.radius), ["="] * k + ["<="]))
+    """Phase 1 of a polyhedron's rows A w >= b, run once per set and kept on
+    the spec until A or b is reassigned; each oracle call runs phase 2 alone.
+    Boxes (:func:`_box_view`) and the other set kinds build none."""
+    return _cached(spec, "_lp", (spec.A, spec.b), lambda: FeasibleTableau(
+        spec.A, spec.b, [">="] * spec.A.shape[0]))
 
 
 def _cached(spec: UncertaintySpec, slot: str, key: tuple, build):
@@ -353,7 +351,9 @@ def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
 
 
 def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
-    """Exact minimizer of coef . w over the set; returns (w*, value).
+    """Exact minimizer of coef . w over the set; returns (w*, value).  For a
+    Wasserstein ball w* is the mean of the worst distribution
+    (:func:`worst_case_mean`).
 
     A zero coefficient vector is degenerate (every point is optimal); the
     documented representative is returned: the singleton point, the
@@ -391,17 +391,20 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
     """Minimum of c . w over the set for each row c of a B x dim block:
     the values of :func:`worst_case_weights`, row by row, to roundoff.
 
-    Polyhedra other than boxes, and Wasserstein balls, score the block
-    against the optimal bases their tableau keeps
-    (:meth:`FeasibleTableau.values`); singletons, boxes and ellipsoids
-    evaluate their closed forms on the whole block.
+    Singletons, boxes, ellipsoids and Wasserstein balls evaluate their
+    closed forms on the whole block; a Wasserstein row is worth costs . p
+    for its worst distribution p, as in :func:`worst_case_mean`.  Any other
+    polyhedron runs phase 2 of its tableau for each row.
     """
     C = _check_coef(spec, coef_block, rows=True)
     if spec.kind == SINGLETON:
         return C @ spec.weights
     if spec.kind == POLYHEDRAL:
         box = _box_view(spec)
-        return _feasible_tableau(spec).values(C) if box is None else C @ box[0]
+        if box is not None:
+            return C @ box[0]
+        tableau = _feasible_tableau(spec)
+        return np.array([tableau.solve(c).value for c in C])
     out = np.zeros(len(C))
     live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
     C = C[live]
@@ -411,8 +414,8 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
         W = spec.w0 - np.sqrt(spec.a) * q / denom[:, None]
         out[live] = np.einsum("ij,ij->i", C, W)
     else:
-        k = spec.support.shape[0]
-        out[live] = _feasible_tableau(spec).values(np.repeat(C @ spec.support.T, k, axis=1))
+        costs = C @ spec.support.T
+        out[live] = np.einsum("ij,ij->i", costs, _worst_distributions(spec, costs))
     return out
 
 
@@ -447,10 +450,9 @@ def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray
 
     Minimizes  sum_i p_i (coef . s_i)  over distributions p on the support
     whose transport distance to the empirical distribution is at most the
-    radius.  Solved as an LP over couplings K >= 0 with column marginals fixed
-    to the empirical weights and transport cost sum d_ij K_ij <= r0 (phase 1
-    shared by every call on the set, see :func:`_feasible_tableau`).  Returns
-    (p*, mean weights, value).
+    radius, in closed form (:func:`_worst_distributions`), with no LP.
+    Returns (p*, mean weights, value); the value is costs . p*.  A zero
+    coefficient vector returns the empirical distribution and value 0.
     """
     if spec.kind != WASSERSTEIN:
         raise DomainError(f"worst_case_mean: set kind is {spec.kind}")
@@ -459,15 +461,73 @@ def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray
 
 def _worst_mean(spec: UncertaintySpec, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`worst_case_mean` for a coefficient vector already checked."""
-    k = spec.support.shape[0]
     if float(coef.max(initial=0.0)) <= _ZERO_COEF:
         p = spec.empirical.copy()
         return p, spec.support.T @ p, 0.0
     costs = spec.support @ coef  # cost of landing on each support point
-    res = _feasible_tableau(spec).solve(np.repeat(costs, k))  # cost of K_ij: costs_i
-    K = res.x.reshape(k, k)
-    p = K.sum(axis=1)
+    p = _worst_distributions(spec, costs[None])[0]
     return p, spec.support.T @ p, float(costs @ p)
+
+
+def _worst_distributions(spec: UncertaintySpec, costs: np.ndarray) -> np.ndarray:
+    """The worst distribution in a Wasserstein ball for each row of a (B, k)
+    block of atom costs: a minimizer of costs . p within transport distance
+    r of the empirical distribution.
+
+    The problem is a fractional multiple-choice knapsack with one budget row
+    (Gao & Kleywegt 2016), solved greedily.  Each atom's mass first moves for
+    free to the cheapest atom at distance 0 (it stays on ties).  From there
+    it can walk the lower convex hull of the points {(d_ij, cost_i)}; a hull
+    segment spends the mass times its length of the radius.  The segments of
+    all atoms are taken in slope order, steepest first, until the radius is
+    spent, the last one in part.  Hull points are often collinear (costs and
+    the l1 auto-metric are both linear in the atoms), so roundoff can make a
+    later segment of a walk look steeper: slopes are made nondecreasing along
+    each walk and sorted stably, so no segment goes before the one that
+    brings its mass.
+    """
+    B, k = costs.shape
+    n = k * k - k  # segments in a row: k - 1 for each atom's walk
+    atom = np.arange(k)
+    dist = spec.metric.T.copy()  # dist[j, i]: radius spent by a unit of mass moved j -> i
+    dist.flat[::k + 1] = 0.0
+    fall = costs[:, None, :] - costs[:, :, None]  # [b, v, i]: costs[b, i] - costs[b, v]
+    down = fall < 0.0
+    rise = dist[:, None, :] - dist[:, :, None]    # [j, v, i]: dist[j, i] - dist[j, v]
+    # slope[b, j, v, i] < 0 exactly for a move v -> i of atom j's walk to a
+    # farther, cheaper atom; the steepest is the next hull vertex after v.
+    # Rises below 1e-200 count as 1e-200, so no reciprocal overflows.
+    slope = fall[:, None] * np.divide(1.0, np.maximum(rise, 1e-200), out=np.zeros_like(rise),
+                                      where=rise > 0.0)
+    after = slope.argmin(axis=3).ravel()  # tables over (b, j, v), flattened
+    steep = slope.ravel().take(np.arange(0, B * k ** 3, k) + after)
+    after = np.where(steep < 0.0, after, np.arange(B * k * k) % k)  # no move: stay at v
+    start = np.where(down & (dist == 0.0), fall, np.inf)
+    start[:, atom, atom] = 0.0
+    row = (np.arange(B)[:, None] * k + atom) * k  # index of (b, j, 0) in the tables
+    walk = np.empty((B, k, k), dtype=np.intp)  # hull vertices, the last one repeated
+    walk[:, :, 0] = start.argmin(axis=2)
+    for t in range(1, k):
+        walk[:, :, t] = after.take(row + walk[:, :, t - 1])
+    steps = steep.take(row[:, :, None] + walk[:, :, :-1])  # 0 once a walk has ended
+    np.maximum.accumulate(steps, axis=2, out=steps)
+    order = steps.reshape(B, n).argsort(axis=1, kind="stable") + np.arange(B)[:, None] * n
+    at = dist.ravel().take(atom[:, None] * k + walk)
+    spend = ((at[:, :, 1:] - at[:, :, :-1]) * spec.empirical[:, None]).ravel().take(order)
+    spent = spend.cumsum(axis=1)  # shifted below: the radius spent before each segment
+    spent[:, 1:] = spent[:, :-1]
+    spent[:, :1] = 0.0
+    share = np.divide(spec.radius - spent, spend, out=np.zeros_like(spend), where=spend > 0.0)
+    done = np.empty(B * n)
+    done[order] = np.minimum(np.maximum(share, 0.0), 1.0)
+    # taken[t]: the share of an atom's mass that reaches vertex t of its walk
+    # (nonincreasing in t); what reaches t and goes no further stays there
+    taken = np.concatenate([np.ones((B, k, 1)), done.reshape(B, k, k - 1),
+                            np.zeros((B, k, 1))], axis=2)
+    stays = (taken[:, :, :-1] - taken[:, :, 1:]) * spec.empirical[:, None]
+    p = np.bincount((walk + (row // k - atom)[:, :, None]).ravel(), stays.ravel(),
+                    minlength=B * k)
+    return p.reshape(B, k)
 
 
 def dual_polyhedral_value(spec: UncertaintySpec, coef) -> float:
@@ -601,12 +661,20 @@ def _numbers(d: dict, key: str, form: str) -> np.ndarray:
         raise ParseError(f"{key}: expected numbers ({exc})") from exc
     if arr.ndim not in _NDIM[form]:
         raise ParseError(f"{key}: expected {form}, got an array of shape {arr.shape}")
-    finite = np.isfinite(arr)
-    if not np.all(finite):
-        at = tuple(int(i) for i in np.argwhere(~finite)[0]) if arr.ndim else ()
-        index = "".join(f"[{i}]" for i in at)
-        raise ParseError(f"{key}{index}: not a finite number ({float(arr[at])})")
+    bad = _non_finite(key, arr)
+    if bad:
+        raise ParseError(bad)
     return arr
+
+
+def _non_finite(key: str, arr: np.ndarray) -> Optional[str]:
+    """A message naming field `key`'s first entry that is not finite, or None."""
+    finite = np.isfinite(arr)
+    if np.all(finite):
+        return None
+    at = tuple(int(i) for i in np.argwhere(~finite)[0]) if arr.ndim else ()
+    index = "".join(f"[{i}]" for i in at)
+    return f"{key}{index}: not a finite number ({float(arr[at])})"
 
 
 def parse_spec(text: str) -> UncertaintySpec:

@@ -84,6 +84,26 @@ def test_gen_all_spec_kinds_load(tmp_path, cycle5):
         assert load_spec(str(path)).kind  # parses and validates
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--spec", "wasserstein", "--radius", "nan"], "--radius"),
+    (["--spec", "wasserstein", "--radius", "-1"], "--radius"),
+    (["--spec", "box", "--width", "-2"], "--width"),
+    (["--kind", "cycle", "--weight", "inf"], "--weight"),
+    (["--kind", "gnp", "--p", "-1"], "--p"),
+    (["--kind", "gnp", "--p", "2"], "--p"),
+    (["--kind", "gnp", "--w-low", "nan"], "--w-low"),
+    (["--kind", "gnp", "--w-low", "2", "--w-high", "1"], "--w-low"),
+])
+def test_gen_rejects_out_of_range_flags(tmp_path, capsys, cycle5, args, flag):
+    # each of these used to write a file the loader rejects, or end in a
+    # numpy error
+    out = tmp_path / "g.json"
+    anchor = ["--instance", cycle5] if "--spec" in args else []
+    assert run("gen", *args, *anchor, "--out", str(out)) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

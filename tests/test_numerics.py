@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.numerics import (BASIS_CACHE, FeasibleTableau, InfeasibleError,
+from robustcut.numerics import (FeasibleTableau, InfeasibleError,
                                 LpProblem, NumericError, UnboundedError,
                                 _pivot, simplex_solve, sqrt_psd)
 
@@ -259,34 +259,6 @@ def test_tableau_solve_is_bitwise_cold_simplex(region):
         assert tableau.phase1_pivots + warm.iterations == cold[i].iterations
 
 
-@pytest.mark.parametrize("region", [box_region, scenario_hull_region,
-                                    transport_region])
-def test_tableau_values_match_solve(region):
-    A, b, senses = region()
-    n = A.shape[1]
-    rng = streams.stream(31, streams.TAG_GEN, 0)
-    # signed costs on the bounded box reach many vertices; the others get
-    # nonnegative costs (sparse, so ties and degenerate vertices occur)
-    low = -1.0 if region is box_region else 0.0
-    C = rng.uniform(low, 1.0, size=(60, n)) * (rng.random((60, n)) < 0.7)
-    C[5] = 0.0
-    solved = [FeasibleTableau(A, b, senses).solve(c) for c in C]
-    want = np.array([r.value for r in solved])
-    tableau = FeasibleTableau(A, b, senses)
-    first = tableau.values(C[:1])
-    assert first[0] == want[0]  # an empty list of bases: phase 2 itself
-    # blocks of uneven size, then the whole block shuffled, so bases found
-    # in one call certify rows of later calls
-    got = np.concatenate([first] + [tableau.values(C[i:i + 7]) for i in range(1, 60, 7)])
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-    order = rng.permutation(60)
-    assert np.allclose(tableau.values(C[order]), want[order], rtol=1e-13, atol=1e-13)
-    assert len(tableau._bases) <= BASIS_CACHE
-    if region is box_region:  # more optimal vertices than kept bases: eviction ran
-        assert len({r.x.tobytes() for r in solved}) > BASIS_CACHE
-        assert len(tableau._bases) == BASIS_CACHE
-
-
 def test_beale_cycling_example_terminates():
     # Beale (1955): the largest-coefficient rule cycles on this degenerate LP;
     # Bland's rule must reach the optimum -5/4 at (1, 0, 1, 0)
@@ -310,9 +282,5 @@ def test_tableau_errors():
         tableau.solve(np.array([-1.0]))
     with pytest.raises(ValueError):
         tableau.solve(np.array([1.0, 2.0]))
-    with pytest.raises(UnboundedError):
-        tableau.values(np.array([[1.0], [-1.0]]))
-    with pytest.raises(ValueError):
-        tableau.values(np.array([1.0]))
     # a failed solve leaves the stored phase-1 tableau intact
     assert tableau.solve(np.array([1.0])).value == 0.0

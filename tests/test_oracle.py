@@ -9,7 +9,7 @@ import pytest
 
 from robustcut import numerics, oracle, streams
 from robustcut.gen import (box_for, complete_instance, cycle_instance,
-                           gnp_instance, random_allequal_instance,
+                           ellipsoid_for, gnp_instance, random_allequal_instance,
                            singleton_for, wasserstein_for)
 from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
                                  allequal_value, cut_value, dicut_value,
@@ -24,7 +24,7 @@ from robustcut.rounding import (allequal_quadratic_matrix, expected_cut_exact,
 from robustcut.sdp import GramFactor
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
                                    singleton_spec, wasserstein_spec,
-                                   worst_case_weights)
+                                   worst_case_values, worst_case_weights)
 
 
 def triangle(kind=MAXCUT, edges=None):
@@ -152,13 +152,37 @@ def count_tableaus(monkeypatch):
 @pytest.mark.parametrize("make_spec", [lambda inst: _budgeted_box(inst, 3),
                                        lambda inst: wasserstein_for(inst, 3, 0.3)])
 def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
-    # 2^(n-1) oracle calls share one phase 1 (validation builds it)
+    # 2^(n-1) oracle calls on a general polyhedron share one phase 1
+    # (validation builds it); a Wasserstein ball is answered in closed form
+    # and builds none
     inst = gnp_instance(8, 0.5, 3)
     spec = make_spec(inst)
     built = count_tableaus(monkeypatch)
     res = brute_force_robust(inst, spec)
     assert res.enumerated == 2 ** 7
-    assert len(built) == 1
+    assert len(built) == (1 if spec.kind == "polyhedral" else 0)
+
+
+@pytest.mark.parametrize("kind", ["singleton", "box", "ellipsoid", "wasserstein",
+                                  "wasserstein_metric", "budgeted_box"])
+def test_only_general_polyhedra_build_a_tableau(monkeypatch, kind):
+    # validation, both oracles, sampling, a solve and a certificate: every
+    # set kind but a polyhedron that is not a box runs without an LP
+    inst = gnp_instance(6, 0.5, 3)
+    D = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    spec = {"singleton": lambda: singleton_for(inst),
+            "box": lambda: box_for(inst, 0.2),
+            "ellipsoid": lambda: ellipsoid_for(inst, 0.5, seed=1),
+            "wasserstein": lambda: wasserstein_for(inst, 4, 0.3, seed=2),
+            "wasserstein_metric": lambda: wasserstein_spec(
+                wasserstein_for(inst, 3, 0.3, seed=2).support, np.full(3, 1 / 3), 0.5, D),
+            "budgeted_box": lambda: _budgeted_box(inst, 3)}[kind]()
+    built = count_tableaus(monkeypatch)
+    sol = solve_robust(inst, spec, SolverConfig(seed=0, restarts=1, max_iter=40))
+    rep = certify_sandwich(inst, spec, sol, samples=3)
+    worst_case_values(spec, term_coefficients(inst, np.ones((2, inst.n), dtype=int)))
+    assert rep.oracle_value > 0.0
+    assert len(built) == (1 if kind == "budgeted_box" else 0)
 
 
 def test_brute_force_box_builds_no_tableau(monkeypatch):

@@ -1,7 +1,9 @@
 """Property tests: the closed-form box and diagonal-ellipsoid routes give the
 exact box vertex and the dense routes' bits on randomly drawn sets, box
-samples are uniform draws inside the box, and the colour classes of randomly
-drawn instances of every kind are valid classes for the ascent sweep.
+samples are uniform draws inside the box, the closed-form Wasserstein worst
+case is the transport LP's optimum on balls drawn with many ties, and the
+colour classes of randomly drawn instances of every kind are valid classes
+for the ascent sweep.
 
 Drawn with ``hypothesis`` (a test-only dependency) at a fixed seed
 (``derandomize``), without an example database, so every run checks the same
@@ -17,11 +19,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from robustcut import sdp  # noqa: E402
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT,  # noqa: E402
                                  allequal_instance, graph_instance)
-from robustcut.numerics import FeasibleTableau, sqrt_psd  # noqa: E402
+from robustcut.numerics import (FeasibleTableau, LpProblem,  # noqa: E402
+                                simplex_solve, sqrt_psd)
 from robustcut.uncertainty import (_box_view, _diag_view,  # noqa: E402
-                                   ellipsoidal_spec, polyhedral_spec,
-                                   sample_feasible, validate_set,
-                                   worst_case_values, worst_case_weights)
+                                   _worst_distributions, ellipsoidal_spec,
+                                   polyhedral_spec, sample_feasible,
+                                   validate_set, wasserstein_spec,
+                                   worst_case_mean, worst_case_values,
+                                   worst_case_weights)
 
 FIXED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -151,6 +156,103 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     rho = rng.random(4) ** (1.0 / m)
     want = np.clip(w0 + np.sqrt(a) * (rho[:, None] * z) @ sqrt_psd(Q).T, 0.0, None)
     assert same_bits(sample_feasible(spec, np.random.default_rng(seed), 4), want)
+
+
+# ---------------------------------------------------------------------------
+# the Wasserstein worst case against the transport LP
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wasserstein_balls(draw):
+    """A ball drawn for ties: atoms on one line (collinear hull points under
+    the l1 auto-metric, whose costs are linear in the atoms too), duplicate
+    atoms (distance 0, equal costs), or explicit metrics with zero
+    off-diagonal entries; one atom or several; radius 0, 1e-9, moderate, or
+    above the cost of every move.  Coordinates and distances lie on a grid
+    of quarters, which makes ties exact and keeps every nonzero distance far
+    above the reference simplex's 1e-9 tolerance."""
+    k = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["line", "duplicates", "spread"]))
+    entry = st.integers(0, 12).map(lambda i: i / 4.0)
+    if layout == "line":
+        base = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+        ahead = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+        at = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+        support = base + at[:, None] * ahead
+    else:
+        support = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                         min_size=k, max_size=k)))
+        if layout == "duplicates":
+            support = support[draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))]
+    empirical = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)), dtype=float)
+    empirical /= empirical.sum()
+    metric = "l1"
+    if draw(st.booleans()):
+        upper = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        metric = np.triu(upper, 1) + np.triu(upper, 1).T
+    ball = wasserstein_spec(support, empirical, 0.0, metric)
+    ball.radius = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0,
+                                        1.0 + float(ball.metric.max()) * 2.0]))
+    return ball
+
+
+def transport_lp(spec, costs):
+    """A cold LP over couplings K >= 0 (K_ij: mass moved from atom j to atom
+    i): column marginals are the empirical weights, the transport cost
+    sum d_ij K_ij is at most r, landing on atom i costs costs[i].  The costs
+    are scaled to a largest entry of 1 and the value scaled back, so the
+    simplex's absolute 1e-9 tolerance does not swallow rows of 1e-15."""
+    k = len(costs)
+    scale = float(costs.max()) or 1.0
+    A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
+    b = np.append(spec.empirical, spec.radius)
+    res = simplex_solve(LpProblem(np.repeat(costs / scale, k), A, b, ["="] * k + ["<="]))
+    assert res.x.min() >= -1e-12  # a feasible coupling: the reference is sound
+    return res.value * scale
+
+
+def transport_cost(spec, p):
+    """The least transport cost from the empirical distribution to p."""
+    k = len(p)
+    A = np.vstack([np.tile(np.eye(k), k), np.repeat(np.eye(k), k, axis=1)])
+    res = simplex_solve(LpProblem(spec.metric.ravel(), A,
+                                  np.concatenate([spec.empirical, p]), ["="] * (2 * k)))
+    return res.value
+
+
+@FIXED
+@given(wasserstein_balls(), st.data())
+def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
+    k, m = ball.support.shape
+    assert validate_set(ball).ok
+    coefs = np.clip(np.array(data.draw(st.lists(
+        st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=3))), 0.0, None)
+    coefs = np.vstack([coefs, np.zeros(m), np.full(m, 1e-15)])
+    costs = coefs @ ball.support.T
+    P = _worst_distributions(ball, costs)
+    assert P.shape == (len(costs), k)
+    # p's entries are exact to a few eps of the unit mass: a value of 0 may
+    # come out as eps times the largest cost, a move as eps times the
+    # longest distance
+    eps = 16.0 * np.finfo(float).eps
+    for c, p in zip(costs, P):
+        want = transport_lp(ball, c)
+        assert abs(float(c @ p) - want) <= 1e-12 * abs(want) + eps * float(c.max())
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
+        assert transport_cost(ball, p) <= \
+            ball.radius * (1.0 + 1e-12) + eps * float(ball.metric.max())
+    # the one-row call of the solver and the brute-force block agree on the
+    # value; on tied slopes their costs' last bits may pick another optimum
+    for coef, c, p in zip(coefs, costs, P):
+        if coef.max() > 1e-14:
+            q, mean_w, v = worst_case_mean(ball, coef)
+            assert abs(v - float(c @ p)) <= 1e-12 * abs(v)
+            assert v == float((ball.support @ coef) @ q)
+            assert same_bits(mean_w, ball.support.T @ q)
+    live = coefs.max(axis=1) > 1e-14
+    want = np.where(live, np.einsum("ij,ij->i", costs, P), 0.0)
+    assert np.allclose(worst_case_values(ball, coefs), want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,34 @@ def test_wasserstein_validation():
     assert not bad_sup.ok
 
 
+NAN, INF = float("nan"), float("inf")
+SUP2 = [[1.0, 2.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("field, make", [
+    ("radius", lambda: wasserstein_spec(SUP2, [0.5, 0.5], NAN)),
+    ("radius", lambda: wasserstein_spec(SUP2, [0.5, 0.5], INF)),
+    ("empirical[0]", lambda: wasserstein_spec(SUP2, [NAN, 0.5], 0.1)),
+    ("support[1][0]", lambda: wasserstein_spec([[1.0, 2.0], [NAN, 1.0]], [0.5, 0.5], 0.1)),
+    ("metric[0][1]", lambda: wasserstein_spec(SUP2, [0.5, 0.5], 0.1, [[0.0, NAN], [NAN, 0.0]])),
+    ("a", lambda: ellipsoidal_spec([1.0, 1.0], np.eye(2), NAN)),
+    ("w0[1]", lambda: ellipsoidal_spec([1.0, INF], np.eye(2), 0.1)),
+    ("Q[0][1]", lambda: ellipsoidal_spec([1.0, 1.0], [[1.0, NAN], [NAN, 1.0]], 0.1)),
+    ("b[0]", lambda: box_spec([NAN, 1.0], [2.0, 2.0])),
+    ("A[0][1]", lambda: polyhedral_spec([[1.0, INF]], [0.0])),
+    ("weights[0]", lambda: singleton_spec([NAN, 1.0])),
+])
+def test_non_finite_fields_are_rejected_by_name(field, make):
+    # specs built in Python skip the parser's finite check; validation
+    # names the field before any other check can trip on the NaN
+    rep = validate_set(make())
+    assert not rep.ok
+    assert rep.violations[0].startswith(f"{field}: not a finite number (")
+    with pytest.raises(DomainError) as info:
+        require_valid(make())
+    assert str(info.value).startswith(f"invalid uncertainty set: {field}: not a finite")
+
+
 def test_dimension_mismatch_flagged():
     rep = validate_set(singleton_spec(np.ones(3)), m=4)
     assert not rep.ok
@@ -890,6 +918,58 @@ def test_wasserstein_ball_check_rejects_points_outside():
     assert not in_wasserstein_ball(spec, spec.support[far])
     assert not in_wasserstein_ball(spec, 1.5 * spec.support.max(axis=0))
     assert in_wasserstein_ball(spec, spec.support.T @ spec.empirical)
+
+
+def transport_lp(spec, costs):
+    """The worst distribution and value by a cold LP over couplings K >= 0
+    (K_ij: mass moved from atom j to atom i): column marginals equal the
+    empirical weights, the transport cost sum d_ij K_ij is at most r, and
+    landing on atom i costs costs[i]."""
+    k = len(costs)
+    A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
+    b = np.append(spec.empirical, spec.radius)
+    res = simplex_solve(LpProblem(np.repeat(costs, k), A, b, ["="] * k + ["<="]))
+    K = res.x.reshape(k, k)
+    assert K.min() >= -1e-12  # a feasible coupling, so the reference is sound
+    return K.sum(axis=1), res.value
+
+
+@pytest.mark.parametrize("name", sorted(_wasserstein_cases()))
+def test_wasserstein_closed_form_matches_transport_lp(name):
+    spec = _wasserstein_cases()[name]
+    rng = streams.stream(59, streams.TAG_GEN, 0)
+    C = rng.uniform(0.0, 1.0, size=(24, spec.dim())) * (rng.random((24, spec.dim())) < 0.7)
+    C[0] = 0.0
+    C[1] = 1e-15
+    block = worst_case_values(spec, C)
+    for c, v_block in zip(C, block):
+        p, mean_w, v = worst_case_mean(spec, c)
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
+        assert in_wasserstein_ball(spec, mean_w)
+        if c.max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
+            assert same_bits(p, spec.empirical) and v == v_block == 0.0
+            continue
+        costs = spec.support @ c
+        p_lp, v_lp = transport_lp(spec, costs)
+        assert abs(v - v_lp) <= 1e-12 * abs(v_lp)
+        assert abs(v_block - v_lp) <= 1e-12 * abs(v_lp)
+        assert v == float(costs @ p)
+        assert same_bits(mean_w, spec.support.T @ p)
+        assert np.allclose(p, p_lp, rtol=0.0, atol=1e-12)
+
+
+def test_wasserstein_subnormal_distances():
+    # a distance of 1e-310 overflows its reciprocal; the closed form clamps
+    # it, so no warning is raised and an equal-cost twin at that distance
+    # does not hide the real move to the cheap atom
+    D = np.array([[0.0, 1e-310, 1.0], [1e-310, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    spec = wasserstein_spec([[1.0], [1.0], [0.5]], [0.5, 0.5, 0.0], 0.1, D)
+    p, _, v = worst_case_mean(spec, np.ones(1))
+    assert v == pytest.approx(0.95, rel=1e-15) and p[2] == pytest.approx(0.1, rel=1e-15)
+    assert worst_case_values(spec, np.ones((1, 1)))[0] == pytest.approx(0.95, rel=1e-15)
+    # radius 0: even a subnormal move costs more than it may spend
+    spec = wasserstein_spec([[1.0], [2.0]], [0.5, 0.5], 0.0, D[:2, :2])
+    assert same_bits(worst_case_mean(spec, np.ones(1))[0], spec.empirical)
 
 
 def dense_ellipsoid_worst(w0, Q, a, coef):
