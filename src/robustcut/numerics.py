@@ -149,8 +149,15 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
     """Bland-rule simplex iterations on a tableau in canonical form.
 
     Entering: lowest-index allowed column with reduced cost < -tol.  Leaving:
-    minimum-ratio row, ties broken by lowest basis index.  Returns the pivot
-    count; raises UnboundedError when a descent column has no blocking row.
+    the row of the minimum ratio over the entries > tol of the entering
+    column, exact ties broken by lowest basis index.  A ratio within a
+    tolerance of the minimum is no tie: that row's basic variable would go
+    negative by up to the tolerance, which is as large as right-hand sides
+    near 1e-9.  After each pivot the right-hand sides are clipped at 0, so
+    the roundoff of the update (and the rows whose entering-column entries
+    are too small to block) cannot leave a negative basic variable.  Returns
+    the pivot count; raises UnboundedError when a descent column has no
+    blocking row.
     """
     m = T.shape[0] - 1
     pivots = 0
@@ -164,10 +171,10 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         if rows.size == 0:
             raise UnboundedError(f"unbounded: column {enter} has no blocking row")
         ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        cand = rows[ratios <= best + tol * (1.0 + abs(best))]
+        cand = rows[ratios == ratios.min()]
         leave = int(cand[np.argmin(basis[cand])])
         _pivot(T, basis, leave, enter)
+        np.maximum(T[:m, -1], 0.0, out=T[:m, -1])
         pivots += 1
         if pivots > max_pivots:
             raise NumericError(f"simplex: pivot limit {max_pivots} exceeded")

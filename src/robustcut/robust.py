@@ -13,6 +13,15 @@ the pair is a saddle and the loop exits with zero residual.  An exact saddle
 also ends the restarts: its value is the game value up to the polish
 tolerance, so no later restart can beat it.
 
+The restarts run in lockstep.  Restart 0 runs alone up to its first saddle
+check (t = 1), which ends most polyhedral and Wasserstein solves; the other
+restarts then join it, and every round one :func:`sdp.stacked_ascent` call
+serves the next polish of every live restart, frozen-adversary polishes and
+fictitious-play replies alike.  The adversary's responses stay one oracle
+call per restart.  The outcome is that of the restarts run one after the
+other: a restart after the first saddle does not count, and ties keep the
+earlier restart.
+
 For Wasserstein sets the same loop runs against the worst achievable *mean*
 weights (the adversary's mixed strategy is summarized by its mean because the
 objective is linear in w and rounding randomness is independent of the
@@ -29,8 +38,8 @@ import numpy as np
 from . import streams
 from .instances import DomainError, Instance
 from .sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
-                  relaxed_value, solve_elliptope_max, term_gram_coefficients,
-                  _random_unit_columns)
+                  relaxed_value, solve_elliptope_max, stacked_ascent,
+                  term_gram_coefficients, _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
                           UncertaintySpec, dual_polyhedral_value, ellipsoid_root_norm,
                           require_valid, worst_case_mean, worst_case_weights)
@@ -69,104 +78,152 @@ def _best_response(spec: UncertaintySpec, coef: np.ndarray,
     return w, value, None
 
 
+def _unchanged(w: np.ndarray, ref: np.ndarray) -> bool:
+    """|w - ref| <= 1e-12 + 1e-9 |ref| entrywise: np.allclose's test at
+    rtol 1e-9, atol 1e-12 for the finite weights the oracles return."""
+    return bool(np.all(np.abs(w - ref) <= 1e-12 + 1e-9 * np.abs(ref)))
+
+
+def _restart(inst: Instance, cfg: SolverConfig, respond, U: np.ndarray):
+    """One restart of the saddle loop from the factor U, as a generator: it
+    yields each polish it needs as (weights, start factor), is sent the
+    polished factor, and returns (best, report, saddle), where best is the
+    restart's incumbent (value, factor, worst weights, worst distribution)."""
+    ncols = inst.ncols
+    w, phi, extra = respond(U)
+    # polish against the first response before any gradient work
+    U = yield w, U
+    w, phi, extra = respond(U)
+
+    best = (phi, U.copy(), w, extra)
+    hist = [phi]
+    wbar = w.copy()  # running mean of adversary responses (fictitious play)
+    nresp = 1
+    w_prev = w
+    converged = False
+    saddle = False
+    residual = np.inf
+    iters = 0
+    for t in range(1, cfg.max_iter + 1):
+        iters = t
+        frozen = _unchanged(w, w_prev)
+        w_prev = w
+        if frozen:
+            # frozen adversary: polish the factor at fixed weights, then
+            # re-check the response
+            V = yield w, U
+            w2, phi2, extra2 = respond(V)
+            if phi2 >= best[0]:
+                best = (phi2, V.copy(), w2, extra2)
+            if _unchanged(w2, w):
+                converged = saddle = True
+                residual = 0.0
+                break
+            U = V
+            w, phi, extra = w2, phi2, extra2
+            hist.append(best[0])
+            continue
+        G = objective_gradient(inst, GramFactor(U), w)
+        gn = float(np.linalg.norm(G))
+        if gn == 0.0:
+            converged = True
+            residual = 0.0
+            break
+        eta = np.sqrt(ncols) / (np.sqrt(t) * gn)
+        U = U + eta * G
+        U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
+        w, phi, extra = respond(U)
+        if phi > best[0]:
+            best = (phi, U.copy(), w, extra)
+        wbar = (nresp * wbar + w) / (nresp + 1.0)
+        nresp += 1
+        if t % 10 == 0:
+            # fictitious play: best reply to the averaged adversary
+            V = yield wbar, U
+            w_f, phi_f, extra_f = respond(V)
+            if phi_f > best[0]:
+                best = (phi_f, V.copy(), w_f, extra_f)
+                U = V
+                w, phi, extra = w_f, phi_f, extra_f
+        hist.append(best[0])
+        if len(hist) > _STALL_WINDOW:
+            gain = hist[-1] - hist[-1 - _STALL_WINDOW]
+            residual = abs(gain) / max(1.0, abs(hist[-1]))
+            if residual < cfg.gap_tol:
+                converged = True
+                break
+    report = SolveReport(value=best[0], iterations=iters,
+                         residual=float(residual if np.isfinite(residual) else 0.0),
+                         converged=converged)
+    return best, report, saddle
+
+
 def _saddle_loop(inst: Instance, cfg: SolverConfig,
                  spec: UncertaintySpec) -> SaddleSolution:
+    """The restarts of :func:`_restart` in lockstep: every round, one
+    :func:`sdp.stacked_ascent` serves the next polish of every live restart.
+    Restart 0 runs alone up to its t = 1 saddle check, which ends most
+    polyhedral and Wasserstein solves.  The first exact saddle ends the
+    restarts after it, as if they ran one after the other: they are dropped
+    and do not count."""
     ncols = inst.ncols
     rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
+    restarts = max(1, cfg.restarts)
 
     def respond(U: np.ndarray):
         fac = GramFactor(U)
         return _best_response(spec, np.clip(term_gram_coefficients(inst, fac), 0.0, None))
 
-    best_phi = -np.inf
-    best_U = None
-    best_w = None
-    best_extra = None
-    best_report = None
+    runs = {}      # restart -> its generator
+    asks = {}      # restart -> the polish it waits for
+    outcomes = {}  # restart -> (best, report, saddle)
+    last = restarts - 1  # the last restart that counts: the first saddle
 
-    for restart in range(max(1, cfg.restarts)):
+    def begin(restart: int) -> None:
         rng = streams.stream(cfg.seed, streams.TAG_SOLVER_INIT, 100 + restart)
-        U = _random_unit_columns(rank, ncols, rng)
-        w, phi, extra = respond(U)
-        # polish against the first response before any gradient work
-        fac, _ = solve_elliptope_max(inst, w, rank=rank, restarts=0,
-                                     seed=cfg.seed, start=GramFactor(U))
-        U = fac.U
-        w, phi, extra = respond(U)
+        runs[restart] = _restart(inst, cfg, respond, _random_unit_columns(rank, ncols, rng))
+        asks[restart] = next(runs[restart])
 
-        r_best = (phi, U.copy(), w, extra)
-        hist = [phi]
-        wbar = w.copy()  # running mean of adversary responses (fictitious play)
-        nresp = 1
-        w_prev = w
-        converged = False
-        saddle = False
-        residual = np.inf
-        iters = 0
-        for t in range(1, cfg.max_iter + 1):
-            iters = t
-            frozen = np.allclose(w, w_prev, rtol=1e-9, atol=1e-12)
-            w_prev = w
-            if frozen:
-                # frozen adversary: polish the factor at fixed weights, then
-                # re-check the response
-                fac, _ = solve_elliptope_max(inst, w, rank=rank, restarts=0,
-                                             seed=cfg.seed, start=GramFactor(U))
-                w2, phi2, extra2 = respond(fac.U)
-                if phi2 >= r_best[0]:
-                    r_best = (phi2, fac.U.copy(), w2, extra2)
-                if np.allclose(w2, w, rtol=1e-9, atol=1e-12):
-                    converged = saddle = True
-                    residual = 0.0
-                    break
-                U = fac.U
-                w, phi, extra = w2, phi2, extra2
-                hist.append(r_best[0])
-                continue
-            G = objective_gradient(inst, GramFactor(U), w)
-            gn = float(np.linalg.norm(G))
-            if gn == 0.0:
-                converged = True
-                residual = 0.0
+    def polish() -> None:
+        nonlocal last
+        order = sorted(asks)
+        U, _ = stacked_ascent(inst, np.stack([asks[r][0] for r in order]),
+                              np.stack([asks[r][1] for r in order]))
+        for row, r in enumerate(order):
+            if r > last:
                 break
-            eta = np.sqrt(ncols) / (np.sqrt(t) * gn)
-            U = U + eta * G
-            U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
-            w, phi, extra = respond(U)
-            if phi > r_best[0]:
-                r_best = (phi, U.copy(), w, extra)
-            wbar = (nresp * wbar + w) / (nresp + 1.0)
-            nresp += 1
-            if t % 10 == 0:
-                # fictitious play: best reply to the averaged adversary
-                fac, _ = solve_elliptope_max(inst, wbar, rank=rank, restarts=0,
-                                             seed=cfg.seed, start=GramFactor(U))
-                w_f, phi_f, extra_f = respond(fac.U)
-                if phi_f > r_best[0]:
-                    r_best = (phi_f, fac.U.copy(), w_f, extra_f)
-                    U = fac.U
-                    w, phi, extra = w_f, phi_f, extra_f
-            hist.append(r_best[0])
-            if len(hist) > _STALL_WINDOW:
-                gain = hist[-1] - hist[-1 - _STALL_WINDOW]
-                residual = abs(gain) / max(1.0, abs(hist[-1]))
-                if residual < cfg.gap_tol:
-                    converged = True
-                    break
-        phi_r, U_r, w_r, extra_r = r_best
-        if phi_r > best_phi:
-            best_phi, best_U, best_w, best_extra = phi_r, U_r, w_r, extra_r
-            best_report = SolveReport(value=phi_r, iterations=iters,
-                                      residual=float(residual if np.isfinite(residual) else 0.0),
-                                      converged=converged, restart=restart)
-        if saddle:
-            break
+            try:
+                asks[r] = runs[r].send(U[row])
+            except StopIteration as stop:
+                del asks[r]
+                outcomes[r] = stop.value
+                if stop.value[2]:
+                    last = r
+        for r in [r for r in asks if r > last]:
+            del asks[r]
 
-    assert best_U is not None and best_report is not None
-    best_report.restarts = restart + 1
-    return SaddleSolution(factor=GramFactor(best_U),
-                          worst=best_w, value=best_phi, report=best_report,
-                          worst_dist=best_extra)
+    begin(0)
+    for _ in range(2):  # restart 0 up to its t = 1 saddle check
+        if asks:
+            polish()
+    if last > 0:
+        for restart in range(1, restarts):
+            begin(restart)
+    while asks:
+        polish()
+
+    best_phi = -np.inf
+    best = best_report = None
+    for restart in range(last + 1):
+        incumbent, report, _ = outcomes[restart]
+        if incumbent[0] > best_phi:
+            best_phi, best, best_report = incumbent[0], incumbent, report
+            report.restart = restart
+    assert best is not None and best_report is not None
+    best_report.restarts = last + 1
+    phi, U, w, extra = best
+    return SaddleSolution(factor=GramFactor(U), worst=w, value=phi,
+                          report=best_report, worst_dist=extra)
 
 
 def solve_robust(inst: Instance, spec: UncertaintySpec,

@@ -36,6 +36,14 @@ by a power of two so that it overflows only where the objective does;
 reported values come from :func:`relaxed_value`.  With rank
 ceil(sqrt(2n)) + 1 and a few random restarts this reliably reaches the global
 optimum at the scales this package targets.
+
+One code path runs every ascent: :func:`stacked_ascent` takes a stack of R
+(weights, start) members and runs each colour class for all live members in
+one product, one norm and one division; a member leaves the stack when its
+own stop rule fires.  Each member's products are its own matmul inside the
+stacked one, so its factor and report are bit for bit those of a stack of
+one.  :func:`solve_elliptope_max` stacks its restarts at one weight vector;
+the saddle loop of :mod:`robust` stacks the polishes of its restarts.
 """
 
 from __future__ import annotations
@@ -111,9 +119,6 @@ def relaxed_value(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
 
 def _weight_matrix(inst: Instance, w: np.ndarray) -> np.ndarray:
     """C(w): the symmetric matrix with objective sum_t w_t c0 + <C, U^T U>/2."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (inst.m,):
-        raise DomainError(f"weights: expected shape ({inst.m},), got {w.shape}")
     _, term, a, b, beta = inst.pair_table
     ncols = inst.ncols
     C = np.bincount(a * ncols + b, w[term] * beta,
@@ -121,10 +126,17 @@ def _weight_matrix(inst: Instance, w: np.ndarray) -> np.ndarray:
     return C + C.T
 
 
+def _check_weights(inst: Instance, w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (inst.m,):
+        raise DomainError(f"weights: expected shape ({inst.m},), got {w.shape}")
+    return w
+
+
 def objective_gradient(inst: Instance, factor: GramFactor, w: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the relaxed objective in the factor columns."""
     U = _check_factor(inst, factor)
-    return U @ _weight_matrix(inst, w)
+    return U @ _weight_matrix(inst, _check_weights(inst, w))
 
 
 def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,57 +147,135 @@ def _random_unit_columns(rank: int, ncols: int, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True, eq=False)
 class _Sweep:
-    """Block-coordinate ascent at fixed weights, by colour class: calling it
-    on U runs one sweep in place, :meth:`value` reads the objective."""
+    """Block-coordinate ascent at fixed weights for a stack of R members, by
+    colour class: calling it on an (R, rank, ncols) stack of factors runs one
+    sweep of every member in place, :meth:`values` reads their objectives.
+    Every product is a per-member matmul, so a member's bits do not depend on
+    the others.  A stack of one sweeps its (rank, ncols) factor, so it costs
+    what one unstacked sweep costs."""
 
-    # per class: its columns and their rows of C(w), the diagonal zeroed;
+    # per class: its columns and the members' rows of C(w), diagonal zeroed
+    # and transposed, (R, ncols, k), or (ncols, k) for a stack of one;
     # unscaled, so a sweep at weights near the float limit overflows as the
     # column-by-column sweep did
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    # the objective's terms over `scale`, a power of two near max |w|, so the
-    # value overflows only at its last product: C(w) / scale with the
-    # diagonal kept, and c0 * sum(w) / scale
+    # the objective's terms over `scale`, a power of two near max |w| per
+    # member, so the value overflows only at its last product: C(w) / scale
+    # with the diagonal kept, (R, ncols, ncols), and c0 * sum(w) / scale
     C: np.ndarray
-    base: float
-    scale: float
+    base: list[float]
+    scale: list[float]
 
     def __call__(self, U: np.ndarray) -> None:
+        X = U[0] if len(U) == 1 else U
         for cols, rows in self.blocks:
-            G = U @ rows.T
-            nrm = np.sqrt((G * G).sum(axis=0))
+            G = X @ rows
+            nrm = np.sqrt(np.add.reduce(G * G, axis=-2, keepdims=True))
             if np.count_nonzero(nrm) == nrm.size:
-                U[:, cols] = G / nrm
+                X[..., cols] = G / nrm
             else:  # a column whose local term is zero stays put
-                live = nrm > 0.0
-                U[:, cols[live]] = G[:, live] / nrm[live]
+                block = X[..., cols]
+                np.divide(G, nrm, out=block, where=nrm > 0.0)
+                X[..., cols] = block
 
-    def value(self, U: np.ndarray) -> float:
-        """sum_t w_t c0 + <C(w), U^T U>/2 at the factor U."""
-        return self.scale * (self.base + 0.5 * float(np.vdot(U, U @ self.C)))
+    def values(self, U: np.ndarray) -> list[float]:
+        """sum_t w_t c0 + <C(w), U^T U>/2 for each member of the stack U."""
+        return [s * (b + 0.5 * float(np.vdot(u, uc)))
+                for u, uc, s, b in zip(U, U @ self.C, self.scale, self.base)]
+
+    def take(self, keep: list[int]) -> "_Sweep":
+        """The sweep of the members `keep`, in that order."""
+        pick = keep[0] if len(keep) == 1 else keep
+        return _Sweep(tuple((cols, rows.transpose(0, 2, 1)[pick].swapaxes(-1, -2))
+                            for cols, rows in self.blocks),
+                      self.C[keep], [self.base[r] for r in keep],
+                      [self.scale[r] for r in keep])
 
 
-def _ascent_pass(inst: Instance, w: np.ndarray) -> _Sweep:
-    """The block-coordinate sweep at weights `w`.  It visits the colour
-    classes of :attr:`instances.Instance.colour_classes` in turn and sets
-    every column u_i of a class at once to the unit vector maximizing its
-    local linear term, U C[:, i] / ||U C[:, i]|| with C's diagonal zeroed.
-    Columns of a class share no pair, so this is the column-by-column sweep
-    in class order.  A column whose C row is zero is skipped, and one whose
-    local term is zero stays put."""
-    C = _weight_matrix(inst, w)
-    w = np.asarray(w, dtype=float)
-    off = np.count_nonzero(C, axis=0) > (np.diagonal(C) != 0.0)  # an off-diagonal entry
+def _ascent_pass(inst: Instance, W: np.ndarray) -> _Sweep:
+    """The block-coordinate sweep at each row of an (R, m) weight stack `W`.
+    It visits the colour classes of :attr:`instances.Instance.colour_classes`
+    in turn and sets every column u_i of a class at once to the unit vector
+    maximizing its local linear term, U C[:, i] / ||U C[:, i]|| with C's
+    diagonal zeroed.  Columns of a class share no pair, so this is the
+    column-by-column sweep in class order.  A column in no pair with another
+    column is skipped, and one whose local term is zero stays put."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != inst.m or len(W) == 0:
+        raise DomainError(f"weights: expected shape (R, {inst.m}) with R >= 1, "
+                          f"got {W.shape}")
+    C = np.stack([_weight_matrix(inst, w) for w in W])
+    _, _, a, b, _ = inst.pair_table
+    paired = np.zeros(inst.ncols, dtype=bool)
+    paired[a[a != b]] = paired[b[a != b]] = True
+    one = len(W) == 1
     blocks = []
     for cls in inst.colour_classes:
-        cols = cls[off[cls]]
+        cols = cls[paired[cls]]
         if cols.size:
-            rows = C[cols]
-            rows[np.arange(cols.size), cols] = 0.0
-            blocks.append((cols, rows))
-    top = float(np.max(np.abs(w), initial=0.0))
-    scale = 2.0 ** (math.frexp(top)[1] - 1) if top > 0.0 else 1.0
-    return _Sweep(tuple(blocks), C / scale,
-                  inst.pair_table[0] * float(np.sum(w / scale)), scale)
+            rows = C.take(cols, axis=1)
+            rows[:, np.arange(cols.size), cols] = 0.0
+            blocks.append((cols, (rows[0] if one else rows).swapaxes(-1, -2)))
+    top = np.max(np.abs(W), axis=1, initial=0.0)
+    scale = np.where(top > 0.0, np.ldexp(1.0, np.frexp(top)[1] - 1), 1.0)
+    base = inst.pair_table[0] * np.sum(W / scale[:, None], axis=1)
+    return _Sweep(tuple(blocks), C / scale[:, None, None], base.tolist(), scale.tolist())
+
+
+def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
+                   tol: float = 1e-9, max_iter: int = 2000,
+                   ) -> tuple[np.ndarray, list[SolveReport]]:
+    """Block-coordinate ascent for a stack of R independent members: member r
+    maximizes the relaxed objective at the weights W[r] (W is (R, m)) from the
+    unit-column factor starts[r] (starts is (R, rank, ncols)).
+
+    Each sweep updates every live member in one product per colour class.  A
+    member leaves the stack when its own stop rule fires: converged means the
+    relative objective improvement of a full sweep stayed below `tol` for two
+    consecutive sweeps, or the sweep moved nothing (an exact fixed point),
+    before `max_iter` was hit.  So its factor and report are the ones a stack
+    of one gives.  The report's value is the objective as the stall test reads
+    it from C(w), equal to :func:`relaxed_value` up to roundoff.  Returns the
+    (R, rank, ncols) factors and the members' reports.
+    """
+    sweep = _ascent_pass(inst, W)
+    U = np.array(starts, dtype=float)
+    if U.ndim != 3 or U.shape[0] != len(sweep.scale) or U.shape[2] != inst.ncols:
+        raise DomainError(f"starts: expected shape ({len(sweep.scale)}, rank, "
+                          f"{inst.ncols}), got {U.shape}")
+    out = np.empty_like(U)
+    members = list(range(len(U)))  # the member in each row of the stack
+    reports: list = [None] * len(U)
+    val = sweep.values(U)
+    stall = [False] * len(U)  # the last sweep's improvement was below tol
+    residual = [0.0] * len(U)
+    for it in range(1, max_iter + 1):
+        before = U.copy()
+        sweep(U)
+        new = sweep.values(U)
+        keep = []
+        for row, r in enumerate(members):
+            residual[r] = abs(new[row] - val[row]) / max(1.0, abs(new[row]))
+            # a sweep that moves nothing leaves the value's bits as they were
+            if not residual[r] > 0.0 and np.array_equal(U[row], before[row]):
+                reports[r] = SolveReport(new[row], it, 0.0, True)  # exact fixed point
+            elif residual[r] < tol and stall[r]:
+                reports[r] = SolveReport(new[row], it, residual[r], True)
+            else:
+                stall[r] = residual[r] < tol
+                keep.append(row)
+                continue
+            out[r] = U[row]
+        val = new
+        if len(keep) < len(members):
+            if not keep:
+                return out, reports
+            members = [members[row] for row in keep]
+            U, sweep, val = U[keep], sweep.take(keep), [val[row] for row in keep]
+    for row, r in enumerate(members):
+        out[r] = U[row]
+        reports[r] = SolveReport(val[row], max_iter, residual[r], False)
+    return out, reports
 
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
@@ -195,44 +285,19 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
     """Maximize the relaxed objective over the elliptope at fixed weights.
 
     Runs `restarts` seeded random starts (plus an optional warm start, which
-    counts as start 0) of block-coordinate ascent and keeps the best; the
-    report names the starts run and the winning one.  Converged means the
-    relative objective improvement of a full sweep stayed below `tol` for two
-    consecutive sweeps before `max_iter` was hit.  The report's value is the
-    objective as the stall test reads it from C(w), equal to
-    :func:`relaxed_value` up to roundoff.  Identical (instance, w, seed, rank)
-    inputs reproduce the factor bitwise.
+    counts as start 0) of block-coordinate ascent as one
+    :func:`stacked_ascent` and keeps the best, the earliest on ties; the
+    report names the starts run and the winning one.  Identical (instance, w,
+    seed, rank) inputs reproduce the factor bitwise.
     """
-    w = np.asarray(w, dtype=float)
+    w = _check_weights(inst, w)
     ncols = inst.ncols
     if rank <= 0:
         rank = default_rank(ncols)
-    step = _ascent_pass(inst, w)  # checks the shape of w
-
-    def run(U0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        U = U0.copy()
-        val = step.value(U)
-        stall = 0
-        residual = 0.0
-        for sweep in range(1, max_iter + 1):
-            before = U.copy()
-            step(U)
-            new = step.value(U)
-            residual = abs(new - val) / max(1.0, abs(new))
-            val = new
-            if np.array_equal(U, before):  # exact fixed point
-                return U, SolveReport(val, sweep, 0.0, True)
-            if residual < tol:
-                stall += 1
-                if stall >= 2:
-                    return U, SolveReport(val, sweep, residual, True)
-            else:
-                stall = 0
-        return U, SolveReport(val, max_iter, residual, False)
 
     starts: list[np.ndarray] = []
     if start is not None:
-        U0 = _check_factor(inst, start).copy()
+        U0 = _check_factor(inst, start)
         if U0.shape[0] != rank:
             pad = np.zeros((rank, ncols))
             r = min(rank, U0.shape[0])
@@ -251,13 +316,12 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
         rng = streams.stream(seed, streams.TAG_SOLVER_INIT, 0)
         starts.append(_random_unit_columns(rank, ncols, rng))
 
-    best_U = None
-    best_rep = None
-    for r, U0 in enumerate(starts):
-        U, rep = run(U0)
-        if best_rep is None or rep.value > best_rep.value:
-            best_U, best_rep = U, rep
-            rep.restart = r
-    assert best_U is not None and best_rep is not None
-    best_rep.restarts = len(starts)
-    return GramFactor(best_U), best_rep
+    U, reports = stacked_ascent(inst, np.tile(w, (len(starts), 1)), np.stack(starts),
+                                tol, max_iter)
+    best = 0
+    for r, rep in enumerate(reports):
+        if rep.value > reports[best].value:
+            best = r
+    report = reports[best]
+    report.restart, report.restarts = best, len(starts)
+    return GramFactor(U[best].copy()), report

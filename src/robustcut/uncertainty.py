@@ -339,15 +339,18 @@ def _diagonal(Q: np.ndarray) -> Optional[np.ndarray]:
 
 def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
     """`coef` of shape (dim,), or (B, dim) with `rows`, clipped at 0; a
-    DomainError for any other shape or an entry below -1e-9."""
+    DomainError for any other shape or an entry below -1e-9.  One pass reads
+    the minimum; only a coefficient array with a negative entry is copied to
+    clip it, so the result may be the caller's array."""
     coef = np.asarray(coef, dtype=float)
     dim = spec.dim()
     if coef.shape[-1:] != (dim,) or coef.ndim != 1 + rows:
         want = f"(B, {dim})" if rows else f"({dim},)"
         raise DomainError(f"coef: expected shape {want}, got {coef.shape}")
-    if np.any(coef < -1e-9):
-        raise DomainError(f"coef: negative coefficient {coef.min():.3e}")
-    return np.clip(coef, 0.0, None)
+    low = coef.min(initial=0.0)
+    if low < -1e-9:
+        raise DomainError(f"coef: negative coefficient {low:.3e}")
+    return np.maximum(coef, 0.0) if low < 0.0 else coef
 
 
 def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
@@ -405,17 +408,22 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
             return C @ box[0]
         tableau = _feasible_tableau(spec)
         return np.array([tableau.solve(c).value for c in C])
-    out = np.zeros(len(C))
     live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
-    C = C[live]
+    every = bool(live.all())
+    # the live rows in C order, the layout the products below read them in
+    C = np.ascontiguousarray(C) if every else C[live]
     if spec.kind == ELLIPSOIDAL:
         q = _q_times(spec, C)  # row r is Q @ C[r]
         denom = np.sqrt(np.einsum("ij,ij->i", C, q))
         W = spec.w0 - np.sqrt(spec.a) * q / denom[:, None]
-        out[live] = np.einsum("ij,ij->i", C, W)
+        values = np.einsum("ij,ij->i", C, W)
     else:
         costs = C @ spec.support.T
-        out[live] = np.einsum("ij,ij->i", costs, _worst_distributions(spec, costs))
+        values = np.einsum("ij,ij->i", costs, _worst_distributions(spec, costs))
+    if every:
+        return values
+    out = np.zeros(len(live))
+    out[live] = values
     return out
 
 

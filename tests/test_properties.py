@@ -332,8 +332,8 @@ def test_sweep_value_is_the_relaxed_value(inst, rank, seed):
     U /= np.linalg.norm(U, axis=0)
     fac = sdp.GramFactor(U)
     w = inst.nominal_weights()
-    step = sdp._ascent_pass(inst, w)
+    step = sdp._ascent_pass(inst, w[None])
     for _ in range(3):
         want = sdp.relaxed_value(inst, fac, w)
-        assert abs(step.value(U) - want) <= 1e-12 * max(1.0, abs(want))
-        step(U)
+        assert abs(step.values(U[None])[0] - want) <= 1e-12 * max(1.0, abs(want))
+        step(U[None])

@@ -1,16 +1,21 @@
 """Max-min saddle solvers and reformulation cross-checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from robustcut import robust, streams
-from robustcut.gen import gnp_instance, wasserstein_for
+from robustcut.gen import (box_for, ellipsoid_for, gnp_instance,
+                           random_allequal_instance, wasserstein_for)
 from robustcut.instances import DICUT, MAXCUT, DomainError, graph_instance
 from robustcut.oracle import brute_force_robust
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               ellipsoid_reformulated_value, inner_worst,
                               solve_dro, solve_robust)
-from robustcut.sdp import GramFactor, solve_elliptope_max
+from robustcut.sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+                           solve_elliptope_max, stacked_ascent, term_gram_coefficients,
+                           _random_unit_columns)
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
                                    singleton_spec, wasserstein_spec)
 
@@ -252,14 +257,15 @@ def test_single_edge_ellipsoid_end_to_end():
 # ---------------------------------------------------------------------------
 
 def count_polishes(monkeypatch):
-    """Count solve_elliptope_max calls made by the saddle loop."""
+    """Count the polishes the saddle loop runs: the members of its stacked
+    ascents."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_elliptope_max(*args, **kwargs)
+    def counted(inst, W, starts, *args, **kwargs):
+        calls.extend([1] * len(W))
+        return stacked_ascent(inst, W, starts, *args, **kwargs)
 
-    monkeypatch.setattr(robust, "solve_elliptope_max", counted)
+    monkeypatch.setattr(robust, "stacked_ascent", counted)
     return calls
 
 
@@ -358,3 +364,185 @@ def test_non_convergence_reported():
     sol = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=2, restarts=1))
     assert not sol.report.converged
     assert np.isfinite(sol.value)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep saddle loop against its restarts run one after the other
+# ---------------------------------------------------------------------------
+
+def sequential_saddle_loop(inst, cfg, spec):
+    """The saddle loop with its restarts run one after the other and every
+    polish its own solve_elliptope_max call: the reference for
+    robust._saddle_loop, which runs the restarts in lockstep."""
+    ncols = inst.ncols
+    rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
+
+    def respond(U):
+        coef = np.clip(term_gram_coefficients(inst, GramFactor(U)), 0.0, None)
+        return robust._best_response(spec, coef)
+
+    def polish(w, U):
+        return solve_elliptope_max(inst, w, rank=rank, restarts=0, seed=cfg.seed,
+                                   start=GramFactor(U))[0]
+
+    best_phi = -np.inf
+    best_U = best_w = best_extra = best_report = None
+    for restart in range(max(1, cfg.restarts)):
+        rng = streams.stream(cfg.seed, streams.TAG_SOLVER_INIT, 100 + restart)
+        U = _random_unit_columns(rank, ncols, rng)
+        w, phi, extra = respond(U)
+        U = polish(w, U).U
+        w, phi, extra = respond(U)
+        r_best = (phi, U.copy(), w, extra)
+        hist = [phi]
+        wbar = w.copy()
+        nresp = 1
+        w_prev = w
+        converged = saddle = False
+        residual = np.inf
+        iters = 0
+        for t in range(1, cfg.max_iter + 1):
+            iters = t
+            frozen = np.allclose(w, w_prev, rtol=1e-9, atol=1e-12)
+            w_prev = w
+            if frozen:
+                fac = polish(w, U)
+                w2, phi2, extra2 = respond(fac.U)
+                if phi2 >= r_best[0]:
+                    r_best = (phi2, fac.U.copy(), w2, extra2)
+                if np.allclose(w2, w, rtol=1e-9, atol=1e-12):
+                    converged = saddle = True
+                    residual = 0.0
+                    break
+                U = fac.U
+                w, phi, extra = w2, phi2, extra2
+                hist.append(r_best[0])
+                continue
+            G = objective_gradient(inst, GramFactor(U), w)
+            gn = float(np.linalg.norm(G))
+            if gn == 0.0:
+                converged = True
+                residual = 0.0
+                break
+            U = U + np.sqrt(ncols) / (np.sqrt(t) * gn) * G
+            U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
+            w, phi, extra = respond(U)
+            if phi > r_best[0]:
+                r_best = (phi, U.copy(), w, extra)
+            wbar = (nresp * wbar + w) / (nresp + 1.0)
+            nresp += 1
+            if t % 10 == 0:
+                fac = polish(wbar, U)
+                w_f, phi_f, extra_f = respond(fac.U)
+                if phi_f > r_best[0]:
+                    r_best = (phi_f, fac.U.copy(), w_f, extra_f)
+                    U = fac.U
+                    w, phi, extra = w_f, phi_f, extra_f
+            hist.append(r_best[0])
+            if len(hist) > robust._STALL_WINDOW:
+                gain = hist[-1] - hist[-1 - robust._STALL_WINDOW]
+                residual = abs(gain) / max(1.0, abs(hist[-1]))
+                if residual < cfg.gap_tol:
+                    converged = True
+                    break
+        phi_r, U_r, w_r, extra_r = r_best
+        if phi_r > best_phi:
+            best_phi, best_U, best_w, best_extra = phi_r, U_r, w_r, extra_r
+            best_report = SolveReport(value=phi_r, iterations=iters,
+                                      residual=float(residual if np.isfinite(residual) else 0.0),
+                                      converged=converged, restart=restart)
+        if saddle:
+            break
+    best_report.restarts = restart + 1
+    return robust.SaddleSolution(factor=GramFactor(best_U), worst=best_w, value=best_phi,
+                                 report=best_report, worst_dist=best_extra)
+
+
+def same_bits(x, y):
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def assert_same_solution(got, want):
+    assert same_bits(got.factor.U, want.factor.U)
+    assert same_bits(got.worst, want.worst)
+    assert same_bits(got.value, want.value)
+    assert (got.worst_dist is None) == (want.worst_dist is None)
+    if want.worst_dist is not None:
+        assert same_bits(got.worst_dist, want.worst_dist)
+    assert vars(got.report).keys() == vars(want.report).keys()
+    for key, value in vars(want.report).items():
+        assert same_bits(getattr(got.report, key), value), key
+
+
+def budgeted_box(inst):
+    """A +-20% box that also caps the total weight: not a box, so the oracle
+    runs the simplex."""
+    w0 = inst.nominal_weights()
+    m = inst.m
+    A = np.vstack([np.eye(m), -np.eye(m), -np.ones((1, m))])
+    b = np.concatenate([0.8 * w0, -1.2 * w0, [-1.1 * w0.sum()]])
+    return polyhedral_spec(A, b)
+
+
+def saddle_cases():
+    maxcut = gnp_instance(9, 0.5, 3)
+    dicut = gnp_instance(8, 0.5, 4, kind=DICUT)
+    allequal = random_allequal_instance(8, 3, 10, 5)
+    return [(maxcut, ellipsoid_for(maxcut, 0.5, seed=1)),
+            (dicut, ellipsoid_for(dicut, 0.5, seed=2)),
+            (allequal, ellipsoid_for(allequal, 0.5, seed=3)),
+            (maxcut, box_for(maxcut, 0.2)),
+            (dicut, wasserstein_for(dicut, 4, 0.3, seed=4)),
+            (maxcut, budgeted_box(maxcut))]
+
+
+@pytest.mark.parametrize("max_iter", [1, 5, 12])
+@pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+def test_lockstep_saddle_loop_is_the_sequential_one(restarts, max_iter):
+    for case, (inst, spec) in enumerate(saddle_cases()):
+        cfg = SolverConfig(seed=case, restarts=restarts, max_iter=max_iter)
+        assert_same_solution(robust._saddle_loop(inst, cfg, spec),
+                             sequential_saddle_loop(inst, cfg, spec))
+
+
+def test_lockstep_saddle_loop_is_the_sequential_one_to_the_stall_exit():
+    # the default max_iter: fictitious play every 10 iterations and the
+    # 40-iteration stall window end the ellipsoid restarts at their own times
+    for case, (inst, spec) in enumerate(saddle_cases()[:3]):
+        cfg = SolverConfig(seed=case)
+        got = robust._saddle_loop(inst, cfg, spec)
+        assert_same_solution(got, sequential_saddle_loop(inst, cfg, spec))
+        assert got.report.converged and got.report.restarts == 3
+
+
+def flickering_oracle(monkeypatch):
+    """The exact oracle, with the weights raised 10% whenever a checksum of
+    the coefficients' bits is not a multiple of 4: a function of the
+    coefficients alone, whose exact saddles come at different iterations in
+    different restarts."""
+    exact = robust._best_response
+
+    def respond(spec, coef):
+        w, value, extra = exact(spec, coef)
+        if zlib.crc32(coef.tobytes()) % 4:
+            w = 1.1 * w
+            value = float(coef @ w)
+        return w, value, extra
+
+    monkeypatch.setattr(robust, "_best_response", respond)
+
+
+@pytest.mark.parametrize("seed, max_iter, restarts, restart", [
+    (2, 5, 3, 1),    # restart 2 is the first saddle; restart 3's, found a
+                     # round earlier in lockstep, does not count
+    (20, 5, 2, 1),   # restart 1 is a saddle at t = 1 and wins
+])
+def test_a_later_restart_that_is_the_first_saddle_ends_the_restarts(
+        monkeypatch, seed, max_iter, restarts, restart):
+    flickering_oracle(monkeypatch)
+    inst = gnp_instance(8, 0.5, seed)
+    spec = box_for(inst, 0.2)
+    cfg = SolverConfig(seed=seed, restarts=4, max_iter=max_iter)
+    got = robust._saddle_loop(inst, cfg, spec)
+    assert_same_solution(got, sequential_saddle_loop(inst, cfg, spec))
+    assert (got.report.restarts, got.report.restart) == (restarts, restart)

@@ -13,8 +13,8 @@ import pytest
 from robustcut import sdp, streams
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
                                  allequal_instance, cut_value, graph_instance)
-from robustcut.sdp import (GramFactor, default_rank, objective_gradient,
-                           relaxed_value, solve_elliptope_max,
+from robustcut.sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+                           relaxed_value, solve_elliptope_max, stacked_ascent,
                            term_gram_coefficients)
 
 C5_OPT = (5.0 / 2.0) * (1.0 + math.cos(math.pi / 5.0))  # 4.522542485937369
@@ -403,9 +403,9 @@ def test_ascent_pass_matches_loop_reference(rank):
         w = rng.uniform(0.0, 2.0, size=inst.m)
         U = random_factor(rng, inst, rank).U
         U_ref = U.copy()
-        step, ref = sdp._ascent_pass(inst, w), ref_pass(inst, w)
+        step, ref = sdp._ascent_pass(inst, w[None]), ref_pass(inst, w)
         for _ in range(6):
-            step(U)
+            step(U[None])
             ref(U_ref)
             assert_close(U, U_ref)
 
@@ -415,13 +415,13 @@ def test_sweep_value_does_not_overflow_before_the_objective():
     inst = graph_instance(3, MAXCUT, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
     w = inst.nominal_weights()
     fac = GramFactor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    step = sdp._ascent_pass(inst, w)
+    step = sdp._ascent_pass(inst, w[None])
     with np.errstate(over="raise"):
-        assert step.value(fac.U) == relaxed_value(inst, fac, w) == 1.5e308
-    assert step.scale == 2.0 ** 1023
+        assert step.values(fac.U[None]) == [relaxed_value(inst, fac, w)] == [1.5e308]
+    assert step.scale == [2.0 ** 1023]
     # an exponent of two: C(w) / scale is exact, so small weights keep their bits
-    small = sdp._ascent_pass(inst, np.array([3.0, 1.0, 0.25]))
-    assert small.scale == 2.0 and small.C[0, 1] == -0.75
+    small = sdp._ascent_pass(inst, np.array([[3.0, 1.0, 0.25]]))
+    assert small.scale == [2.0] and small.C[0, 0, 1] == -0.75
 
 
 def test_rank1_ascent_pass_is_monotone_with_exact_fixed_points():
@@ -433,11 +433,11 @@ def test_rank1_ascent_pass_is_monotone_with_exact_fixed_points():
     for inst in kernel_cases():
         w = rng.uniform(0.0, 2.0, size=inst.m)
         fac = random_factor(rng, inst, 1)
-        step = sdp._ascent_pass(inst, w)
+        step = sdp._ascent_pass(inst, w[None])
         for _ in range(6):
             before = fac.U.copy()
             value = relaxed_value(inst, fac, w)
-            step(fac.U)
+            step(fac.U[None])
             assert relaxed_value(inst, fac, w) >= value - 1e-12
             if np.array_equal(fac.U, before):
                 fixed += 1
@@ -502,3 +502,121 @@ def test_instance_index_arrays_are_read_only_and_built_once():
     # cached arrays are not part of the instance's value
     assert graph == graph_instance(5, DICUT, [(0, 1, 1.0), (0, 2, 0.5), (1, 2, 1.5),
                                               (2, 3, 1.0), (1, 3, 2.0), (2, 1, 0.7)])
+
+
+# ---------------------------------------------------------------------------
+# the stacked ascent against single runs
+# ---------------------------------------------------------------------------
+
+def single_run(inst, w, U0, tol=1e-9, max_iter=2000):
+    """One start's ascent: sweeps of a stack of one until an exact fixed
+    point, two sweeps in a row that gain less than `tol` relative, or
+    `max_iter`; the reference for each member of stacked_ascent."""
+    step = sdp._ascent_pass(inst, w[None])
+    U = U0[None].copy()
+    val = step.values(U)[0]
+    stall = 0
+    residual = 0.0
+    for sweep in range(1, max_iter + 1):
+        before = U.copy()
+        step(U)
+        new = step.values(U)[0]
+        residual = abs(new - val) / max(1.0, abs(new))
+        val = new
+        if np.array_equal(U, before):
+            return U[0], SolveReport(val, sweep, 0.0, True)
+        if residual < tol:
+            stall += 1
+            if stall >= 2:
+                return U[0], SolveReport(val, sweep, residual, True)
+        else:
+            stall = 0
+    return U[0], SolveReport(val, max_iter, residual, False)
+
+
+def assert_members_are_single_runs(inst, W, starts, **kwargs):
+    U, reports = stacked_ascent(inst, W, starts, **kwargs)
+    assert U.shape == starts.shape and len(reports) == len(W)
+    for r in range(len(W)):
+        U1, rep1 = single_run(inst, W[r], starts[r], **kwargs)
+        assert U[r].tobytes() == U1.tobytes()
+        assert vars(reports[r]) == vars(rep1)
+    return U, reports
+
+
+def random_stack(rng, inst, R, rank):
+    return np.stack([random_factor(rng, inst, rank).U for _ in range(R)])
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 4])
+def test_stacked_ascent_members_are_single_runs(R):
+    rng = streams.stream(47, streams.TAG_GEN, R)
+    spread = []
+    for inst in kernel_cases():
+        W = rng.uniform(0.0, 2.0, size=(R, inst.m))
+        starts = random_stack(rng, inst, R, default_rank(inst.ncols))
+        _, reports = assert_members_are_single_runs(inst, W, starts)
+        spread.append(len({rep.iterations for rep in reports}))
+    # members leave the stack at different sweeps
+    assert R == 1 or max(spread) == R
+
+
+def test_stacked_ascent_skips_isolated_columns_and_keeps_zero_local_terms():
+    inst = kernel_cases()[0]  # maxcut; vertex 3 is in no edge
+    rng = streams.stream(53, streams.TAG_GEN, 0)
+    W = rng.uniform(0.5, 1.5, size=(3, inst.m))
+    W[1, [0, 2]] = 0.0  # vertex 0's edges (0, 1) and (0, 4) weigh 0 in member 1
+    starts = random_stack(rng, inst, 3, 4)
+    U, _ = assert_members_are_single_runs(inst, W, starts)
+    assert U[:, :, 3].tobytes() == starts[:, :, 3].tobytes()
+    assert U[1, :, 0].tobytes() == starts[1, :, 0].tobytes()
+    assert not np.array_equal(U[[0, 2], :, 0], starts[[0, 2], :, 0])
+
+
+def test_stacked_ascent_at_max_iter():
+    rng = streams.stream(59, streams.TAG_GEN, 0)
+    for inst in kernel_cases()[5:9]:
+        W = rng.uniform(0.0, 2.0, size=(3, inst.m))
+        starts = random_stack(rng, inst, 3, default_rank(inst.ncols))
+        _, reports = assert_members_are_single_runs(inst, W, starts, max_iter=3)
+        assert [(rep.iterations, rep.converged) for rep in reports] == [(3, False)] * 3
+        _, reports = assert_members_are_single_runs(inst, W, starts, max_iter=0)
+        assert [(rep.iterations, rep.residual) for rep in reports] == [(0, 0.0)] * 3
+
+
+def test_stacked_ascent_rejects_mismatched_stacks():
+    inst = cycle5()
+    starts = np.stack([pentagon_factor().U] * 2)
+    with pytest.raises(DomainError):
+        stacked_ascent(inst, np.ones((3, 5)), starts)
+    with pytest.raises(DomainError):
+        stacked_ascent(inst, np.ones((2, 4)), starts)
+    with pytest.raises(DomainError):
+        stacked_ascent(inst, np.ones((2, 5)), starts[:, :, :4])
+    with pytest.raises(DomainError):
+        stacked_ascent(inst, np.ones((0, 5)), starts[:0])
+
+
+def test_solve_keeps_the_best_of_single_runs_with_a_smaller_warm_start():
+    # restarts run as one stack, the warm start (rank 2, padded to the
+    # default rank) as member 0; the earliest best start wins
+    rng = streams.stream(61, streams.TAG_GEN, 0)
+    for inst in kernel_cases()[5:9]:
+        w = rng.uniform(0.5, 1.5, size=inst.m)
+        rank = default_rank(inst.ncols)
+        warm = random_factor(rng, inst, 2)
+        factor, rep = solve_elliptope_max(inst, w, restarts=3, seed=5, start=warm)
+        padded, _ = solve_elliptope_max(inst, w, restarts=0, start=warm, max_iter=0)
+        assert padded.rank == rank
+        starts = [padded.U] + [sdp._random_unit_columns(
+            rank, inst.ncols, streams.stream(5, streams.TAG_SOLVER_INIT, r)) for r in range(3)]
+        runs = [single_run(inst, w, U0) for U0 in starts]
+        best = 0
+        for r, (_, single) in enumerate(runs):
+            if single.value > runs[best][1].value:
+                best = r
+        assert factor.U.tobytes() == runs[best][0].tobytes()
+        assert (rep.restart, rep.restarts) == (best, 4)
+        assert (rep.value, rep.iterations, rep.residual, rep.converged) == \
+            (runs[best][1].value, runs[best][1].iterations, runs[best][1].residual,
+             runs[best][1].converged)

@@ -720,19 +720,20 @@ def test_box_view_fallbacks_keep_the_tableau(name):
 
 
 def _tied_box_cases():
-    """Boxes on which the tableau's vertex is not `lower`: its ratio tests tie
-    within the 1e-9 pivot tolerance, and which row wins depends on the row
-    order and scale.  Each maps to (spec, coef, tableau's first weight)."""
+    """Boxes whose bounds tie within the 1e-9 pivot tolerance.  The tableau's
+    ratio test takes the exact minimum ratio, so its vertex is `lower` here
+    too; when ratios within the tolerance counted as ties, which row left
+    depended on the row order and scale, and the vertex was the upper bound
+    or, for the points, 0, outside the set.  Each maps to (spec, coef,
+    tableau's first weight)."""
     return {
-        # u - l below the tolerance: phase 1 picks u, phase 2 keeps it for a
-        # zero coefficient
-        "bounds_tied": (box_spec([1.0, 1.0], [1.0 + 1e-12, 2.0]), np.zeros(2), 1.0 + 1e-12),
-        # point intervals with u |a| at or below the tolerance: phase 2 moves
-        # them to 0, outside the set, when the lower row comes first
-        "point_below_pivot_tol": (box_spec([1e-10, 1.0], [1e-10, 2.0]), np.ones(2), 0.0),
+        # u - l below the tolerance
+        "bounds_tied": (box_spec([1.0, 1.0], [1.0 + 1e-12, 2.0]), np.zeros(2), 1.0),
+        # point intervals with u |a| at or below the tolerance
+        "point_below_pivot_tol": (box_spec([1e-10, 1.0], [1e-10, 2.0]), np.ones(2), 1e-10),
         "scaled_point": (polyhedral_spec([[0.1, 0.0], [-0.1, 0.0], [0.0, 1.0], [0.0, -1.0]],
                                          [0.1 * 5e-9, -0.1 * 5e-9, 1.0, -2.0]),
-                         np.ones(2), 0.0),
+                         np.ones(2), 5e-9),
     }
 
 
@@ -920,18 +921,41 @@ def test_wasserstein_ball_check_rejects_points_outside():
     assert in_wasserstein_ball(spec, spec.support.T @ spec.empirical)
 
 
-def transport_lp(spec, costs):
-    """The worst distribution and value by a cold LP over couplings K >= 0
-    (K_ij: mass moved from atom j to atom i): column marginals equal the
-    empirical weights, the transport cost sum d_ij K_ij is at most r, and
-    landing on atom i costs costs[i]."""
+def transport_coupling(spec, costs):
+    """A cold LP over couplings K >= 0 (K_ij: mass moved from atom j to atom
+    i): column marginals equal the empirical weights, the transport cost
+    sum d_ij K_ij is at most r, and landing on atom i costs costs[i]."""
     k = len(costs)
     A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
     b = np.append(spec.empirical, spec.radius)
-    res = simplex_solve(LpProblem(np.repeat(costs, k), A, b, ["="] * k + ["<="]))
-    K = res.x.reshape(k, k)
+    return simplex_solve(LpProblem(np.repeat(costs, k), A, b, ["="] * k + ["<="]))
+
+
+def transport_lp(spec, costs):
+    """The worst distribution and value by :func:`transport_coupling`."""
+    res = transport_coupling(spec, costs)
+    K = res.x.reshape(len(costs), len(costs))
     assert K.min() >= -1e-12  # a feasible coupling, so the reference is sound
     return K.sum(axis=1), res.value
+
+
+def test_transport_lp_vertex_stays_feasible_at_a_radius_of_1e_9():
+    """Right-hand sides at the simplex's 1e-9 pivot tolerance: a radius of
+    1e-9 and an atom of empirical weight 0.  When ratios within the tolerance
+    of the minimum counted as ties, the row that left could drive a coupling
+    below 0: on these 200 rows 24 vertices had entries down to -1.6e-9, and
+    values fell up to 5.7e-10 relative below the optimum."""
+    rng = streams.stream(61, streams.TAG_GEN, 1)
+    for _ in range(40):
+        k, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        emp = rng.dirichlet(np.ones(k))
+        emp[rng.integers(k)] = 0.0
+        spec = wasserstein_spec(rng.uniform(0.0, 2.0, (k, m)), emp / emp.sum(), 1e-9)
+        for c in rng.uniform(0.0, 1.0, (5, m)):
+            res = transport_coupling(spec, spec.support @ c)
+            assert res.x.min() >= 0.0
+            v = worst_case_mean(spec, c)[2]
+            assert abs(res.value - v) <= 1e-12 * abs(v)
 
 
 @pytest.mark.parametrize("name", sorted(_wasserstein_cases()))
