@@ -60,23 +60,25 @@ def _read(path: str) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def _load_inputs(args) -> tuple[Instance, UncertaintySpec, dict]:
+def _solve(args) -> tuple[Instance, UncertaintySpec, SaddleSolution, dict]:
+    """Read the instance and the set (default: the singleton at the nominal
+    weights), solve under the solver flags with the time on stderr, and
+    return them with the report's head: command, file digests and seed."""
     data, digest = _read(args.instance)
     inst = load_instance(args.instance, data)
-    meta = {"instance_digest": digest}
-    if getattr(args, "spec", None):
-        data, digest = _read(args.spec)
+    head = {"command": args.cmd, "instance_digest": digest, "spec_digest": None,
+            "seed": args.seed}
+    if args.spec:
+        data, head["spec_digest"] = _read(args.spec)
         spec = load_spec(args.spec, data)
-        meta["spec_digest"] = digest
     else:
         spec = singleton_spec(inst.nominal_weights())
-        meta["spec_digest"] = None
-    return inst, spec, meta
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(gap_tol=args.gap_tol, max_iter=args.max_iter,
-                        rank=args.rank, restarts=args.restarts, seed=args.seed)
+    cfg = SolverConfig(gap_tol=args.gap_tol, max_iter=args.max_iter,
+                       rank=args.rank, restarts=args.restarts, seed=args.seed)
+    t0 = time.perf_counter()
+    sol = solve_robust(inst, spec, cfg)
+    _stderr_time("solve", time.perf_counter() - t0)
+    return inst, spec, sol, head
 
 
 def _solver_block(sol: SaddleSolution) -> dict:
@@ -138,18 +140,12 @@ def _write_csv(path: str, inst: Instance, sol: SaddleSolution, cut) -> None:
 
 
 def cmd_solve(args) -> int:
-    inst, spec, meta = _load_inputs(args)
-    cfg = _solver_config(args)
-    t0 = time.perf_counter()
-    sol = solve_robust(inst, spec, cfg)
-    _stderr_time("solve", time.perf_counter() - t0)
+    inst, _, sol, head = _solve(args)
     report = {
-        "command": "solve",
-        **meta,
+        **head,
         "kind": inst.kind,
         "n": inst.n,
         "m": inst.m,
-        "seed": args.seed,
         "solver": _solver_block(sol),
         "worst_weights": [float(w) for w in sol.worst],
     }
@@ -172,19 +168,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, spec, meta = _load_inputs(args)
-    cfg = _solver_config(args)
-    t0 = time.perf_counter()
-    sol = solve_robust(inst, spec, cfg)
-    _stderr_time("solve", time.perf_counter() - t0)
+    inst, spec, sol, head = _solve(args)
     if args.corrupt_value:
         sol.value += args.corrupt_value  # negative-control hook for tests
     report = {
-        "command": "verify",
-        **meta,
+        **head,
         "kind": inst.kind,
         "n": inst.n,
-        "seed": args.seed,
         "solver": _solver_block(sol),
     }
     if not sol.report.converged:
@@ -236,19 +226,14 @@ def _appendix_checks(inst: Instance, spec: UncertaintySpec,
 
 
 def cmd_round(args) -> int:
-    inst, spec, meta = _load_inputs(args)
-    cfg = _solver_config(args)
-    t0 = time.perf_counter()
-    sol = solve_robust(inst, spec, cfg)
-    _stderr_time("solve", time.perf_counter() - t0)
+    inst, _, sol, head = _solve(args)
     if not sol.report.converged:
+        _emit({**head, "solver": _solver_block(sol)}, args.out)
         return EXIT_NO_CONVERGE
     _, per_trial, _ = rounding_draws(inst, sol.factor, sol.worst, args.seed,
                                      args.trials)
     report = {
-        "command": "round",
-        **meta,
-        "seed": args.seed,
+        **head,
         "trials": args.trials,
         "solver_value": sol.value,
         "per_trial": per_trial,
@@ -300,9 +285,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = []
-    for n in sizes:
+    for n in args.sizes:
         inst = genmod.gnp_instance(n, 0.5, args.seed)
         spec = genmod.singleton_for(inst)
         cfg = SolverConfig(seed=args.seed, max_iter=args.max_iter)
@@ -330,6 +314,15 @@ _at_least_zero = _int_at_least(0)
 _at_least_one = _int_at_least(1)
 
 
+def _sizes(text: str) -> list[int]:
+    """Argument type: a comma-separated list of integers >= 1."""
+    parts = text.split(",")
+    if not all(part.isdecimal() and int(part) >= 1 for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers >= 1, got {text!r}")
+    return [int(part) for part in parts]
+
+
 def _finite(want: str = "", ok=lambda v: True):
     """Argument type: a finite number for which ok(value) holds; `want`
     ends the message, saying which numbers are expected."""
@@ -350,7 +343,7 @@ _positive_finite = _finite(" > 0", lambda v: v > 0.0)
 def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
     p.add_argument("--instance", required=True, help="instance file (JSON or edge list)")
     p.add_argument("--spec", help="uncertainty-set file (default: singleton at nominal)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     if trials:  # verify makes no rounding draws of its own choosing
         p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
     p.add_argument("--rank", type=_at_least_zero, default=0, help="factor rank (0 = auto)")
@@ -401,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", type=float, default=0.5, help="ellipsoid semi-axis factor")
     p.add_argument("--scenarios", type=int, default=3)
     p.add_argument("--radius", type=non_negative, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench", help="timing smoke across sizes (times on stderr)")
-    p.add_argument("--sizes", default="6,10,14")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sizes", type=_sizes, default="6,10,14")
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--max-iter", type=_at_least_one, default=300, dest="max_iter")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)

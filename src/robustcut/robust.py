@@ -152,8 +152,9 @@ def _restart(inst: Instance, cfg: SolverConfig, respond, U: np.ndarray):
             if residual < cfg.gap_tol:
                 converged = True
                 break
-    report = SolveReport(value=best[0], iterations=iters,
-                         residual=float(residual if np.isfinite(residual) else 0.0),
+    if not np.isfinite(residual):  # the window never filled: the change so far
+        residual = abs(hist[-1] - hist[0]) / max(1.0, abs(hist[-1]))
+    report = SolveReport(value=best[0], iterations=iters, residual=float(residual),
                          converged=converged)
     return best, report, saddle
 

@@ -31,13 +31,14 @@ clips them first (ROADMAP item 1; see :func:`sdp.term_gram_coefficients`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .instances import DomainError, Instance, ParseError, read_text
+from .instances import DomainError, Instance, ParseError, _frozen, read_text
 from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, UnboundedError,
                        simplex_solve, sqrt_psd, sqrt_psd_diagonal)
 
@@ -49,9 +50,38 @@ SET_KINDS = (SINGLETON, POLYHEDRAL, ELLIPSOIDAL, WASSERSTEIN)
 
 _ZERO_COEF = 1e-14
 
+# a spec field's form and the array dimensions the parser accepts; a matrix of
+# lower dimension is promoted by numpy.atleast_2d
+_NUMBER, _VECTOR, _MATRIX = "a number", "a list of numbers", "a matrix of numbers"
+_NDIM = {_NUMBER: (0,), _VECTOR: (1,), _MATRIX: (0, 1, 2)}
 
-@dataclass
+# each kind's defining fields and their forms, in parse order; the last axis
+# of the first field is the dimension of the weight space
+_FIELDS = {
+    SINGLETON: (("weights", _VECTOR),),
+    POLYHEDRAL: (("A", _MATRIX), ("b", _VECTOR)),
+    ELLIPSOIDAL: (("w0", _VECTOR), ("Q", _MATRIX), ("a", _NUMBER)),
+    WASSERSTEIN: (("support", _MATRIX), ("empirical", _VECTOR), ("radius", _NUMBER),
+                  ("metric", _MATRIX)),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class UncertaintySpec:
+    """An uncertainty set: a frozen value of its kind and the kind's defining
+    fields (:data:`_FIELDS`), the others left at their defaults.
+
+    On construction numbers become floats and arrays become read-only float
+    views (vectors at least 1-D, matrices at least 2-D) of what was passed
+    in; a float array is not copied, so a caller must not write to an array
+    it passed.
+    A set with ``auto_metric`` builds its metric from the support, d_ij =
+    ||s_i - s_j||_1.  Change a set with :func:`dataclasses.replace`, which
+    builds a new one.  The derived forms (box bounds, diag(Q), a polyhedron's
+    phase-1 tableau, the term counts a clean validation was for) are built on
+    first use and kept on the set; they are not part of its value.
+    """
+
     kind: str
     # singleton
     weights: Optional[np.ndarray] = None
@@ -67,16 +97,21 @@ class UncertaintySpec:
     empirical: Optional[np.ndarray] = None
     radius: float = 0.0
     metric: Optional[np.ndarray] = None
-    auto_metric: bool = False  # metric was derived as d_ij = ||s_i - s_j||_1
-    # (defining fields, value) caches built on first use and rebuilt when a
-    # defining field is reassigned; not part of the set's value.  _lp: the
-    # FeasibleTableau of a polyhedron (_feasible_tableau); _box: a box's
-    # (lower, upper) or None (_box_view); _diag: diag(Q) or None (_diag_view);
-    # _valid: the term count a clean validation was for (require_valid)
-    _lp: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _box: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _diag: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _valid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    auto_metric: bool = False
+
+    def __post_init__(self):
+        if self.auto_metric:
+            s = np.atleast_2d(np.asarray(self.support, dtype=float))
+            object.__setattr__(self, "metric",
+                               np.abs(s[:, None, :] - s[None, :, :]).sum(axis=2))
+        for name, form in _FIELDS.get(self.kind, ()):
+            value = getattr(self, name)
+            if form == _NUMBER:
+                value = float(value)
+            else:
+                promote = np.atleast_2d if form == _MATRIX else np.atleast_1d
+                value = _frozen(promote(np.asarray(value, dtype=float)).view())
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         """Value equality: same kind and equal defining fields, array fields
@@ -84,8 +119,6 @@ class UncertaintySpec:
         if not isinstance(other, UncertaintySpec):
             return NotImplemented
         for f in fields(self):
-            if not f.compare:
-                continue
             x, y = getattr(self, f.name), getattr(other, f.name)
             if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
                 if not np.array_equal(x, y):
@@ -96,13 +129,61 @@ class UncertaintySpec:
 
     def dim(self) -> int:
         """Dimension of the weight space the set lives in."""
-        if self.kind == SINGLETON:
-            return len(self.weights)
-        if self.kind == POLYHEDRAL:
-            return self.A.shape[1]
-        if self.kind == ELLIPSOIDAL:
-            return len(self.w0)
-        return self.support.shape[1]
+        return getattr(self, _FIELDS[self.kind][0][0]).shape[-1]
+
+    @functools.cached_property
+    def _box(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(lower, upper) of a polyhedron that is an axis-aligned box, else None.
+
+        The polyhedron is a box when every row of A has exactly one nonzero
+        entry, each weight has at most one row with a positive entry (l = b/a)
+        and exactly one with a negative entry (u = b/a), u is finite, and
+        lower = max(l, 0) <= u.  ``lower`` is then the exact minimizer of
+        coef . w for every coef >= 0.  Every other polyhedron keeps the
+        tableau.
+        """
+        A, b = self.A, self.b
+        nonzero = A != 0.0
+        if A.ndim != 2 or b.shape != (A.shape[0],) or np.any(nonzero.sum(axis=1) != 1):
+            return None
+        m = A.shape[1]
+        rows = np.arange(A.shape[0])
+        cols = np.argmax(nonzero, axis=1)
+        a = A[rows, cols]
+        pos, neg = a > 0.0, a < 0.0
+        if np.any(np.bincount(cols[pos], minlength=m) > 1) or \
+                np.any(np.bincount(cols[neg], minlength=m) != 1):
+            return None
+        l = np.zeros(m)
+        upper = np.empty(m)
+        with np.errstate(over="ignore"):  # an infinite bound makes no box (below)
+            l[cols[pos]] = b[rows[pos]] / a[pos]
+            upper[cols[neg]] = b[rows[neg]] / a[neg]
+        lower = np.maximum(l, 0.0) + 0.0  # + 0.0: the tableau's zeros are +0.0
+        if not np.all(np.isfinite(upper)) or np.any(lower > upper):
+            return None
+        return _frozen(lower), _frozen(upper)
+
+    @functools.cached_property
+    def _diag(self) -> Optional[np.ndarray]:
+        """diag(Q) when Q is square with no off-diagonal nonzero, else None."""
+        Q = self.Q
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            return None
+        q = np.diagonal(Q)
+        return _frozen(q.copy()) if np.count_nonzero(Q) == np.count_nonzero(q) else None
+
+    @functools.cached_property
+    def _tableau(self) -> FeasibleTableau:
+        """Phase 1 of a polyhedron's rows A w >= b; each oracle call runs
+        phase 2 alone.  Boxes (:attr:`_box`) and the other set kinds build
+        none."""
+        return FeasibleTableau(self.A, self.b, [">="] * self.A.shape[0])
+
+    @functools.cached_property
+    def _validated(self) -> set:
+        """The term counts a clean validation was for (:func:`require_valid`)."""
+        return set()
 
 
 @dataclass
@@ -112,17 +193,17 @@ class ValidationReport:
 
 
 def singleton_spec(weights) -> UncertaintySpec:
-    return UncertaintySpec(kind=SINGLETON, weights=np.asarray(weights, dtype=float))
+    return UncertaintySpec(SINGLETON, weights=weights)
 
 
 def polyhedral_spec(A, b) -> UncertaintySpec:
-    return UncertaintySpec(kind=POLYHEDRAL, A=np.atleast_2d(np.asarray(A, dtype=float)),
-                           b=np.atleast_1d(np.asarray(b, dtype=float)))
+    return UncertaintySpec(POLYHEDRAL, A=A, b=b)
 
 
 def box_spec(lower, upper) -> UncertaintySpec:
     """Polyhedral box {l <= w <= u} as stacked rows (w >= l, -w >= -u); the
-    oracles recognise the rows and answer in closed form (:func:`_box_view`)."""
+    oracles recognise the rows and answer in closed form
+    (:attr:`UncertaintySpec._box`)."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m = len(lower)
@@ -131,22 +212,15 @@ def box_spec(lower, upper) -> UncertaintySpec:
 
 
 def ellipsoidal_spec(w0, Q, a) -> UncertaintySpec:
-    return UncertaintySpec(kind=ELLIPSOIDAL, w0=np.asarray(w0, dtype=float),
-                           Q=np.atleast_2d(np.asarray(Q, dtype=float)), a=float(a))
+    return UncertaintySpec(ELLIPSOIDAL, w0=w0, Q=Q, a=a)
 
 
 def wasserstein_spec(support, empirical, radius, metric="l1") -> UncertaintySpec:
-    support = np.atleast_2d(np.asarray(support, dtype=float))
     auto = isinstance(metric, str)
-    if auto:
-        if metric != "l1":
-            raise DomainError(f"metric: unknown auto-metric {metric!r}")
-        metric_m = np.abs(support[:, None, :] - support[None, :, :]).sum(axis=2)
-    else:
-        metric_m = np.atleast_2d(np.asarray(metric, dtype=float))
-    return UncertaintySpec(kind=WASSERSTEIN, support=support,
-                           empirical=np.asarray(empirical, dtype=float),
-                           radius=float(radius), metric=metric_m, auto_metric=auto)
+    if auto and metric != "l1":
+        raise DomainError(f"metric: unknown auto-metric {metric!r}")
+    return UncertaintySpec(WASSERSTEIN, support=support, empirical=empirical, radius=radius,
+                           metric=None if auto else metric, auto_metric=auto)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +232,17 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
     """Check structural and domain invariants; returns every violation found.
 
     After a clean validation each set kind is a nonempty, bounded subset of
-    the nonnegative orthant (distributions, for wasserstein).  A NaN or an
-    infinity in a defining field is reported, naming the field, before
-    anything else is checked.
+    the nonnegative orthant (distributions, for wasserstein).  A defining
+    field of more dimensions than its form allows, or with a NaN or an
+    infinity, is reported, naming the field, before anything else is
+    checked.
     """
     if m is None and inst is not None:
         m = inst.m
     if spec.kind not in SET_KINDS:
         return ValidationReport(False, [f"kind: unknown set kind {spec.kind!r}"])
-    names = {SINGLETON: ("weights",), POLYHEDRAL: ("A", "b"), ELLIPSOIDAL: ("w0", "Q", "a"),
-             WASSERSTEIN: ("support", "empirical", "radius", "metric")}[spec.kind]
-    v = [bad for bad in (_non_finite(name, np.asarray(getattr(spec, name), dtype=float))
-                         for name in names) if bad]
+    v = [bad for bad in (_field_error(name, np.asarray(getattr(spec, name)), form)
+                         for name, form in _FIELDS[spec.kind]) if bad]
     if v:
         return ValidationReport(False, v)
     dim = spec.dim()
@@ -194,9 +267,9 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
             for r in np.flatnonzero(lower < -1e-9):
                 v.append(f"polyhedron: negative declared lower bound "
                          f"{float(lower[r])!r} for weight {int(cols[r])}")
-            if _box_view(spec) is None:  # a box is nonempty and bounded
+            if spec._box is None:  # a box is nonempty and bounded
                 try:
-                    tableau = _feasible_tableau(spec)
+                    tableau = spec._tableau
                 except InfeasibleError:
                     v.append("polyhedron: empty feasible set")
                 if not v:
@@ -205,7 +278,7 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
                     except UnboundedError:
                         v.append("polyhedron: unbounded (no finite weight cap)")
     elif spec.kind == ELLIPSOIDAL:
-        q = _diag_view(spec)
+        q = spec._diag
         if spec.Q.shape != (dim, dim):
             v.append(f"Q: expected shape ({dim}, {dim}), got {spec.Q.shape}")
         else:
@@ -252,90 +325,20 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
 def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
                   m: int | None = None) -> None:
     """Raise :class:`DomainError` naming every violation :func:`validate_set`
-    finds.  A set that passed is not checked again for the same term count
-    until one of its defining fields is reassigned."""
+    finds.  A set that passed is not checked again for the same term count."""
     if m is None and inst is not None:
         m = inst.m
-    key = tuple(getattr(spec, f.name) for f in fields(spec) if f.compare)
-    if spec._valid is not None and spec._valid[1] == m and \
-            all(x is y for x, y in zip(spec._valid[0], key)):
+    if m in spec._validated:
         return
     rep = validate_set(spec, m=m)
     if not rep.ok:
         raise DomainError("invalid uncertainty set: " + "; ".join(rep.violations))
-    spec._valid = (key, m)
+    spec._validated.add(m)
 
 
 # ---------------------------------------------------------------------------
 # worst-case oracles
 # ---------------------------------------------------------------------------
-
-def _feasible_tableau(spec: UncertaintySpec) -> FeasibleTableau:
-    """Phase 1 of a polyhedron's rows A w >= b, run once per set and kept on
-    the spec until A or b is reassigned; each oracle call runs phase 2 alone.
-    Boxes (:func:`_box_view`) and the other set kinds build none."""
-    return _cached(spec, "_lp", (spec.A, spec.b), lambda: FeasibleTableau(
-        spec.A, spec.b, [">="] * spec.A.shape[0]))
-
-
-def _cached(spec: UncertaintySpec, slot: str, key: tuple, build):
-    """The value cached in `slot` for the defining fields `key` (compared by
-    identity), or ``build()``, cached, when a field was reassigned."""
-    memo = getattr(spec, slot)
-    if memo is not None and all(x is y for x, y in zip(memo[0], key)):
-        return memo[1]
-    value = build()
-    setattr(spec, slot, (key, value))
-    return value
-
-
-def _box_view(spec: UncertaintySpec) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(lower, upper) of a polyhedron that is an axis-aligned box, else None.
-
-    The polyhedron is a box when every row of A has exactly one nonzero
-    entry, each weight has at most one row with a positive entry (l = b/a)
-    and exactly one with a negative entry (u = b/a), u is finite, and lower
-    = max(l, 0) <= u.  ``lower`` is then the exact minimizer of coef . w for
-    every coef >= 0.  Every other polyhedron keeps the tableau.
-    """
-    return _cached(spec, "_box", (spec.A, spec.b), lambda: _box_bounds(spec.A, spec.b))
-
-
-def _box_bounds(A: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_box_view` for the rows A w >= b."""
-    nonzero = A != 0.0
-    if A.ndim != 2 or b.shape != (A.shape[0],) or np.any(nonzero.sum(axis=1) != 1):
-        return None
-    m = A.shape[1]
-    rows = np.arange(A.shape[0])
-    cols = np.argmax(nonzero, axis=1)
-    a = A[rows, cols]
-    pos, neg = a > 0.0, a < 0.0
-    if np.any(np.bincount(cols[pos], minlength=m) > 1) or \
-            np.any(np.bincount(cols[neg], minlength=m) != 1):
-        return None
-    l = np.zeros(m)
-    upper = np.empty(m)
-    with np.errstate(over="ignore"):  # an infinite bound makes no box (below)
-        l[cols[pos]] = b[rows[pos]] / a[pos]
-        upper[cols[neg]] = b[rows[neg]] / a[neg]
-    lower = np.maximum(l, 0.0) + 0.0  # + 0.0: the tableau's zeros are +0.0
-    if not np.all(np.isfinite(upper)) or np.any(lower > upper):
-        return None
-    return lower, upper
-
-
-def _diag_view(spec: UncertaintySpec) -> Optional[np.ndarray]:
-    """diag(Q) when Q is square with no off-diagonal nonzero, else None."""
-    return _cached(spec, "_diag", (spec.Q,), lambda: _diagonal(spec.Q))
-
-
-def _diagonal(Q: np.ndarray) -> Optional[np.ndarray]:
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        return None
-    q = np.diagonal(Q)
-    return q.copy() if np.count_nonzero(Q) == np.count_nonzero(q) else None
-
 
 def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
     """`coef` of shape (dim,), or (B, dim) with `rows`, clipped at 0; a
@@ -371,10 +374,10 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
         return w, float(coef @ w)
 
     if spec.kind == POLYHEDRAL:
-        box = _box_view(spec)
+        box = spec._box
         if box is not None:
             return box[0].copy(), float(coef @ box[0])
-        res = _feasible_tableau(spec).solve(coef)
+        res = spec._tableau.solve(coef)
         return res.x, res.value
 
     if spec.kind == ELLIPSOIDAL:
@@ -403,10 +406,10 @@ def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
     if spec.kind == SINGLETON:
         return C @ spec.weights
     if spec.kind == POLYHEDRAL:
-        box = _box_view(spec)
+        box = spec._box
         if box is not None:
             return C @ box[0]
-        tableau = _feasible_tableau(spec)
+        tableau = spec._tableau
         return np.array([tableau.solve(c).value for c in C])
     live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
     every = bool(live.all())
@@ -431,7 +434,7 @@ def _q_times(spec: UncertaintySpec, C: np.ndarray) -> np.ndarray:
     """Q @ c for a vector c, or each row times Q for a block (C @ Q.T); an
     elementwise product when Q is diagonal (the same bits: the dense
     products only add zeros)."""
-    q = _diag_view(spec)
+    q = spec._diag
     if q is not None:
         return C * q
     return spec.Q @ C if C.ndim == 1 else C @ spec.Q.T
@@ -441,7 +444,7 @@ def _root_times(spec: UncertaintySpec, X: np.ndarray) -> np.ndarray:
     """Q^{1/2} @ x for a vector x, or each row times Q^{1/2} for a block
     (X @ Q^{1/2}.T), with the root of :func:`sqrt_psd`; an elementwise
     product with :func:`sqrt_psd_diagonal` when Q is diagonal."""
-    q = _diag_view(spec)
+    q = spec._diag
     if q is not None:
         return X * sqrt_psd_diagonal(q)
     root = sqrt_psd(spec.Q)
@@ -584,11 +587,11 @@ def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
         return np.clip(pts, 0.0, None)  # clip roundoff-level negatives
 
     if spec.kind == POLYHEDRAL:
-        box = _box_view(spec)
+        box = spec._box
         if box is not None:
             lower, upper = box
             return lower + rng.random((count, dim)) * (upper - lower)
-        w = _feasible_tableau(spec).solve(np.zeros(dim)).x
+        w = spec._tableau.solve(np.zeros(dim)).x
         out = np.empty((count, dim))
         for t in range(count):
             for _ in range(2 * dim):  # a few hit-and-run steps between samples
@@ -630,53 +633,44 @@ def _chord(A: np.ndarray, b: np.ndarray, w: np.ndarray, d: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def spec_from_dict(d: dict) -> UncertaintySpec:
+    """The set a JSON object describes: its kind's fields (:data:`_FIELDS`)
+    parsed in table order; a Wasserstein ``metric`` may be omitted or the
+    name of an auto-metric."""
     if not isinstance(d, dict):
         raise ParseError("spec: expected a JSON object")
     kind = d.get("kind")
     if kind not in SET_KINDS:
         raise ParseError(f"kind: expected one of {SET_KINDS}, got {kind!r}")
     try:
-        if kind == SINGLETON:
-            return singleton_spec(_numbers(d, "weights", _VECTOR))
-        if kind == POLYHEDRAL:
-            return polyhedral_spec(_numbers(d, "A", _MATRIX), _numbers(d, "b", _VECTOR))
-        if kind == ELLIPSOIDAL:
-            return ellipsoidal_spec(_numbers(d, "w0", _VECTOR), _numbers(d, "Q", _MATRIX),
-                                    _numbers(d, "a", _NUMBER))
-        metric = d.get("metric", "l1")
-        if not isinstance(metric, str):
-            metric = _numbers(d, "metric", _MATRIX)
-        return wasserstein_spec(_numbers(d, "support", _MATRIX),
-                                _numbers(d, "empirical", _VECTOR),
-                                _numbers(d, "radius", _NUMBER), metric)
+        args = {name: _numbers(d, name, form) for name, form in _FIELDS[kind]
+                if not (name == "metric" and isinstance(d.get(name, "l1"), str))}
     except KeyError as exc:
         raise ParseError(f"spec field missing: {exc.args[0]}") from exc
-
-
-# a spec field's form and the array dimensions it accepts; a matrix of lower
-# dimension is promoted by numpy.atleast_2d
-_NUMBER, _VECTOR, _MATRIX = "a number", "a list of numbers", "a matrix of numbers"
-_NDIM = {_NUMBER: (0,), _VECTOR: (1,), _MATRIX: (0, 1, 2)}
+    if kind == WASSERSTEIN:
+        return wasserstein_spec(**{"metric": d.get("metric", "l1"), **args})
+    return UncertaintySpec(kind, **args)
 
 
 def _numbers(d: dict, key: str, form: str) -> np.ndarray:
-    """Field `key` as a float array of the dimensions `form` accepts; a
-    ParseError names the field, or the first entry that is not a finite
-    number (JSON text may carry NaN and Infinity)."""
+    """Field `key` as a float array; a ParseError names the field, with
+    :func:`_field_error`'s message when it has the wrong dimensions or an
+    entry that is not a finite number (JSON text may carry NaN and
+    Infinity)."""
     try:
         arr = np.asarray(d[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{key}: expected numbers ({exc})") from exc
-    if arr.ndim not in _NDIM[form]:
-        raise ParseError(f"{key}: expected {form}, got an array of shape {arr.shape}")
-    bad = _non_finite(key, arr)
+    bad = _field_error(key, arr, form)
     if bad:
         raise ParseError(bad)
     return arr
 
 
-def _non_finite(key: str, arr: np.ndarray) -> Optional[str]:
-    """A message naming field `key`'s first entry that is not finite, or None."""
+def _field_error(key: str, arr: np.ndarray, form: str) -> Optional[str]:
+    """A message naming field `key` when `arr` has dimensions its `form` does
+    not accept, or naming its first entry that is not finite; else None."""
+    if arr.ndim not in _NDIM[form]:
+        return f"{key}: expected {form}, got an array of shape {arr.shape}"
     finite = np.isfinite(arr)
     if np.all(finite):
         return None
@@ -695,20 +689,11 @@ def parse_spec(text: str) -> UncertaintySpec:
 
 def spec_to_dict(spec: UncertaintySpec) -> dict:
     d: dict = {"kind": spec.kind}
-    if spec.kind == SINGLETON:
-        d["weights"] = spec.weights.tolist()
-    elif spec.kind == POLYHEDRAL:
-        d["A"] = spec.A.tolist()
-        d["b"] = spec.b.tolist()
-    elif spec.kind == ELLIPSOIDAL:
-        d["w0"] = spec.w0.tolist()
-        d["Q"] = spec.Q.tolist()
-        d["a"] = spec.a
-    else:
-        d["support"] = spec.support.tolist()
-        d["empirical"] = spec.empirical.tolist()
-        d["radius"] = spec.radius
-        d["metric"] = "l1" if spec.auto_metric else spec.metric.tolist()
+    for name, form in _FIELDS[spec.kind]:
+        value = getattr(spec, name)
+        d[name] = value if form == _NUMBER else value.tolist()
+    if spec.auto_metric:
+        d["metric"] = "l1"
     return d
 
 

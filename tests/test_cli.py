@@ -11,7 +11,8 @@ from robustcut import cli, uncertainty
 from robustcut.cli import (EXIT_CERT_FAIL, EXIT_NO_CONVERGE, EXIT_OK,
                            EXIT_PARSE, main)
 from robustcut.instances import load_instance
-from robustcut.uncertainty import load_spec, parse_spec, worst_case_weights
+from robustcut.uncertainty import (ellipsoidal_spec, load_spec, parse_spec, spec_to_json,
+                                   worst_case_weights)
 
 
 def run(*argv):
@@ -93,6 +94,8 @@ def test_gen_all_spec_kinds_load(tmp_path, cycle5):
     (["--kind", "gnp", "--p", "2"], "--p"),
     (["--kind", "gnp", "--w-low", "nan"], "--w-low"),
     (["--kind", "gnp", "--w-low", "2", "--w-high", "1"], "--w-low"),
+    (["--kind", "gnp", "--seed", "-1"], "--seed"),
+    (["--spec", "ellipsoid", "--seed", "-1"], "--seed"),
 ])
 def test_gen_rejects_out_of_range_flags(tmp_path, capsys, cycle5, args, flag):
     # each of these used to write a file the loader rejects, or end in a
@@ -251,13 +254,16 @@ def test_trials_below_one_rejected(tmp_path, capsys, cycle5, allequal_file, cmd,
     ("solve", "--gap-tol", "0"), ("solve", "--gap-tol", "inf"),
     ("verify", "--restarts", "-2"), ("solve", "--restarts", "0"),
     ("round", "--max-iter", "0"), ("bench", "--max-iter", "-5"),
-    ("verify", "--samples", "-1"), ("verify", "--rank", "-1")])
+    ("verify", "--samples", "-1"), ("verify", "--rank", "-1"),
+    ("solve", "--seed", "-3"), ("verify", "--seed", "-1"), ("round", "--seed", "x"),
+    ("bench", "--seed", "-1"), ("bench", "--sizes", "5,x"), ("bench", "--sizes", "0"),
+    ("bench", "--sizes", "6,,10"), ("bench", "--sizes", "")])
 def test_out_of_range_solver_flags_rejected(tmp_path, capsys, triangle_file, cmd, flag, value):
     out = tmp_path / "r.json"
     args = [] if cmd == "bench" else ["--instance", triangle_file]
     assert run(cmd, *args, flag, value, "--out", str(out)) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
+    assert err.startswith(f"error: argument {flag}: ") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -500,6 +506,23 @@ def test_round_command(tmp_path, cycle5):
     assert len(rep["per_trial"]) == 5
     assert rep["best"] == max(rep["per_trial"])
     assert rep["mean"] == pytest.approx(float(np.mean(rep["per_trial"])))
+
+
+def test_round_non_convergence_emits_a_partial_report(tmp_path, triangle_file):
+    spec_path = tmp_path / "ell.json"
+    spec_path.write_text(spec_to_json(ellipsoidal_spec(np.ones(3), np.diag(0.05 * np.ones(3)),
+                                                       1.0)))
+    out = tmp_path / "partial.json"
+    code = run("round", "--instance", triangle_file, "--spec", str(spec_path),
+               "--max-iter", "2", "--restarts", "1", "--seed", "4", "--out", str(out))
+    assert code == EXIT_NO_CONVERGE
+    rep = json.loads(out.read_text())
+    assert set(rep) == {"command", "instance_digest", "spec_digest", "seed", "solver"}
+    assert rep["command"] == "round" and rep["seed"] == 4
+    for key, path in (("instance_digest", triangle_file), ("spec_digest", spec_path)):
+        with open(path, "rb") as fh:
+            assert rep[key] == hashlib.sha256(fh.read()).hexdigest()
+    assert rep["solver"]["converged"] is False and rep["solver"]["iterations"] == 2
 
 
 def test_solve_reports_first_best_draw(tmp_path, triangle_file):

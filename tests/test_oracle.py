@@ -226,7 +226,7 @@ def test_brute_force_rejects_an_invalid_set():
         brute_force_robust(inst, singleton_spec(np.ones(4)))
     spec = box_spec(np.zeros(3), np.ones(3))
     brute_force_robust(inst, spec)
-    spec.b = np.concatenate([-np.ones(3), -np.ones(3)])  # negative lower bounds
+    spec = dataclasses.replace(spec, b=np.concatenate([-np.ones(3), -np.ones(3)]))  # negative lower bounds
     with pytest.raises(DomainError, match="negative declared lower bound"):
         brute_force_robust(inst, spec)
 

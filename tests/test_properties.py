@@ -10,6 +10,8 @@ Drawn with ``hypothesis`` (a test-only dependency) at a fixed seed
 examples.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,8 @@ from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT,  # noqa: E402
                                  allequal_instance, graph_instance)
 from robustcut.numerics import (FeasibleTableau, LpProblem,  # noqa: E402
                                 simplex_solve, sqrt_psd)
-from robustcut.uncertainty import (_box_view, _diag_view,  # noqa: E402
-                                   _worst_distributions, ellipsoidal_spec,
-                                   polyhedral_spec, sample_feasible,
+from robustcut.uncertainty import (_worst_distributions,  # noqa: E402
+                                   ellipsoidal_spec, polyhedral_spec, sample_feasible,
                                    validate_set, wasserstein_spec,
                                    worst_case_mean, worst_case_values,
                                    worst_case_weights)
@@ -43,11 +44,14 @@ coef_entry = st.one_of(st.just(0.0), st.just(-1e-10),
 def boxes(draw):
     """A polyhedron w >= l, -w >= -u written row by row: some weights without
     a lower row, bounds at 0 and below the pivot tolerance, point intervals,
-    rows scaled and permuted.  Returns (spec, vertex, tied): `vertex` is
-    max(l, 0) with l = b / a as written, the set's exact minimizer for every
-    coef >= 0; `tied` says the tableau's ratio tests may tie on a point
-    interval (its u |a| at or below the 1e-9 pivot tolerance, or a non-unit
-    row), so its vertex need not be `vertex`."""
+    rows scaled and permuted.  Returns (spec, vertex, tied, box): `vertex` is
+    max(l, 0) with l = b / a as written; `box` says that the rows as written
+    bound every weight from above at or over `vertex` (u = b / a), so `vertex`
+    is the set's exact minimizer for every coef >= 0.  A scaled point
+    interval can miss that by an ulp, (-3 u) / (-3) < u; such a set is no box
+    and the tableau answers it.  `tied` says the tableau's ratio tests may tie
+    on a point interval (its u |a| at or below the 1e-9 pivot tolerance, or a
+    non-unit row), so its vertex need not be `vertex`."""
     m = draw(st.integers(1, 8))
     value = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(1e-300, 1e-8))
     lower = np.array(draw(st.lists(value, min_size=m, max_size=m)))
@@ -58,6 +62,7 @@ def boxes(draw):
     scale = st.sampled_from([1.0, 1.0, 2.0, 0.5, 3.0])
     rows, b = [], []
     vertex = np.zeros(m)
+    cap = np.zeros(m)
     tied = False
     for i in range(m):
         e = np.eye(m)[i]
@@ -69,22 +74,53 @@ def boxes(draw):
         s_u = draw(scale)
         rows.append(-s_u * e)
         b.append(-s_u * upper[i])
+        cap[i] = b[-1] / -s_u
         if has_lower[i] and width[i] == 0.0 and lower[i] != 0.0:
             tied |= not (s_l == s_u == 1.0 and lower[i] > 1e-9)
     order = draw(st.permutations(range(len(rows))))
-    return polyhedral_spec(np.array(rows)[order], np.array(b)[order]), vertex, tied
+    spec = polyhedral_spec(np.array(rows)[order], np.array(b)[order])
+    return spec, vertex, tied, bool(np.all(vertex <= cap))
+
+
+def check_tableau_fallback(spec, vertex, coefs):
+    """A set of :func:`boxes` that is no box as written: the tableau answers
+    it, within its 1e-9 tolerance of `vertex`, and its samples satisfy the
+    rows to that tolerance."""
+    assert spec._box is None
+    tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
+    for c in np.clip(coefs, 0.0, None):
+        w, v = worst_case_weights(spec, c)
+        res = tableau.solve(c)
+        assert same_bits(w, res.x) and same_bits(v, res.value)
+        assert np.allclose(w, vertex, rtol=1e-9, atol=1e-9)
+    got = sample_feasible(spec, np.random.default_rng(0), 5)
+    assert np.all(spec.A @ got.T >= spec.b[:, None] - 1e-9 * (1.0 + np.abs(spec.b[:, None])))
+    assert "_tableau" in vars(spec)
+
+
+def test_box_rows_an_ulp_apart_fall_back_to_the_tableau():
+    # (-3 * 0.7) / -3 lands an ulp under 0.7, so the point interval
+    # [0.7, 0.7] with its upper row scaled by 3 is no box as written
+    spec = polyhedral_spec([[1.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                           [0.7, -3.0 * 0.7, 0.0, -2.0])
+    assert (-3.0 * 0.7) / -3.0 < 0.7
+    assert validate_set(spec).ok
+    check_tableau_fallback(spec, np.array([0.7, 0.0]), np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 
 @FIXED
 @given(boxes(), st.data())
 def test_random_box_oracle_is_the_exact_vertex(box, data):
-    spec, vertex, tied = box
+    spec, vertex, tied, is_box = box
     m = spec.dim()
-    assert same_bits(_box_view(spec)[0], vertex)
     assert validate_set(spec).ok
-    tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
     coefs = np.array(data.draw(st.lists(st.lists(coef_entry, min_size=m, max_size=m),
                                         min_size=1, max_size=4)))
+    if not is_box:
+        check_tableau_fallback(spec, vertex, coefs)
+        return
+    assert same_bits(spec._box[0], vertex)
+    tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
     clipped = np.clip(coefs, 0.0, None)  # the oracles take -1e-10 as 0
     for c, c_clip in zip(coefs, clipped):
         w, v = worst_case_weights(spec, c)
@@ -93,22 +129,25 @@ def test_random_box_oracle_is_the_exact_vertex(box, data):
             res = tableau.solve(c_clip)
             assert same_bits(w, res.x) and same_bits(v, res.value)
     assert same_bits(worst_case_values(spec, coefs), clipped @ vertex)
-    assert spec._lp is None
+    assert "_tableau" not in vars(spec)
 
 
 @FIXED
 @given(boxes(), st.integers(0, 2 ** 32 - 1))
 def test_random_box_samples_are_uniform_draws(box, seed):
-    spec, _, _ = box
+    spec, vertex, _, is_box = box
     m = spec.dim()
-    lower, upper = _box_view(spec)
+    if not is_box:
+        check_tableau_fallback(spec, vertex, np.ones((1, m)))
+        return
+    lower, upper = spec._box
     got = sample_feasible(spec, np.random.default_rng(seed), 5)
     U = np.random.default_rng(seed).random((5, m))
     assert same_bits(got, lower + U * (upper - lower))
     assert np.all(got >= lower) and np.all(got <= upper)
     point = lower == upper  # the draws are exactly the point
     assert same_bits(got[:, point], np.broadcast_to(lower[point], (5, point.sum())))
-    assert spec._lp is None
+    assert "_tableau" not in vars(spec)
 
 
 @st.composite
@@ -127,7 +166,7 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     m = len(q)
     Q = np.diag(q)
     spec = ellipsoidal_spec(w0, Q, a)
-    assert _diag_view(spec) is not None
+    assert spec._diag is not None
     coefs = np.clip(np.array(data.draw(st.lists(
         st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=4))), 0.0, None)
     for c in coefs:
@@ -192,9 +231,9 @@ def wasserstein_balls(draw):
         upper = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
         metric = np.triu(upper, 1) + np.triu(upper, 1).T
     ball = wasserstein_spec(support, empirical, 0.0, metric)
-    ball.radius = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0,
-                                        1.0 + float(ball.metric.max()) * 2.0]))
-    return ball
+    radius = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0,
+                                   1.0 + float(ball.metric.max()) * 2.0]))
+    return dataclasses.replace(ball, radius=radius)
 
 
 def transport_lp(spec, costs):

@@ -366,6 +366,18 @@ def test_non_convergence_reported():
     assert np.isfinite(sol.value)
 
 
+def test_residual_before_the_stall_window_fills_is_the_change_so_far():
+    # 20 iterations never fill the 40-iteration stall window; the residual is
+    # the incumbent's relative change since the first polish (max_iter = 0)
+    inst = gnp_instance(10, 0.5, 2)
+    spec = ellipsoid_for(inst, 0.5, seed=1)
+    start = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=0))
+    sol = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=20))
+    assert not sol.report.converged and sol.report.restart == start.report.restart
+    assert sol.value > start.value
+    assert sol.report.residual == (sol.value - start.value) / sol.value
+
+
 # ---------------------------------------------------------------------------
 # the lockstep saddle loop against its restarts run one after the other
 # ---------------------------------------------------------------------------
@@ -445,11 +457,12 @@ def sequential_saddle_loop(inst, cfg, spec):
                 if residual < cfg.gap_tol:
                     converged = True
                     break
+        if not np.isfinite(residual):  # the window never filled
+            residual = abs(hist[-1] - hist[0]) / max(1.0, abs(hist[-1]))
         phi_r, U_r, w_r, extra_r = r_best
         if phi_r > best_phi:
             best_phi, best_U, best_w, best_extra = phi_r, U_r, w_r, extra_r
-            best_report = SolveReport(value=phi_r, iterations=iters,
-                                      residual=float(residual if np.isfinite(residual) else 0.0),
+            best_report = SolveReport(value=phi_r, iterations=iters, residual=float(residual),
                                       converged=converged, restart=restart)
         if saddle:
             break

@@ -5,6 +5,7 @@ Independent cross-checks: a projected-gradient minimizer for the ellipsoid
 Wasserstein ball, and feasible-sample domination sweeps for everything.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,8 +20,7 @@ from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
 from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank,
                            term_gram_coefficients)
-from robustcut.uncertainty import (_box_view, _chord, _diag_view,
-                                   box_spec, dual_polyhedral_value,
+from robustcut.uncertainty import (_chord, box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, require_valid, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
@@ -174,13 +174,13 @@ def test_require_valid_checks_a_set_once_per_term_count(monkeypatch):
         require_valid(spec, m=4)
     require_valid(spec, m=3)
     assert calls == [3, 4]
-    # reassigning a defining field, array or scalar, checks the set again
-    spec.w0 = np.ones(3)
+    # replacing a defining field, array or scalar, makes a set checked afresh
+    spec = dataclasses.replace(spec, w0=np.ones(3))
     require_valid(spec, m=3)
-    spec.a = 0.25
+    spec = dataclasses.replace(spec, a=0.25)
     require_valid(spec, m=3)
     assert calls == [3, 4, 3, 3]
-    spec.a = -1.0
+    spec = dataclasses.replace(spec, a=-1.0)
     with pytest.raises(DomainError, match="a: radius parameter must be positive"):
         require_valid(spec, m=3)
     assert spec == ellipsoidal_spec(np.ones(3), np.diag([0.1, 0.2, 0.3]), -1.0)
@@ -491,13 +491,13 @@ def test_spec_tableau_is_a_private_cache():
     assert np.allclose(w, [0.5, 1.0])
     assert repr(spec) == repr(twin)
     assert spec_to_json(spec) == spec_to_json(twin)
-    # reassigning a defining field rebuilds phase 1 for the new region
-    spec.b = np.array([0.2, 0.1, -1.5, -2.0])
+    # a replaced defining field makes a new set with its own derived forms
+    spec = dataclasses.replace(spec, b=np.array([0.2, 0.1, -1.5, -2.0]))
     w, _ = worst_case_weights(spec, np.array([1.0, 1.0]))
     assert np.allclose(w, [0.2, 0.1])
     ball = wasserstein_spec(np.array([[1.0, 1.0], [0.0, 0.5]]), np.array([0.5, 0.5]), 0.0)
     assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(1.25)
-    ball.radius = 10.0
+    ball = dataclasses.replace(ball, radius=10.0)
     assert worst_case_mean(ball, np.ones(2))[2] == pytest.approx(0.5)
 
 
@@ -520,12 +520,99 @@ def test_spec_equality_by_value():
         wasserstein_spec(sup, [0.5, 0.5], 0.3, metric=[[0.0, 2.0], [2.0, 0.0]])
     # the cached phase-1 tableau is not part of the value; a box builds none
     worst_case_weights(spec, np.ones(2))
-    assert spec._lp is None
+    assert "_tableau" not in vars(spec)
     budget = polyhedral_spec(np.vstack([spec.A, np.ones((1, 2))]), np.append(spec.b, 0.5))
     twin = polyhedral_spec(budget.A.copy(), budget.b.copy())
     worst_case_weights(budget, np.ones(2))
-    assert budget._lp is not None
+    assert "_tableau" in vars(budget)
     assert budget == twin and budget != spec
+
+
+SUP = [[1.0, 2.0], [2.0, 1.0]]
+ONE_OF_EACH = {
+    "singleton": lambda: singleton_spec([1.0, 2.0]),
+    "polyhedral": lambda: polyhedral_spec([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                          [0.5, -2.0, -2.0]),
+    "box": lambda: box_spec([0.5, 1.0], [1.5, 2.0]),
+    "ellipsoidal": lambda: ellipsoidal_spec([1.0, 1.0], np.eye(2), 0.1),
+    "wasserstein": lambda: wasserstein_spec(SUP, [0.5, 0.5], 0.3),
+    "wasserstein_metric": lambda: wasserstein_spec(SUP, [0.5, 0.5], 0.3,
+                                                   [[0.0, 2.0], [2.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("parsed", [False, True])
+@pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
+def test_spec_is_frozen(name, parsed):
+    spec = ONE_OF_EACH[name]()
+    if parsed:
+        spec = parse_spec(spec_to_json(spec))
+    for f in dataclasses.fields(spec):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, f.name, getattr(spec, f.name))
+    arrays = [getattr(spec, f) for f in ("weights", "A", "b", "w0", "Q", "support",
+                                         "empirical", "metric")
+              if getattr(spec, f) is not None]
+    assert arrays
+    for arr in arrays:
+        assert arr.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    assert validate_set(spec, m=2).ok
+
+
+def test_spec_arrays_are_views_of_the_inputs():
+    # a dense Q is not copied: the set reads the caller's matrix
+    Q = np.eye(3)
+    spec = ellipsoidal_spec(np.ones(3), Q, 0.1)
+    assert np.shares_memory(spec.Q, Q) and Q.flags.writeable
+    # lists become fresh arrays, vectors at least 1-D, matrices 2-D
+    spec = polyhedral_spec([1.0, 1.0], 0.5)
+    assert spec.A.shape == (1, 2) and spec.b.shape == (1,)
+
+
+def test_a_validated_set_cannot_be_edited_in_place():
+    spec = box_spec([0.5, 1], [1.5, 2])
+    require_valid(spec, m=2)
+    with pytest.raises(ValueError):
+        spec.b[2] = -0.1  # would empty the set behind the validation
+    assert np.array_equal(worst_case_weights(spec, np.ones(2))[0], [0.5, 1.0])
+    assert validate_set(dataclasses.replace(spec, b=np.array([0.5, 1.0, -0.1, -2.0]))
+                        ).violations == ["polyhedron: empty feasible set"]
+
+
+def test_replace_validates_afresh_and_rebuilds_the_derived_forms(monkeypatch):
+    calls = []
+    validate = uncertainty.validate_set
+    monkeypatch.setattr(uncertainty, "validate_set",
+                        lambda *a, **k: calls.append(k.get("m")) or validate(*a, **k))
+    box = box_spec([0.5, 1.0], [1.5, 2.0])
+    require_valid(box, m=2)
+    moved = dataclasses.replace(box, b=np.array([0.2, 0.1, -1.5, -2.0]))
+    require_valid(moved, m=2)
+    assert calls == [2, 2]
+    assert np.array_equal(box._box[0], [0.5, 1.0])
+    assert np.array_equal(moved._box[0], [0.2, 0.1])
+    assert np.array_equal(worst_case_weights(moved, np.ones(2))[0], [0.2, 0.1])
+    # a budget row w1 + w2 >= c makes a polyhedron that is no box; each set
+    # builds its own tableau
+    unit = box_spec(np.zeros(2), np.ones(2))
+    budget = polyhedral_spec(np.vstack([unit.A, np.ones((1, 2))]), np.append(unit.b, 1.0))
+    require_valid(budget, m=2)
+    higher = dataclasses.replace(budget, b=np.append(unit.b, 1.5))
+    require_valid(higher, m=2)
+    assert calls == [2, 2, 2, 2]
+    assert budget._box is None and higher._box is None
+    assert vars(budget)["_tableau"] is not vars(higher)["_tableau"]
+    assert worst_case_weights(budget, np.ones(2))[1] == pytest.approx(1.0)
+    assert worst_case_weights(higher, np.ones(2))[1] == pytest.approx(1.5)
+    with pytest.raises(DomainError, match="polyhedron: empty feasible set"):
+        require_valid(dataclasses.replace(budget, b=np.append(unit.b, 3.0)), m=2)
+    # an auto metric is rebuilt from the replaced support
+    ball = wasserstein_spec(SUP, [0.5, 0.5], 0.3)
+    far = dataclasses.replace(ball, support=3.0 * np.array(SUP))
+    assert np.array_equal(far.metric, [[0.0, 6.0], [6.0, 0.0]])
+    assert far == wasserstein_spec(3.0 * np.array(SUP), [0.5, 0.5], 0.3)
 
 
 def chord_loops(A, b, w, d, eps=1e-12):
@@ -673,7 +760,7 @@ def _box_cases():
 @pytest.mark.parametrize("name", sorted(_box_cases()))
 def test_box_view_is_the_tableau_vertex_bit_for_bit(name):
     spec = _box_cases()[name]
-    lower, upper = _box_view(spec)
+    lower, upper = spec._box
     assert validate_set(spec, m=6).ok
     rng = streams.stream(59, streams.TAG_GEN, 0)
     coefs = coef_cases(rng, 6)
@@ -684,7 +771,7 @@ def test_box_view_is_the_tableau_vertex_bit_for_bit(name):
         assert same_bits(w, lower)
     got = worst_case_values(spec, np.array(coefs))
     assert np.allclose(got, [tableau_worst(spec, c)[1] for c in coefs], rtol=1e-15, atol=0.0)
-    assert spec._lp is None  # validation, oracle and block built no tableau
+    assert "_tableau" not in vars(spec)  # validation, oracle and block built no tableau
     if name == "open_zero_and_point_bounds":
         assert same_bits(lower[[0, 1, 3]], np.zeros(3)) and lower[2] == upper[2]
 
@@ -708,7 +795,7 @@ def _fallback_cases():
 @pytest.mark.parametrize("name", sorted(_fallback_cases()))
 def test_box_view_fallbacks_keep_the_tableau(name):
     spec, violations = _fallback_cases()[name]
-    assert _box_view(spec) is None
+    assert spec._box is None
     assert validate_set(spec, m=2).violations == violations
     if violations:
         return
@@ -716,7 +803,7 @@ def test_box_view_fallbacks_keep_the_tableau(name):
         w, v = worst_case_weights(spec, c)
         x, value = tableau_worst(spec, c)
         assert same_bits(w, x) and same_bits(v, value)
-    assert spec._lp is not None
+    assert "_tableau" in vars(spec)
 
 
 def _tied_box_cases():
@@ -741,7 +828,7 @@ def _tied_box_cases():
 def test_box_view_answers_tied_bounds_at_lower(name):
     spec, coef, tableau_first = _tied_box_cases()[name]
     assert tableau_worst(spec, coef)[0][0] == tableau_first
-    lower, upper = _box_view(spec)
+    lower, upper = spec._box
     assert np.all(lower <= upper) and lower[1] == 1.0
     assert np.isclose(lower[0], {"bounds_tied": 1.0, "point_below_pivot_tol": 1e-10,
                                  "scaled_point": 5e-9}[name], rtol=1e-15, atol=0.0)
@@ -749,7 +836,7 @@ def test_box_view_answers_tied_bounds_at_lower(name):
     for c in (coef, np.array([0.5, 2.0])):
         w, v = worst_case_weights(spec, c)
         assert same_bits(w, lower) and same_bits(v, float(c @ lower))
-    assert spec._lp is None
+    assert "_tableau" not in vars(spec)
 
 
 def box_chord(lower, upper, w, d, eps=1e-12):
@@ -773,7 +860,7 @@ def test_box_chord_matches_dense_chord_bit_for_bit():
         lower = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
         upper = lower + rng.uniform(0.01, 1.0, m) * (rng.random(m) < 0.9)
         spec = box_spec(lower, upper)
-        lo_w, up_w = _box_view(spec)
+        lo_w, up_w = spec._box
         # interior points and points on faces (zero slack)
         w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
         d = rng.standard_normal(m) * (rng.random(m) < 0.8)
@@ -795,7 +882,7 @@ def test_box_samples_match_tableau_route_bit_for_bit():
                  _box_cases()["open_zero_and_point_bounds"]):
         m = spec.dim()
         got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-        assert spec._lp is None
+        assert "_tableau" not in vars(spec)
         tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
         lower, upper = tableau.solve(np.ones(m)).x, tableau.solve(-np.ones(m)).x
         U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
@@ -809,7 +896,7 @@ def test_box_samples_are_uniform_draws():
                  box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
                  _box_cases()["permuted_scaled_rows"],
                  _box_cases()["open_zero_and_point_bounds"]):
-        lower, upper = _box_view(spec)
+        lower, upper = spec._box
         m = spec.dim()
         got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
         U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
@@ -817,7 +904,7 @@ def test_box_samples_are_uniform_draws():
         assert np.all(got >= lower) and np.all(got <= upper)
         point = lower == upper
         assert same_bits(got[:, point], np.broadcast_to(lower[point], (12, point.sum())))
-        assert spec._lp is None
+        assert "_tableau" not in vars(spec)
 
 
 def _general_polyhedra():
@@ -843,7 +930,7 @@ def _general_polyhedra():
 @pytest.mark.parametrize("name", sorted(_general_polyhedra()))
 def test_general_polyhedron_samples_match_tableau_route_bit_for_bit(name):
     spec = _general_polyhedra()[name]
-    assert _box_view(spec) is None and validate_set(spec).ok
+    assert spec._box is None and validate_set(spec).ok
     got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
     want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
     assert same_bits(got, want)
@@ -1015,7 +1102,7 @@ def test_diagonal_q_matches_dense_route_bit_for_bit():
     w0, q, a = _diag_ellipsoid()
     Q = np.diag(q)
     spec = ellipsoidal_spec(w0, Q, a)
-    assert same_bits(_diag_view(spec), q)
+    assert same_bits(spec._diag, q)
     assert validate_set(spec, m=7).ok
     rng = streams.stream(79, streams.TAG_GEN, 0)
     coefs = coef_cases(rng, 7)
@@ -1048,7 +1135,7 @@ def test_diagonal_q_validation_message_matches_eigvalsh():
         qb[3] = bad
         eig = np.linalg.eigvalsh(np.diag(qb))
         spec = ellipsoidal_spec(w0, np.diag(qb), a)
-        assert _diag_view(spec) is not None
+        assert spec._diag is not None
         assert validate_set(spec, m=7).violations == \
             [f"Q: not positive definite (min eigenvalue {eig[0]:.3e})"]
 
@@ -1056,7 +1143,7 @@ def test_diagonal_q_validation_message_matches_eigvalsh():
 def test_diagonal_q_norm_route_matches_dense_root():
     inst = gnp_instance(8, 0.5, 4)
     spec = ellipsoid_for(inst, 0.5, seed=2)
-    assert _diag_view(spec) is not None
+    assert spec._diag is not None
     ncols = inst.ncols
     rng = streams.stream(89, streams.TAG_GEN, 0)
     for _ in range(3):
@@ -1071,7 +1158,7 @@ def test_q_with_tiny_off_diagonal_keeps_the_dense_route():
     Q = np.diag(q)
     Q[0, 1] = Q[1, 0] = 1e-300
     spec = ellipsoidal_spec(w0, Q, a)
-    assert _diag_view(spec) is None
+    assert spec._diag is None
     assert validate_set(spec, m=7).ok
     c = np.linspace(0.1, 1.0, 7)
     w, v = worst_case_weights(spec, c)
