@@ -641,13 +641,14 @@ def spec_from_dict(d: dict) -> UncertaintySpec:
     kind = d.get("kind")
     if kind not in SET_KINDS:
         raise ParseError(f"kind: expected one of {SET_KINDS}, got {kind!r}")
+    metric = d.get("metric", "l1")
     try:
         args = {name: _numbers(d, name, form) for name, form in _FIELDS[kind]
-                if not (name == "metric" and isinstance(d.get(name, "l1"), str))}
+                if name != "metric" or not isinstance(metric, str)}
     except KeyError as exc:
         raise ParseError(f"spec field missing: {exc.args[0]}") from exc
     if kind == WASSERSTEIN:
-        return wasserstein_spec(**{"metric": d.get("metric", "l1"), **args})
+        return wasserstein_spec(**{"metric": metric, **args})
     return UncertaintySpec(kind, **args)
 
 
