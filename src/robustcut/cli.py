@@ -383,16 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["singleton", "box", "ellipsoid", "wasserstein"])
     p.add_argument("--instance", help="anchor instance for --spec")
     p.add_argument("--graph", choices=[MAXCUT, DICUT], default=MAXCUT)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_at_least_one, default=5)
     p.add_argument("--p", type=_finite(" in [0, 1]", lambda v: 0.0 <= v <= 1.0), default=0.5)
-    p.add_argument("--k", type=int, default=3, help="clause arity (allequal)")
-    p.add_argument("--m", type=int, default=8, help="clause count (allequal)")
+    p.add_argument("--k", type=_int_at_least(2), default=3, help="clause arity (allequal)")
+    p.add_argument("--m", type=_at_least_one, default=8, help="clause count (allequal)")
     p.add_argument("--weight", type=_finite(), default=1.0)
     p.add_argument("--w-low", type=_finite(), default=0.5, dest="w_low")
     p.add_argument("--w-high", type=_finite(), default=1.5, dest="w_high")
     p.add_argument("--width", type=non_negative, default=0.2, help="box half-width factor")
     p.add_argument("--spread", type=float, default=0.5, help="ellipsoid semi-axis factor")
-    p.add_argument("--scenarios", type=int, default=3)
+    p.add_argument("--scenarios", type=_at_least_one, default=3)
     p.add_argument("--radius", type=non_negative, default=0.5)
     p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out")

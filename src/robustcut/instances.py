@@ -428,18 +428,19 @@ def term_coefficients(inst: Instance, y: np.ndarray) -> np.ndarray:
     for maxcut edges, the forward-arc indicator for dicut, the satisfied
     indicator for allequal (all literal values s * y_v of the clause agree).
     Always in [0, 1].  A (B, n) block of sign vectors gives a (B, m) block,
-    row by row the same numbers.
+    row by row the same numbers.  Each kind works in integers and makes one
+    C-ordered float copy (a gather ``y[..., i]`` alone is Fortran-ordered).
     """
     y = check_cut(inst, y)
     if inst.kind == MAXCUT:
         i, j = inst.endpoints()
-        return (1.0 - (y[..., i] * y[..., j]).astype(float)) / 2.0
+        return (1 - y[..., i] * y[..., j]).astype(float, order="C") / 2.0
     if inst.kind == DICUT:
         i, j = inst.endpoints()
-        return (1.0 + y[..., i]) * (1.0 - y[..., j]) / 4.0
+        return ((1 + y[..., i]) * (1 - y[..., j])).astype(float, order="C") / 4.0
     V, S = inst.clause_arrays
     lit = S * y[..., V]
-    return np.all(lit == lit[..., :1], axis=-1).astype(float)
+    return np.all(lit == lit[..., :1], axis=-1).astype(float, order="C")
 
 
 def total_weight(inst: Instance, w=None) -> float:

@@ -1,9 +1,9 @@
 """Ground-truth oracles and certification.
 
 ``brute_force_robust`` enumerates every cut/assignment (2^(n-1) after fixing
-the first coordinate where the objective allows it), scores them a block at a
-time with the exact inner minimization oracles, and rescores the candidates
-near the maximum one by one -- no shortcuts, no shared math with the solvers
+the first coordinate where the objective allows it) and scores them a block
+at a time with the exact inner minimization oracle, whose block rows are bit
+for bit the one-cut values -- no shortcuts, no shared math with the solvers
 it certifies beyond the uncertainty oracles themselves.
 
 ``certify_sandwich`` verifies, for a solved saddle and its rounding, the
@@ -40,12 +40,6 @@ from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
 
 BRUTE_FORCE_LIMIT = 24
 _BLOCK = 128  # candidates scored at once; peak memory grows with it
-# Candidates whose block value is within _MARGIN * max(1, |max|) of the block
-# maximum are rescored exactly.  Block values differ from the exact ones by
-# roundoff only (<= 4.4e-16 relative measured): every block route is the
-# closed form or the phase 2 that worst_case_weights runs.  The margin stays
-# far above twice that.
-_MARGIN = 1e-6
 
 
 @dataclass
@@ -72,43 +66,29 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     minimum, the first maximizer in enumeration order.  Guarded at n <= 24.
 
     Candidates are built and scored ``_BLOCK`` at a time by
-    :func:`worst_case_values`.  Every candidate whose block value comes
-    within the margin of the overall maximum is scored again by
-    :func:`worst_case_weights`, in enumeration order, and the first strict
-    maximum of those values wins.  The result is the one a
-    candidate-by-candidate loop over :func:`worst_case_weights` gives, as
-    long as block values are within half the margin of it.
+    :func:`worst_case_values`, whose rows carry the bits of
+    :func:`worst_case_weights` for the same cut, so the first strict maximum
+    of the block values is the one a candidate-by-candidate loop finds; a
+    NaN never wins.  One :func:`worst_case_weights` call gives the winner's
+    weights.
     """
     if inst.n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force: n = {inst.n} exceeds limit {BRUTE_FORCE_LIMIT}")
     require_valid(spec, inst)
     fix_first = not inst.reference  # oriented objectives are not flip-symmetric
     count = 1 << (inst.n - 1 if fix_first else inst.n)
-    top = -np.inf
-    near: list[tuple[np.ndarray, np.ndarray]] = []  # (rows t, block values)
+    top, best = -np.inf, None
     for start in range(0, count, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, count))
         v = worst_case_values(spec, term_coefficients(inst, _signs(inst.n, fix_first, t)))
-        if v.max() > top:
-            top = float(v.max())
-            near = [_near_top(s, u, top) for s, u in near]
-        near.append(_near_top(t, v, top))
-    best_v, best_y, best_w = -np.inf, None, None
-    for t in np.concatenate([s for s, _ in near]):
-        y = _signs(inst.n, fix_first, t[None])[0]
-        w, v = worst_case_weights(spec, term_coefficients(inst, y))
-        if v > best_v:
-            best_v, best_y, best_w = v, y, w
-    return OracleResult(best=best_y, worst=best_w, value=float(best_v),
-                        enumerated=count)
-
-
-def _near_top(t: np.ndarray, v: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates t whose values v are not below `top` by more than the
-    margin.  Every candidate is kept when `top` is infinite, and NaN values
-    are kept, so overflowing sets are rescored in full, as the loop did."""
-    keep = ~(v < top - _MARGIN * max(1.0, abs(top)))
-    return t[keep], v[keep]
+        block_top = np.fmax.reduce(v)  # NaN only where every value is NaN
+        if block_top > top:
+            top, best = block_top, t[np.argmax(v == block_top)]
+    if best is None:  # every value NaN or -inf: no candidate beats -inf
+        return OracleResult(best=None, worst=None, value=-np.inf, enumerated=count)
+    y = _signs(inst.n, fix_first, best[None])[0]
+    w, value = worst_case_weights(spec, term_coefficients(inst, y))
+    return OracleResult(best=y, worst=w, value=value, enumerated=count)
 
 
 def mc_expected_cut(inst: Instance, factor: GramFactor, w, trials: int,

@@ -151,13 +151,11 @@ class _Sweep:
     colour class: calling it on an (R, rank, ncols) stack of factors runs one
     sweep of every member in place, :meth:`values` reads their objectives.
     Every product is a per-member matmul, so a member's bits do not depend on
-    the others.  A stack of one sweeps its (rank, ncols) factor, so it costs
-    what one unstacked sweep costs."""
+    the others."""
 
     # per class: its columns and the members' rows of C(w), diagonal zeroed
-    # and transposed, (R, ncols, k), or (ncols, k) for a stack of one;
-    # unscaled, so a sweep at weights near the float limit overflows as the
-    # column-by-column sweep did
+    # and transposed, (R, ncols, k); unscaled, so a sweep at weights near the
+    # float limit overflows as the column-by-column sweep did
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     # the objective's terms over `scale`, a power of two near max |w| per
     # member, so the value overflows only at its last product: C(w) / scale
@@ -167,16 +165,15 @@ class _Sweep:
     scale: list[float]
 
     def __call__(self, U: np.ndarray) -> None:
-        X = U[0] if len(U) == 1 else U
         for cols, rows in self.blocks:
-            G = X @ rows
+            G = U @ rows
             nrm = np.sqrt(np.add.reduce(G * G, axis=-2, keepdims=True))
             if np.count_nonzero(nrm) == nrm.size:
-                X[..., cols] = G / nrm
+                U[..., cols] = G / nrm
             else:  # a column whose local term is zero stays put
-                block = X[..., cols]
+                block = U[..., cols]
                 np.divide(G, nrm, out=block, where=nrm > 0.0)
-                X[..., cols] = block
+                U[..., cols] = block
 
     def values(self, U: np.ndarray) -> list[float]:
         """sum_t w_t c0 + <C(w), U^T U>/2 for each member of the stack U."""
@@ -185,8 +182,7 @@ class _Sweep:
 
     def take(self, keep: list[int]) -> "_Sweep":
         """The sweep of the members `keep`, in that order."""
-        pick = keep[0] if len(keep) == 1 else keep
-        return _Sweep(tuple((cols, rows.transpose(0, 2, 1)[pick].swapaxes(-1, -2))
+        return _Sweep(tuple((cols, rows.transpose(0, 2, 1)[keep].swapaxes(-1, -2))
                             for cols, rows in self.blocks),
                       self.C[keep], [self.base[r] for r in keep],
                       [self.scale[r] for r in keep])
@@ -208,14 +204,13 @@ def _ascent_pass(inst: Instance, W: np.ndarray) -> _Sweep:
     _, _, a, b, _ = inst.pair_table
     paired = np.zeros(inst.ncols, dtype=bool)
     paired[a[a != b]] = paired[b[a != b]] = True
-    one = len(W) == 1
     blocks = []
     for cls in inst.colour_classes:
         cols = cls[paired[cls]]
         if cols.size:
             rows = C.take(cols, axis=1)
             rows[:, np.arange(cols.size), cols] = 0.0
-            blocks.append((cols, (rows[0] if one else rows).swapaxes(-1, -2)))
+            blocks.append((cols, rows.swapaxes(-1, -2)))
     top = np.max(np.abs(W), axis=1, initial=0.0)
     scale = np.where(top > 0.0, np.ldexp(1.0, np.frexp(top)[1] - 1), 1.0)
     base = inst.pair_table[0] * np.sum(W / scale[:, None], axis=1)

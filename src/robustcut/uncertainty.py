@@ -27,6 +27,11 @@ The oracle argument ``coef`` is the per-term coefficient vector of the
 The oracles take coef >= 0 (below -1e-9 is a DomainError, the rest is clipped
 at 0).  Relaxed dicut coefficients reach -1/8, so :mod:`robustcut.robust`
 clips them first (ROADMAP item 1; see :func:`sdp.term_gram_coefficients`).
+
+One kernel, :func:`_worst_block`, holds the per-kind inner minimum for a
+block of coefficient rows.  :func:`worst_case_weights` and
+:func:`worst_case_mean` pass it one row, :func:`worst_case_values` a block,
+and each row of a block carries the bits of the same vector scored alone.
 """
 
 from __future__ import annotations
@@ -366,78 +371,64 @@ def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
     polyhedron's Bland-first feasible vertex, the ellipsoid center, or the
     empirical mean.
     """
-    coef = _check_coef(spec, coef)
-    degenerate = float(coef.max(initial=0.0)) <= _ZERO_COEF
-
-    if spec.kind == SINGLETON:
-        w = spec.weights.copy()
-        return w, float(coef @ w)
-
-    if spec.kind == POLYHEDRAL:
-        box = spec._box
-        if box is not None:
-            return box[0].copy(), float(coef @ box[0])
-        res = spec._tableau.solve(coef)
-        return res.x, res.value
-
-    if spec.kind == ELLIPSOIDAL:
-        if degenerate:
-            return spec.w0.copy(), 0.0
-        q = _q_times(spec, coef)
-        denom = float(np.sqrt(coef @ q))
-        w = spec.w0 - np.sqrt(spec.a) * q / denom
-        return w, float(coef @ w)
-
-    # wasserstein: worst mean weights
-    _, mean_w, value = _worst_mean(spec, coef)
-    return mean_w, value
+    values, W, P = _worst_block(spec, _check_coef(spec, coef)[None])
+    w = spec.support.T @ P[0] if W is None else W[0].copy()
+    return w, float(values[0])
 
 
 def worst_case_values(spec: UncertaintySpec, coef_block) -> np.ndarray:
-    """Minimum of c . w over the set for each row c of a B x dim block:
-    the values of :func:`worst_case_weights`, row by row, to roundoff.
+    """Minimum of c . w over the set for each row c of a B x dim block; each
+    value has the bits :func:`worst_case_weights` gives for its row alone."""
+    return _worst_block(spec, _check_coef(spec, coef_block, rows=True))[0]
 
-    Singletons, boxes, ellipsoids and Wasserstein balls evaluate their
-    closed forms on the whole block; a Wasserstein row is worth costs . p
-    for its worst distribution p, as in :func:`worst_case_mean`.  Any other
-    polyhedron runs phase 2 of its tableau for each row.
+
+def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray, float]:
+    """Worst distribution inside a Wasserstein ball for a linear objective.
+
+    Minimizes  sum_i p_i (coef . s_i)  over distributions p on the support
+    whose transport distance to the empirical distribution is at most the
+    radius, in closed form (:func:`_worst_distributions`), with no LP.
+    Returns (p*, mean weights, value); the value is costs . p*.  A zero
+    coefficient vector returns the empirical distribution and value 0.
     """
-    C = _check_coef(spec, coef_block, rows=True)
-    if spec.kind == SINGLETON:
-        return C @ spec.weights
-    if spec.kind == POLYHEDRAL:
-        box = spec._box
-        if box is not None:
-            return C @ box[0]
-        tableau = spec._tableau
-        return np.array([tableau.solve(c).value for c in C])
-    live = C.max(axis=1, initial=0.0) > _ZERO_COEF  # degenerate rows are worth 0
-    every = bool(live.all())
-    # the live rows in C order, the layout the products below read them in
-    C = np.ascontiguousarray(C) if every else C[live]
+    if spec.kind != WASSERSTEIN:
+        raise DomainError(f"worst_case_mean: set kind is {spec.kind}")
+    values, _, P = _worst_block(spec, _check_coef(spec, coef)[None])
+    return P[0], spec.support.T @ P[0], float(values[0])
+
+
+def _worst_block(spec: UncertaintySpec, C: np.ndarray,
+                 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """The inner minimum for each row of a checked (B, dim) block: (values,
+    worst weights W, worst distributions P).  W is None for a Wasserstein
+    ball, P for every other kind.
+
+    Every sum over a row is :func:`numpy.vecdot` on C-ordered rows, numpy's
+    dot loop, the one ``a @ b`` runs for two vectors; every other step is
+    elementwise or row by row, so a row's bits do not depend on the block
+    around it.  A polyhedron that is not a box runs phase 2 of its tableau
+    for each row.  An ellipsoid or Wasserstein row whose largest entry is at
+    most ``_ZERO_COEF`` is degenerate: it is worth 0 at the center or the
+    empirical distribution.
+    """
+    C = np.ascontiguousarray(C)
+    if spec.kind == POLYHEDRAL and spec._box is None:
+        res = [spec._tableau.solve(c) for c in C]
+        return (np.array([r.value for r in res]),
+                np.array([r.x for r in res]).reshape(C.shape), None)
+    if spec.kind in (SINGLETON, POLYHEDRAL):
+        w = spec.weights if spec.kind == SINGLETON else spec._box[0]
+        return np.vecdot(C, w), np.broadcast_to(w, C.shape), None
+    live = C.max(axis=1, initial=0.0) > _ZERO_COEF
     if spec.kind == ELLIPSOIDAL:
-        q = _q_times(spec, C)  # row r is Q @ C[r]
-        denom = np.sqrt(np.einsum("ij,ij->i", C, q))
+        q = C * spec._diag if spec._diag is not None else np.vecdot(C[:, None], spec.Q)
+        # a degenerate row is divided by inf, which leaves it at the center
+        denom = np.where(live, np.sqrt(np.vecdot(C, q)), np.inf)
         W = spec.w0 - np.sqrt(spec.a) * q / denom[:, None]
-        values = np.einsum("ij,ij->i", C, W)
-    else:
-        costs = C @ spec.support.T
-        values = np.einsum("ij,ij->i", costs, _worst_distributions(spec, costs))
-    if every:
-        return values
-    out = np.zeros(len(live))
-    out[live] = values
-    return out
-
-
-def _q_times(spec: UncertaintySpec, C: np.ndarray) -> np.ndarray:
-    """Q @ c for a vector c, or each row times Q for a block (C @ Q.T); an
-    elementwise product when Q is diagonal (the same bits: the dense
-    products only add zeros)."""
-    q = spec._diag
-    if q is not None:
-        return C * q
-    return spec.Q @ C if C.ndim == 1 else C @ spec.Q.T
+        return np.where(live, np.vecdot(C, W), 0.0), W, None
+    costs = np.vecdot(C[:, None], spec.support)  # cost of landing on each support point
+    P = np.where(live[:, None], _worst_distributions(spec, costs), spec.empirical)
+    return np.where(live, np.vecdot(costs, P), 0.0), None, P
 
 
 def _root_times(spec: UncertaintySpec, X: np.ndarray) -> np.ndarray:
@@ -454,30 +445,6 @@ def _root_times(spec: UncertaintySpec, X: np.ndarray) -> np.ndarray:
 def ellipsoid_root_norm(spec: UncertaintySpec, coef: np.ndarray) -> float:
     """||Q^{1/2} coef|| for an ellipsoidal set."""
     return float(np.linalg.norm(_root_times(spec, coef)))
-
-
-def worst_case_mean(spec: UncertaintySpec, coef) -> tuple[np.ndarray, np.ndarray, float]:
-    """Worst distribution inside a Wasserstein ball for a linear objective.
-
-    Minimizes  sum_i p_i (coef . s_i)  over distributions p on the support
-    whose transport distance to the empirical distribution is at most the
-    radius, in closed form (:func:`_worst_distributions`), with no LP.
-    Returns (p*, mean weights, value); the value is costs . p*.  A zero
-    coefficient vector returns the empirical distribution and value 0.
-    """
-    if spec.kind != WASSERSTEIN:
-        raise DomainError(f"worst_case_mean: set kind is {spec.kind}")
-    return _worst_mean(spec, _check_coef(spec, coef))
-
-
-def _worst_mean(spec: UncertaintySpec, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`worst_case_mean` for a coefficient vector already checked."""
-    if float(coef.max(initial=0.0)) <= _ZERO_COEF:
-        p = spec.empirical.copy()
-        return p, spec.support.T @ p, 0.0
-    costs = spec.support @ coef  # cost of landing on each support point
-    p = _worst_distributions(spec, costs[None])[0]
-    return p, spec.support.T @ p, float(costs @ p)
 
 
 def _worst_distributions(spec: UncertaintySpec, costs: np.ndarray) -> np.ndarray:

@@ -228,6 +228,7 @@ def test_term_coefficients_of_a_block_are_its_rows():
         Y = np.where(rng.random((9, inst.n)) < 0.5, 1, -1)
         block = term_coefficients(inst, Y)
         assert block.shape == (9, inst.m)
+        assert block.flags["C_CONTIGUOUS"]  # the layout the inner oracle reads rows in
         for y, row in zip(Y, block):
             assert row.tobytes() == term_coefficients(inst, y).tobytes()
 

@@ -322,22 +322,40 @@ def test_brute_force_spans_several_blocks():
 
 
 @pytest.mark.parametrize("spec_of", [singleton_for, lambda inst: box_for(inst, 0.2)])
-def test_brute_force_absorbs_block_value_error(monkeypatch, spec_of):
-    # unit K10: 126 tied maximizers over 4 blocks; block values off by 1e-9
-    # relative (far above roundoff, far below the margin) move the block
-    # maximum away from the first maximizer, which must still win
+def test_brute_force_takes_the_first_of_tied_maxima(spec_of):
+    # unit K10: 126 tied maximizers over 4 blocks; the first one in
+    # enumeration order wins, as in the candidate loop
     inst = complete_instance(10)
     spec = spec_of(inst)
     want = brute_force_loop(inst, spec)
-    rng = np.random.default_rng(3)
-    exact = oracle.worst_case_values
-
-    def off_by_roundoff(spec, coef_block):
-        v = exact(spec, coef_block)
-        return v * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=len(v)))
-
-    monkeypatch.setattr(oracle, "worst_case_values", off_by_roundoff)
+    assert want.enumerated == 4 * oracle._BLOCK
     assert_same_result(brute_force_robust(inst, spec), want)
+
+
+def test_brute_force_skips_nan_block_values(monkeypatch):
+    # a NaN never wins: the first value of every block and all of block 1
+    # read NaN, and np.argmax would stop at the first of them
+    inst = complete_instance(10)
+    spec = singleton_for(inst)
+    want = brute_force_loop(inst, spec)
+    exact = oracle.worst_case_values
+    blocks = []
+
+    def with_nans(spec, coef_block):
+        v = exact(spec, coef_block)
+        v[0] = np.nan
+        if len(blocks) == 1:
+            v[:] = np.nan
+        blocks.append(v)
+        return v
+
+    monkeypatch.setattr(oracle, "worst_case_values", with_nans)
+    assert_same_result(brute_force_robust(inst, spec), want)
+    assert len(blocks) == 4 and np.argmax(blocks[0]) == 0
+    # no value beats -inf, as in the loop: no maximizer
+    monkeypatch.setattr(oracle, "worst_case_values",
+                        lambda spec, coef_block: np.full(len(coef_block), np.nan))
+    assert brute_force_robust(inst, spec) == OracleResult(None, None, -np.inf, 512)
 
 
 def test_brute_force_builds_only_one_block_at_a_time(monkeypatch):

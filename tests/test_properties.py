@@ -128,7 +128,7 @@ def test_random_box_oracle_is_the_exact_vertex(box, data):
         if not tied:  # elsewhere the simplex lands on the same vertex
             res = tableau.solve(c_clip)
             assert same_bits(w, res.x) and same_bits(v, res.value)
-    assert same_bits(worst_case_values(spec, coefs), clipped @ vertex)
+    assert same_bits(worst_case_values(spec, coefs), [float(c @ vertex) for c in clipped])
     assert "_tableau" not in vars(spec)
 
 
@@ -169,18 +169,16 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     assert spec._diag is not None
     coefs = np.clip(np.array(data.draw(st.lists(
         st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=4))), 0.0, None)
+    want = []
     for c in coefs:
-        if c.max() <= 1e-14:
-            continue  # the degenerate representative, not the closed form
-        qc = Q @ c
-        w_d = w0 - np.sqrt(a) * qc / float(np.sqrt(c @ qc))
         w, v = worst_case_weights(spec, c)
-        assert same_bits(w, w_d) and same_bits(v, float(c @ w_d))
-    live = coefs.max(axis=1) > 1e-14
-    qC = coefs[live] @ Q.T
-    W = w0 - np.sqrt(a) * qC / np.sqrt(np.einsum("ij,ij->i", coefs[live], qC))[:, None]
-    want = np.zeros(len(coefs))
-    want[live] = np.einsum("ij,ij->i", coefs[live], W)
+        if c.max() <= 1e-14:  # the degenerate representative, not the closed form
+            assert same_bits(w, w0) and v == 0.0
+        else:  # the dense route: Q @ c as one dot per row of Q
+            qc = np.array([row @ c for row in Q])
+            w_d = w0 - np.sqrt(a) * qc / float(np.sqrt(c @ qc))
+            assert same_bits(w, w_d) and same_bits(v, float(c @ w_d))
+        want.append(v)
     assert same_bits(worst_case_values(spec, coefs), want)
     # validation reads the sorted diagonal where the dense route runs eigvalsh
     eig = np.linalg.eigvalsh(Q)
@@ -268,7 +266,7 @@ def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
     coefs = np.clip(np.array(data.draw(st.lists(
         st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=3))), 0.0, None)
     coefs = np.vstack([coefs, np.zeros(m), np.full(m, 1e-15)])
-    costs = coefs @ ball.support.T
+    costs = np.array([[s @ c for s in ball.support] for c in coefs])  # one dot per atom
     P = _worst_distributions(ball, costs)
     assert P.shape == (len(costs), k)
     # p's entries are exact to a few eps of the unit mass: a value of 0 may
@@ -281,17 +279,18 @@ def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
         assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
         assert transport_cost(ball, p) <= \
             ball.radius * (1.0 + 1e-12) + eps * float(ball.metric.max())
-    # the one-row call of the solver and the brute-force block agree on the
-    # value; on tied slopes their costs' last bits may pick another optimum
+    # the one-row call of the solver is the closed form on these costs, and
+    # each row of the brute-force block carries its bits
+    want = []
     for coef, c, p in zip(coefs, costs, P):
-        if coef.max() > 1e-14:
-            q, mean_w, v = worst_case_mean(ball, coef)
-            assert abs(v - float(c @ p)) <= 1e-12 * abs(v)
-            assert v == float((ball.support @ coef) @ q)
-            assert same_bits(mean_w, ball.support.T @ q)
-    live = coefs.max(axis=1) > 1e-14
-    want = np.where(live, np.einsum("ij,ij->i", costs, P), 0.0)
-    assert np.allclose(worst_case_values(ball, coefs), want, rtol=1e-12, atol=0.0)
+        q, mean_w, v = worst_case_mean(ball, coef)
+        if coef.max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
+            assert same_bits(q, ball.empirical) and v == 0.0
+        else:
+            assert same_bits(q, p) and v == float(c @ p)
+        assert same_bits(mean_w, ball.support.T @ q)
+        want.append(v)
+    assert same_bits(worst_case_values(ball, coefs), want)
 
 
 # ---------------------------------------------------------------------------

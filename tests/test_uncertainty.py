@@ -13,14 +13,15 @@ import pytest
 
 from robustcut import streams, uncertainty
 from robustcut.gen import ellipsoid_for, gnp_instance, wasserstein_for
-from robustcut.instances import DomainError
+from robustcut.instances import (DICUT, MAXCUT, DomainError, cut_value, dicut_value,
+                                 term_coefficients)
 from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem, simplex_solve,
                                 sqrt_psd)
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
 from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank,
                            term_gram_coefficients)
-from robustcut.uncertainty import (_chord, box_spec, dual_polyhedral_value,
+from robustcut.uncertainty import (_chord, _worst_block, box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, require_valid, sample_feasible,
                                    singleton_spec, spec_to_json, validate_set,
@@ -318,9 +319,45 @@ def test_worst_case_values_match_scalar_oracle_row_by_row(name):
     got = worst_case_values(spec, C)
     want = [worst_case_weights(spec, c)[1] for c in C]
     assert got.shape == (40,)
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert same_bits(got, want)
     assert got[3] == want[3] == 0.0
     assert worst_case_values(spec, C[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+def test_block_rows_are_the_one_vector_oracle_bit_for_bit(kind):
+    # every row of a block carries the bits of the same vector scored alone:
+    # values, worst weights and, for a Wasserstein ball, the worst distribution
+    inst = gnp_instance(10, 0.5, 31, kind=kind)
+    rng = streams.stream(47, streams.TAG_GEN, 0)
+    sets = value_test_sets(inst.m, rng)
+    w0, q, a = _diag_ellipsoid(inst.m)
+    sets["ellipsoid_diagonal"] = ellipsoidal_spec(w0, np.diag(q), a)
+    # a random block with an all-zero row, an entry of -1e-10 and a row of
+    # 1e-15, and the term coefficients of random cuts
+    C = rng.uniform(0.0, 1.0, size=(24, inst.m)) * (rng.random((24, inst.m)) < 0.6)
+    C[3] = 0.0
+    C[7, 2] = -1e-10
+    C[11] = 1e-15
+    blocks = (C, term_coefficients(inst, np.where(rng.random((64, inst.n)) < 0.5, 1, -1)))
+    for name, spec in sets.items():
+        for C in blocks:
+            values, W, P = _worst_block(spec, np.clip(C, 0.0, None))
+            assert same_bits(worst_case_values(spec, C), values)
+            for r, c in enumerate(C):
+                w, v = worst_case_weights(spec, c)
+                assert same_bits(values[r], v), (name, r)
+                if P is None:
+                    assert same_bits(W[r], w), (name, r)
+                    continue
+                p, mean_w, v_mean = worst_case_mean(spec, c)
+                assert same_bits(P[r], p) and same_bits(v_mean, v) and same_bits(mean_w, w)
+    # a singleton's block values are cut_value's or dicut_value's bits
+    w = rng.uniform(0.5, 1.5, inst.m)
+    Y = np.where(rng.random((128, inst.n)) < 0.5, 1, -1)
+    value_of = dicut_value if kind == DICUT else cut_value
+    got = worst_case_values(singleton_spec(w), term_coefficients(inst, Y))
+    assert same_bits(got, [value_of(inst, y, w) for y in Y])
 
 
 def test_worst_case_values_rejects_bad_blocks():
@@ -1060,11 +1097,10 @@ def test_wasserstein_closed_form_matches_transport_lp(name):
         if c.max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
             assert same_bits(p, spec.empirical) and v == v_block == 0.0
             continue
-        costs = spec.support @ c
+        costs = np.array([s @ c for s in spec.support])  # one dot per atom
         p_lp, v_lp = transport_lp(spec, costs)
         assert abs(v - v_lp) <= 1e-12 * abs(v_lp)
-        assert abs(v_block - v_lp) <= 1e-12 * abs(v_lp)
-        assert v == float(costs @ p)
+        assert same_bits(v, v_block) and v == float(costs @ p)
         assert same_bits(mean_w, spec.support.T @ p)
         assert np.allclose(p, p_lp, rtol=0.0, atol=1e-12)
 
@@ -1084,9 +1120,10 @@ def test_wasserstein_subnormal_distances():
 
 
 def dense_ellipsoid_worst(w0, Q, a, coef):
-    """The dense route of the ellipsoid oracle, with Q @ coef."""
+    """The dense route of the ellipsoid oracle: Q @ coef as one dot per row
+    of Q."""
     coef = np.clip(coef, 0.0, None)
-    q = Q @ coef
+    q = np.array([row @ coef for row in Q])
     w = w0 - np.sqrt(a) * q / float(np.sqrt(coef @ q))
     return w, float(coef @ w)
 
@@ -1110,14 +1147,10 @@ def test_diagonal_q_matches_dense_route_bit_for_bit():
         w, v = worst_case_weights(spec, c)
         w_d, v_d = dense_ellipsoid_worst(w0, Q, a, c)
         assert same_bits(w, w_d) and same_bits(v, v_d)
-    # block values: the dense block product C @ Q.T
+    # block values: the dense route row by row, 0 for a zero row
     C = np.clip(rng.uniform(0.0, 1.0, (16, 7)) * (rng.random((16, 7)) < 0.7), 0.0, None)
     C[0] = 0.0
-    live = C.max(axis=1) > 1e-14
-    qC = C[live] @ Q.T
-    W = w0 - np.sqrt(a) * qC / np.sqrt(np.einsum("ij,ij->i", C[live], qC))[:, None]
-    want = np.zeros(16)
-    want[live] = np.einsum("ij,ij->i", C[live], W)
+    want = [dense_ellipsoid_worst(w0, Q, a, c)[1] if c.max() > 1e-14 else 0.0 for c in C]
     assert same_bits(worst_case_values(spec, C), want)
     # sampling: the dense root from the eigendecomposition
     rng_a, rng_b = (streams.stream(83, streams.TAG_GEN, 0) for _ in range(2))
