@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-low", type=_finite(), default=0.5, dest="w_low")
     p.add_argument("--w-high", type=_finite(), default=1.5, dest="w_high")
     p.add_argument("--width", type=non_negative, default=0.2, help="box half-width factor")
-    p.add_argument("--spread", type=float, default=0.5, help="ellipsoid semi-axis factor")
+    p.add_argument("--spread", type=_finite(" in (0, 1]", lambda v: 0.0 < v <= 1.0),
+                   default=0.5, help="ellipsoid semi-axis factor")
     p.add_argument("--scenarios", type=_at_least_one, default=3)
     p.add_argument("--radius", type=non_negative, default=0.5)
     p.add_argument("--seed", type=_at_least_zero, default=0)

@@ -282,9 +282,12 @@ def _integer(value, where: str) -> int:
 
 def _finite_weight(value, where: str) -> float:
     """`value` as a float; a ParseError naming `where` unless it is a finite
-    number (JSON text and float() both accept NaN and Infinity)."""
+    number (JSON text and float() both accept NaN and Infinity; an integer
+    too large for a float reads as inf)."""
     try:
         w = float(value)
+    except OverflowError:
+        w = math.inf
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: weight is not a number ({value!r})") from exc
     if not math.isfinite(w):

@@ -9,7 +9,6 @@ fixed input (no randomized pivoting, Bland's rule throughout).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -105,26 +104,6 @@ def _check_cost(c, n: int) -> np.ndarray:
     if c.shape != (n,):
         raise ValueError(f"c: expected shape ({n},), got {c.shape}")
     return c
-
-
-@dataclass
-class LpProblem:
-    """min c.x  s.t.  A x (>=|<=|=) b  componentwise per `senses`, x >= lb.
-
-    Lower bounds default to zero; upper bounds, if needed, are expressed as
-    rows so that every constraint carries an exact dual multiplier.
-    """
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    senses: Sequence[str]
-    lb: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.A, self.b, self.senses, self.lb = _check_region(self.A, self.b,
-                                                             self.senses, self.lb)
-        self.c = _check_cost(self.c, self.A.shape[1])
 
 
 @dataclass
@@ -307,15 +286,20 @@ class FeasibleTableau:
         return LpResult(x=x, value=value, dual=dual, iterations=pivots)
 
 
-def simplex_solve(lp: LpProblem, tol: float = 1e-9) -> LpResult:
-    """Solve an :class:`LpProblem` by the dense two-phase simplex method.
+def simplex_solve(c, A, b, senses, lb=None, tol: float = 1e-9) -> LpResult:
+    """min c.x  s.t.  A x (>=|<=|=) b  componentwise per `senses`, x >= lb,
+    by the dense two-phase simplex method.
 
-    One-shot use of :class:`FeasibleTableau`: phase 1 for the problem's
-    region, then phase 2 for its cost vector.  ``iterations`` counts the
-    pivots of both phases.  Strong duality holds to machine precision at the
-    returned point.
+    Lower bounds default to zero; upper bounds, if needed, are expressed as
+    rows so that every constraint carries an exact dual multiplier.  One-shot
+    use of :class:`FeasibleTableau`: phase 1 for the region, then phase 2 for
+    the cost vector, which is checked before phase 1 runs.  ``iterations``
+    counts the pivots of both phases.  Strong duality holds to machine
+    precision at the returned point.
     """
-    tableau = FeasibleTableau(lp.A, lp.b, lp.senses, lp.lb, tol)
-    res = tableau.solve(lp.c)
+    A, b, senses, lb = _check_region(A, b, senses, lb)
+    c = _check_cost(c, A.shape[1])
+    tableau = FeasibleTableau(A, b, senses, lb, tol)
+    res = tableau.solve(c)
     res.iterations += tableau.phase1_pivots
     return res

@@ -33,7 +33,6 @@ from .robust import SaddleSolution, inner_worst
 from .rounding import (ALLEQUAL_COEF, APPROX_RATIO_DICUT, APPROX_RATIO_MAXCUT,
                        assignment_prob, expected_rounded_value, oriented_cut,
                        rounding_draws)
-from .sdp import GramFactor
 from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
                           sample_feasible, worst_case_values,
                           worst_case_weights)
@@ -91,13 +90,13 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     return OracleResult(best=y, worst=w, value=value, enumerated=count)
 
 
-def mc_expected_cut(inst: Instance, factor: GramFactor, w, trials: int,
+def mc_expected_cut(inst: Instance, U: np.ndarray, w, trials: int,
                     seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the rounded cut value over
     `trials` hyperplane draws (trial t = row t of the seeded draw block)."""
     if inst.kind == ALLEQUAL:
         raise DomainError(f"mc_expected_cut: instance kind is {inst.kind}")
-    U = np.asarray(factor.U, dtype=float)
+    U = np.asarray(U, dtype=float)
     w = np.asarray(w, dtype=float)
     rng = streams.stream(seed, streams.TAG_MC, 1)
     vals = np.empty(trials)

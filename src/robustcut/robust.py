@@ -37,7 +37,7 @@ import numpy as np
 
 from . import streams
 from .instances import DomainError, Instance
-from .sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+from .sdp import (SolveReport, default_rank, objective_gradient,
                   relaxed_value, solve_elliptope_max, stacked_ascent,
                   term_gram_coefficients, _random_unit_columns)
 from .uncertainty import (ELLIPSOIDAL, POLYHEDRAL, SINGLETON, WASSERSTEIN,
@@ -56,7 +56,7 @@ class SolverConfig:
 
 @dataclass
 class SaddleSolution:
-    factor: GramFactor
+    factor: np.ndarray                      # unit-column factor U, (rank, ncols)
     worst: np.ndarray                       # worst-case weights (mean weights for DRO)
     value: float                            # exact inner value at `factor`
     report: SolveReport                     # also: restarts run, winning restart
@@ -123,7 +123,7 @@ def _restart(inst: Instance, cfg: SolverConfig, respond, U: np.ndarray):
             w, phi, extra = w2, phi2, extra2
             hist.append(best[0])
             continue
-        G = objective_gradient(inst, GramFactor(U), w)
+        G = objective_gradient(inst, U, w)
         gn = float(np.linalg.norm(G))
         if gn == 0.0:
             converged = True
@@ -172,8 +172,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
     restarts = max(1, cfg.restarts)
 
     def respond(U: np.ndarray):
-        fac = GramFactor(U)
-        return _best_response(spec, np.clip(term_gram_coefficients(inst, fac), 0.0, None))
+        return _best_response(spec, np.clip(term_gram_coefficients(inst, U), 0.0, None))
 
     runs = {}      # restart -> its generator
     asks = {}      # restart -> the polish it waits for
@@ -223,7 +222,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
     assert best is not None and best_report is not None
     best_report.restarts = last + 1
     phi, U, w, extra = best
-    return SaddleSolution(factor=GramFactor(U), worst=w, value=phi,
+    return SaddleSolution(factor=U, worst=w, value=phi,
                           report=best_report, worst_dist=extra)
 
 
@@ -231,10 +230,11 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                  cfg: SolverConfig | None = None) -> SaddleSolution:
     """Solve the relaxed robust problem  max_U min_{w in set} relaxed value.
 
-    Singleton sets reduce to the nominal elliptope solve; every other kind,
-    Wasserstein balls included (the :func:`solve_dro` counterpart), runs the
-    saddle loop.  The returned ``value`` always equals the exact inner
-    minimum at the returned factor.
+    Singleton sets reduce to the nominal elliptope solve; every other kind
+    runs the saddle loop.  A Wasserstein ball gives the distributionally
+    robust counterpart: ``worst`` is the worst distribution's mean weight
+    vector and ``worst_dist`` the distribution.  The returned ``value``
+    always equals the exact inner minimum at the returned factor.
     """
     cfg = cfg or SolverConfig()
     require_valid(spec, inst)
@@ -249,48 +249,32 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
     return _saddle_loop(inst, cfg, spec)
 
 
-def solve_dro(inst: Instance, spec: UncertaintySpec,
-              cfg: SolverConfig | None = None) -> SaddleSolution:
-    """Distributionally robust counterpart over a Wasserstein ball.
-
-    The adversary picks a distribution on the finite support; independence of
-    the rounding randomness makes only the mean weight vector matter, so the
-    loop plays against :func:`uncertainty.worst_case_mean`.  ``worst`` is the
-    worst mean weight vector, ``worst_dist`` the minimizing distribution.
-    """
-    cfg = cfg or SolverConfig()
-    require_valid(spec, inst)
-    if spec.kind != WASSERSTEIN:
-        raise DomainError(f"solve_dro: expected a wasserstein spec, got {spec.kind}")
-    return _saddle_loop(inst, cfg, spec)
-
-
 # ---------------------------------------------------------------------------
 # reformulated values (independent evaluation routes at a fixed factor)
 # ---------------------------------------------------------------------------
 
 def dual_reformulated_value(inst: Instance, spec: UncertaintySpec,
-                            factor: GramFactor) -> float:
+                            U: np.ndarray) -> float:
     """Inner worst-case value at a fixed factor through the LP dual route."""
     if spec.kind != POLYHEDRAL:
         raise DomainError(f"dual_reformulated_value: set kind is {spec.kind}")
-    coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
+    coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
     return dual_polyhedral_value(spec, coef)
 
 
 def ellipsoid_reformulated_value(inst: Instance, spec: UncertaintySpec,
-                                 factor: GramFactor) -> float:
+                                 U: np.ndarray) -> float:
     """Inner worst-case value at a fixed factor for an ellipsoid, evaluated as
     coef.w0 - sqrt(a) ||Q^{1/2} coef|| (norm route, independent of the
     closed-form minimizer)."""
     if spec.kind != ELLIPSOIDAL:
         raise DomainError(f"ellipsoid_reformulated_value: set kind is {spec.kind}")
-    coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
+    coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
     return float(coef @ spec.w0 - np.sqrt(spec.a) * ellipsoid_root_norm(spec, coef))
 
 
 def inner_worst(inst: Instance, spec: UncertaintySpec,
-                factor: GramFactor) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+                U: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
     """Exact inner minimization at a fixed factor: (worst weights, value,
     worst distribution or None)."""
-    return _best_response(spec, np.clip(term_gram_coefficients(inst, factor), 0.0, None))
+    return _best_response(spec, np.clip(term_gram_coefficients(inst, U), 0.0, None))

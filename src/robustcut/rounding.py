@@ -27,7 +27,7 @@ from . import streams
 from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
                         term_coefficients)
 from .numerics import NumericError
-from .sdp import GramFactor, _check_factor
+from .sdp import _check_factor
 
 APPROX_RATIO_MAXCUT = 0.878
 APPROX_RATIO_DICUT = 0.796
@@ -35,24 +35,19 @@ ALLEQUAL_COEF = 0.88
 CROSSOVER_GAMMA = 0.84458  # above this relative cut size the h-based bound wins
 
 
-@dataclass
-class RoundConfig:
-    seed: int = 0
-    trials: int = 1
-
-
 # ---------------------------------------------------------------------------
 # hyperplane rounding
 # ---------------------------------------------------------------------------
 
-def hyperplane_round(factor: GramFactor, cfg: RoundConfig, trial: int = 0) -> np.ndarray:
-    """One rounding draw: signs of the columns against a uniform hyperplane.
+def hyperplane_round(U: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
+    """One rounding draw: signs of the columns of the factor U against a
+    uniform hyperplane.
 
     Trial t of a seed uses the dedicated stream (seed, ROUND, t); ties
     (u_i . r == 0) resolve to +1.
     """
-    U = np.asarray(factor.U, dtype=float)
-    rng = streams.stream(cfg.seed, streams.TAG_ROUND, trial)
+    U = np.asarray(U, dtype=float)
+    rng = streams.stream(seed, streams.TAG_ROUND, trial)
     r = rng.standard_normal(U.shape[0])
     nrm = np.linalg.norm(r)
     if nrm > 0.0:
@@ -68,29 +63,26 @@ def oriented_cut(inst: Instance, S: np.ndarray) -> np.ndarray:
     return S[..., 1:] * S[..., :1] if inst.reference else S
 
 
-def round_cut(inst: Instance, factor: GramFactor, cfg: RoundConfig,
-              trial: int = 0) -> np.ndarray:
+def round_cut(inst: Instance, U: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
     """Round a factor to a +-1 vector for the instance's vertices, oriented
     by :func:`oriented_cut`."""
     if inst.kind == ALLEQUAL:
         raise DomainError("round_cut: allequal uses sign_round_psd + allequal_round")
-    return oriented_cut(inst, hyperplane_round(factor, cfg, trial))
+    return oriented_cut(inst, hyperplane_round(U, seed, trial))
 
 
-def rounding_draws(inst: Instance, factor: GramFactor, w, seed: int,
+def rounding_draws(inst: Instance, U: np.ndarray, w, seed: int,
                    trials: int) -> tuple[list[np.ndarray], list[float], Optional[np.ndarray]]:
     """The first `trials` rounding draws of a seed: each draw's cut or
     assignment, its value ``term_coefficients(inst, x) @ w``, and the
     all-equal seed vector z (None for the graph kinds), sign-rounded against
     ``allequal_quadratic_matrix(inst, w)`` with at least max(8, trials) draws."""
-    cfg = RoundConfig(seed=seed, trials=trials)
     if inst.kind == ALLEQUAL:
-        z = sign_round_psd(allequal_quadratic_matrix(inst, w), factor,
-                           RoundConfig(seed=seed, trials=max(8, trials)))
-        cuts = [allequal_round(z, inst.arity, cfg, trial=t) for t in range(trials)]
+        z = sign_round_psd(allequal_quadratic_matrix(inst, w), U, seed, max(8, trials))
+        cuts = [allequal_round(z, inst.arity, seed, trial=t) for t in range(trials)]
     else:
         z = None
-        cuts = [round_cut(inst, factor, cfg, trial=t) for t in range(trials)]
+        cuts = [round_cut(inst, U, seed, trial=t) for t in range(trials)]
     return cuts, [float(term_coefficients(inst, x) @ w) for x in cuts], z
 
 
@@ -104,18 +96,18 @@ def _pair_dots(inst: Instance, U: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("ri,ri->i", U[:, i + off], U[:, j + off]), -1.0, 1.0)
 
 
-def expected_cut_exact(inst: Instance, factor: GramFactor, w) -> float:
+def expected_cut_exact(inst: Instance, U: np.ndarray, w) -> float:
     """Exact expected cut weight of hyperplane rounding:
     sum_e w_e arccos(u_i . u_j) / pi.  Signed weights are allowed (the
     formula is linear in w)."""
     if inst.kind != MAXCUT:
         raise DomainError(f"expected_cut_exact: instance kind is {inst.kind}")
-    U = _check_factor(inst, factor)
+    U = _check_factor(inst, U)
     w = np.asarray(w, dtype=float)
     return float(w @ (np.arccos(_pair_dots(inst, U)) / math.pi))
 
 
-def expected_dicut_exact(inst: Instance, factor: GramFactor, w) -> float:
+def expected_dicut_exact(inst: Instance, U: np.ndarray, w) -> float:
     """Exact expected directed-cut weight of reference-oriented rounding.
 
     Arc i -> j is cut when i agrees with the reference and j does not:
@@ -123,7 +115,7 @@ def expected_dicut_exact(inst: Instance, factor: GramFactor, w) -> float:
     """
     if inst.kind != DICUT:
         raise DomainError(f"expected_dicut_exact: instance kind is {inst.kind}")
-    U = _check_factor(inst, factor)
+    U = _check_factor(inst, U)
     w = np.asarray(w, dtype=float)
     i, j = inst.endpoints()
     u0 = U[:, 0]
@@ -148,15 +140,15 @@ def expected_allequal_exact(inst: Instance, z: np.ndarray, w) -> float:
     return float(w @ (np.prod(q, axis=1) + np.prod(1.0 - q, axis=1)))
 
 
-def expected_rounded_value(inst: Instance, factor: GramFactor,
+def expected_rounded_value(inst: Instance, U: np.ndarray,
                            z: Optional[np.ndarray], w) -> float:
     """Exact expected value at w of the draws :func:`rounding_draws` makes,
     given its seed vector z (used for all-equal only)."""
     if inst.kind == ALLEQUAL:
         return expected_allequal_exact(inst, z, w)
     if inst.kind == MAXCUT:
-        return expected_cut_exact(inst, factor, w)
-    return expected_dicut_exact(inst, factor, w)
+        return expected_cut_exact(inst, U, w)
+    return expected_dicut_exact(inst, U, w)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +258,15 @@ def uniform_arc_indicator(u0: np.ndarray, ui: np.ndarray, uj: np.ndarray,
     return ((s0 == si) & (sj != s0)).astype(float)
 
 
-def dicut_biased_ratio_search(u0: np.ndarray, pairs: np.ndarray, cfg: RoundConfig,
+def dicut_biased_ratio_search(u0: np.ndarray, pairs: np.ndarray, seed: int,
+                              trials: int,
                               prob: Optional[Callable[..., np.ndarray]] = None,
                               ) -> RatioSearchResult:
     """Monte-Carlo minimum of  P(arc cut) / relaxation term  over a pair grid.
 
     ``prob`` is a pluggable per-draw indicator (defaults to the uniform
-    scheme); all pairs share one block of common draws, so for the uniform
+    scheme); all pairs share one block of max(1, `trials`) common draws from
+    stream (seed, MC, 0), so for the uniform
     scheme the minimum estimate sits within a few standard errors of the true
     directed-cut constant ~0.79607.
     """
@@ -282,8 +276,8 @@ def dicut_biased_ratio_search(u0: np.ndarray, pairs: np.ndarray, cfg: RoundConfi
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2 or pairs.shape[2] != u0.shape[0]:
         raise DomainError(f"pairs: expected shape (npairs, 2, {u0.shape[0]})")
-    T = max(1, cfg.trials)
-    rng = streams.stream(cfg.seed, streams.TAG_MC, 0)
+    T = max(1, trials)
+    rng = streams.stream(seed, streams.TAG_MC, 0)
     draws = rng.standard_normal((T, u0.shape[0]))
     best = RatioSearchResult(np.inf, 0.0, -1, 0.0, 0.0)
     for idx in range(pairs.shape[0]):
@@ -306,25 +300,26 @@ def dicut_biased_ratio_search(u0: np.ndarray, pairs: np.ndarray, cfg: RoundConfi
 # allequal pipeline pieces
 # ---------------------------------------------------------------------------
 
-def sign_round_psd(A: np.ndarray, factor: GramFactor, cfg: RoundConfig) -> np.ndarray:
+def sign_round_psd(A: np.ndarray, U: np.ndarray, seed: int, trials: int = 1) -> np.ndarray:
     """Sign vector z with  z^T A z >= (2/pi) <A, U^T U>  for PSD A.
 
-    The bound holds in expectation over hyperplane draws, so best-of-draws
-    reaches it quickly; draws continue past cfg.trials if needed, up to 100x,
-    after which a NumericError is raised (practically unreachable for PSD A).
+    The bound holds in expectation over hyperplane draws of the seed, so
+    best-of-draws reaches it quickly; draws continue past `trials` if needed,
+    up to 100x, after which a NumericError is raised (practically unreachable
+    for PSD A).
     """
     A = np.asarray(A, dtype=float)
-    U = np.asarray(factor.U, dtype=float)
+    U = np.asarray(U, dtype=float)
     n = U.shape[1]
     if A.shape != (n, n):
         raise DomainError(f"A: expected shape ({n}, {n}), got {A.shape}")
     target = (2.0 / math.pi) * float(np.sum(A * (U.T @ U)))
     scale = 1.0 + abs(target)
-    trials = max(1, cfg.trials)
+    trials = max(1, trials)
     best_z = None
     best_v = -np.inf
     for t in range(100 * trials):
-        z = hyperplane_round(factor, cfg, t).astype(float)
+        z = hyperplane_round(U, seed, t).astype(float)
         v = float(z @ A @ z)
         if v > best_v:
             best_v, best_z = v, z
@@ -341,7 +336,7 @@ def assignment_prob(z: np.ndarray, k: int) -> np.ndarray:
     return (1.0 + math.sqrt(2.0 / k) * np.asarray(z, dtype=float)) / 2.0
 
 
-def allequal_round(z: np.ndarray, k: int, cfg: RoundConfig, trial: int = 0) -> np.ndarray:
+def allequal_round(z: np.ndarray, k: int, seed: int, trial: int = 0) -> np.ndarray:
     """Biased assignment from a sign vector: x_i = +1 with probability
     :func:`assignment_prob`, from stream (seed, ASSIGN, trial) so that it is
     independent of the hyperplane draws behind z.  Deterministic (x = z) at
@@ -352,7 +347,7 @@ def allequal_round(z: np.ndarray, k: int, cfg: RoundConfig, trial: int = 0) -> n
     if k < 2:
         raise DomainError(f"allequal_round: arity {k} < 2")
     p_plus = assignment_prob(z, k)
-    rng = streams.stream(cfg.seed, streams.TAG_ASSIGN, trial)
+    rng = streams.stream(seed, streams.TAG_ASSIGN, trial)
     draws = rng.random(len(z))
     return np.where(draws < p_plus, 1, -1).astype(int)
 

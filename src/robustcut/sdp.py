@@ -58,22 +58,6 @@ from .instances import DomainError, Instance
 
 
 @dataclass
-class GramFactor:
-    """Unit-column factor U (shape rank x ncols), its columns laid out as
-    :attr:`instances.Instance.reference` says."""
-
-    U: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.U.shape[1]
-
-
-@dataclass
 class SolveReport:
     value: float
     iterations: int
@@ -89,15 +73,16 @@ def default_rank(ncols: int) -> int:
     return int(math.ceil(math.sqrt(2.0 * ncols))) + 1
 
 
-def _check_factor(inst: Instance, factor: GramFactor) -> np.ndarray:
-    U = np.asarray(factor.U, dtype=float)
+def _check_factor(inst: Instance, U) -> np.ndarray:
+    """The factor U as a float array of the instance's (rank, ncols) shape."""
+    U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != inst.ncols:
         raise DomainError(f"factor: expected {inst.ncols} columns for {inst.kind}, "
                           f"got shape {U.shape}")
     return U
 
 
-def term_gram_coefficients(inst: Instance, factor: GramFactor) -> np.ndarray:
+def term_gram_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
     """Per-term relaxation coefficients at a factor (the factor multiplying
     each weight in the relaxed objective); they reduce to
     :func:`instances.term_coefficients` at integral factors.  They are >= 0
@@ -105,16 +90,16 @@ def term_gram_coefficients(inst: Instance, factor: GramFactor) -> np.ndarray:
     (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and the callers in :mod:`robust`
     clip it at 0 (``_saddle_loop``, ``inner_worst`` and both reformulated
     values; ROADMAP item 1)."""
-    U = _check_factor(inst, factor)
+    U = _check_factor(inst, U)
     c0, term, a, b, beta = inst.pair_table
     dots = np.einsum("ri,ri->i", U[:, a], U[:, b])
     return c0 + np.bincount(term, beta * dots, minlength=inst.m)
 
 
-def relaxed_value(inst: Instance, factor: GramFactor, w: np.ndarray) -> float:
-    """Relaxation objective at (factor, w)."""
+def relaxed_value(inst: Instance, U: np.ndarray, w: np.ndarray) -> float:
+    """Relaxation objective at (U, w)."""
     w = np.asarray(w, dtype=float)
-    return float(term_gram_coefficients(inst, factor) @ w)
+    return float(term_gram_coefficients(inst, U) @ w)
 
 
 def _weight_matrix(inst: Instance, w: np.ndarray) -> np.ndarray:
@@ -133,9 +118,9 @@ def _check_weights(inst: Instance, w) -> np.ndarray:
     return w
 
 
-def objective_gradient(inst: Instance, factor: GramFactor, w: np.ndarray) -> np.ndarray:
+def objective_gradient(inst: Instance, U: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the relaxed objective in the factor columns."""
-    U = _check_factor(inst, factor)
+    U = _check_factor(inst, U)
     return U @ _weight_matrix(inst, _check_weights(inst, w))
 
 
@@ -275,42 +260,22 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
                         tol: float = 1e-9, max_iter: int = 2000,
-                        restarts: int = 3, seed: int = 0,
-                        start: GramFactor | None = None) -> tuple[GramFactor, SolveReport]:
+                        restarts: int = 3, seed: int = 0) -> tuple[np.ndarray, SolveReport]:
     """Maximize the relaxed objective over the elliptope at fixed weights.
 
-    Runs `restarts` seeded random starts (plus an optional warm start, which
-    counts as start 0) of block-coordinate ascent as one
-    :func:`stacked_ascent` and keeps the best, the earliest on ties; the
-    report names the starts run and the winning one.  Identical (instance, w,
-    seed, rank) inputs reproduce the factor bitwise.
+    Runs max(1, `restarts`) seeded random starts of block-coordinate ascent
+    as one :func:`stacked_ascent` and keeps the best factor U, the earliest
+    on ties; the report names the starts run and the winning one.  Identical
+    (instance, w, seed, rank) inputs reproduce U bitwise.  To ascend from a
+    given factor, call :func:`stacked_ascent` with a stack of one.
     """
     w = _check_weights(inst, w)
     ncols = inst.ncols
     if rank <= 0:
         rank = default_rank(ncols)
-
-    starts: list[np.ndarray] = []
-    if start is not None:
-        U0 = _check_factor(inst, start)
-        if U0.shape[0] != rank:
-            pad = np.zeros((rank, ncols))
-            r = min(rank, U0.shape[0])
-            pad[:r] = U0[:r]
-            nrm = np.linalg.norm(pad, axis=0)
-            dead = nrm == 0.0
-            if np.any(dead):  # column lost all mass in truncation
-                pad[0, dead] = 1.0
-                nrm[dead] = 1.0
-            U0 = pad / nrm
-        starts.append(U0)
-    for r in range(restarts):
-        rng = streams.stream(seed, streams.TAG_SOLVER_INIT, r)
-        starts.append(_random_unit_columns(rank, ncols, rng))
-    if not starts:
-        rng = streams.stream(seed, streams.TAG_SOLVER_INIT, 0)
-        starts.append(_random_unit_columns(rank, ncols, rng))
-
+    starts = [_random_unit_columns(rank, ncols,
+                                   streams.stream(seed, streams.TAG_SOLVER_INIT, r))
+              for r in range(max(1, restarts))]
     U, reports = stacked_ascent(inst, np.tile(w, (len(starts), 1)), np.stack(starts),
                                 tol, max_iter)
     best = 0
@@ -319,4 +284,4 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
             best = r
     report = reports[best]
     report.restart, report.restarts = best, len(starts)
-    return GramFactor(U[best].copy()), report
+    return U[best].copy(), report

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .instances import DomainError, Instance, ParseError, _frozen, read_text
-from .numerics import (FeasibleTableau, InfeasibleError, LpProblem, UnboundedError,
+from .numerics import (FeasibleTableau, InfeasibleError, UnboundedError,
                        simplex_solve, sqrt_psd, sqrt_psd_diagonal)
 
 SINGLETON = "singleton"
@@ -191,12 +191,6 @@ class UncertaintySpec:
         return set()
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
 def singleton_spec(weights) -> UncertaintySpec:
     return UncertaintySpec(SINGLETON, weights=weights)
 
@@ -233,8 +227,9 @@ def wasserstein_spec(support, empirical, radius, metric="l1") -> UncertaintySpec
 # ---------------------------------------------------------------------------
 
 def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
-                 m: int | None = None) -> ValidationReport:
-    """Check structural and domain invariants; returns every violation found.
+                 m: int | None = None) -> list[str]:
+    """Check structural and domain invariants; returns every violation found,
+    so an empty list means the set is valid.
 
     After a clean validation each set kind is a nonempty, bounded subset of
     the nonnegative orthant (distributions, for wasserstein).  A defining
@@ -245,11 +240,11 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
     if m is None and inst is not None:
         m = inst.m
     if spec.kind not in SET_KINDS:
-        return ValidationReport(False, [f"kind: unknown set kind {spec.kind!r}"])
+        return [f"kind: unknown set kind {spec.kind!r}"]
     v = [bad for bad in (_field_error(name, np.asarray(getattr(spec, name)), form)
                          for name, form in _FIELDS[spec.kind]) if bad]
     if v:
-        return ValidationReport(False, v)
+        return v
     dim = spec.dim()
     if m is not None and dim != m:
         v.append(f"dim: set dimension {dim} != instance term count {m}")
@@ -324,7 +319,7 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
                 v.append("metric: must be nonnegative with zero diagonal")
             if np.max(np.abs(spec.metric - spec.metric.T)) > 1e-12:
                 v.append("metric: not symmetric")
-    return ValidationReport(not v, v)
+    return v
 
 
 def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
@@ -335,9 +330,9 @@ def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
         m = inst.m
     if m in spec._validated:
         return
-    rep = validate_set(spec, m=m)
-    if not rep.ok:
-        raise DomainError("invalid uncertainty set: " + "; ".join(rep.violations))
+    violations = validate_set(spec, m=m)
+    if violations:
+        raise DomainError("invalid uncertainty set: " + "; ".join(violations))
     spec._validated.add(m)
 
 
@@ -517,7 +512,7 @@ def dual_polyhedral_value(spec: UncertaintySpec, coef) -> float:
     if spec.kind != POLYHEDRAL:
         raise DomainError(f"dual_polyhedral_value: set kind is {spec.kind}")
     coef = _check_coef(spec, coef)
-    res = simplex_solve(LpProblem(-spec.b, spec.A.T, coef, ["<="] * spec.dim()))
+    res = simplex_solve(-spec.b, spec.A.T, coef, ["<="] * spec.dim())
     return -res.value
 
 
@@ -626,7 +621,7 @@ def _numbers(d: dict, key: str, form: str) -> np.ndarray:
     Infinity)."""
     try:
         arr = np.asarray(d[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{key}: expected numbers ({exc})") from exc
     bad = _field_error(key, arr, form)
     if bad:

@@ -20,13 +20,11 @@ from robustcut.oracle import (brute_force_robust, guarantee_ratio,
                               mc_allequal_value)
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               ellipsoid_reformulated_value, solve_robust)
-from robustcut.rounding import (RoundConfig, allequal_quadratic_matrix,
-                                alpha_ratio, dicut_biased_ratio_search,
-                                expected_cut_exact,
+from robustcut.rounding import (allequal_quadratic_matrix, alpha_ratio,
+                                dicut_biased_ratio_search, expected_cut_exact,
                                 feasible_pair_grid, large_cut_ratio,
                                 negative_weight_bound, sign_round_psd)
-from robustcut.sdp import (GramFactor, solve_elliptope_max,
-                           term_gram_coefficients)
+from robustcut.sdp import solve_elliptope_max, term_gram_coefficients
 from robustcut.uncertainty import (WASSERSTEIN, dual_polyhedral_value,
                                    sample_feasible, worst_case_mean,
                                    worst_case_weights)
@@ -44,10 +42,9 @@ def report(capfd, criterion, passed, detail, budget, elapsed):
     assert elapsed < budget, line
 
 
-def rounding_prob_coef(inst, factor):
+def rounding_prob_coef(inst, U):
     """Per-edge cut probabilities arccos(u_i . u_j)/pi of hyperplane rounding."""
     i, j = inst.endpoints()
-    U = np.asarray(factor.U)
     d = np.clip(np.einsum("ri,ri->i", U[:, i], U[:, j]), -1.0, 1.0)
     return np.arccos(d) / math.pi
 
@@ -155,19 +152,18 @@ def test_criterion_05_reformulation_agreement(capfd):
         inst = gen.gnp_instance(n, 0.7, 505 + case)
         U = rng.standard_normal((int(rng.integers(2, 5)), n))
         U /= np.linalg.norm(U, axis=0)
-        factor = GramFactor(U)
-        coef = term_gram_coefficients(inst, factor)
+        coef = term_gram_coefficients(inst, U)
         spec = gen.box_for(inst, 0.4)
         _, primal = worst_case_weights(spec, coef)
         dual = dual_polyhedral_value(spec, coef)
-        reform = dual_reformulated_value(inst, spec, factor)
+        reform = dual_reformulated_value(inst, spec, U)
         worst_poly = max(worst_poly, abs(primal - dual), abs(primal - reform))
         espec = gen.ellipsoid_for(inst, 0.5, seed=case)
         wstar, ev = worst_case_weights(espec, coef)
         closed = float(coef @ espec.w0) - math.sqrt(espec.a) * float(
             np.linalg.norm(np.linalg.cholesky(espec.Q).T @ coef))
         worst_ell = max(worst_ell, abs(ev - closed),
-                        abs(ev - ellipsoid_reformulated_value(inst, espec, factor)))
+                        abs(ev - ellipsoid_reformulated_value(inst, espec, U)))
         if np.linalg.norm(coef) > 1e-9:  # boundary-active whenever coef != 0
             d = wstar - espec.w0
             worst_bnd = max(worst_bnd,
@@ -205,7 +201,7 @@ def test_criterion_07_directed_cut_bounds(capfd):
     rhs = 0.796 * (1.0 + a + b + c) / 4.0
     pointwise_viol = int(np.sum(lhs < rhs - 1e-9))
     u0, pairs = feasible_pair_grid(1000, seed=2027)
-    res = dicut_biased_ratio_search(u0, pairs, RoundConfig(seed=2028, trials=20000))
+    res = dicut_biased_ratio_search(u0, pairs, seed=2028, trials=20000)
     floor = 0.796 - 3.0 * res.stderr
     passed = pointwise_viol == 0 and res.ratio >= floor
     report(capfd, "7 directed-cut bounds", passed,
@@ -224,7 +220,7 @@ def test_criterion_08_allequal_pipeline(capfd):
         A = B @ B.T
         U = rng.standard_normal((int(rng.integers(2, 5)), n))
         U /= np.linalg.norm(U, axis=0)
-        z = sign_round_psd(A, GramFactor(U), RoundConfig(seed=case, trials=4))
+        z = sign_round_psd(A, U, seed=case, trials=4)
         target = (2.0 / math.pi) * float(np.sum(A * (U.T @ U)))
         if float(z @ A @ z) < target - 1e-9 * (1.0 + abs(target)):
             psd_viol += 1
@@ -237,7 +233,7 @@ def test_criterion_08_allequal_pipeline(capfd):
             sol = solve_robust(inst, spec, SolverConfig(seed=seed))
             bf = brute_force_robust(inst, spec)
             A = allequal_quadratic_matrix(inst, sol.worst)
-            z = sign_round_psd(A, sol.factor, RoundConfig(seed=seed, trials=32))
+            z = sign_round_psd(A, sol.factor, seed=seed, trials=32)
             mean, se = mc_allequal_value(inst, z, sol.worst, trials=20000,
                                          seed=seed)
             if mean < guarantee_ratio(inst) * bf.value - 3.0 * se:

@@ -104,6 +104,11 @@ def test_gen_all_spec_kinds_load(tmp_path, cycle5):
     (["--kind", "cycle", "--n", "0"], "--n"),
     (["--spec", "wasserstein", "--scenarios", "-1"], "--scenarios"),
     (["--spec", "wasserstein", "--scenarios", "0"], "--scenarios"),
+    (["--spec", "ellipsoid", "--spread", "0"], "--spread"),
+    (["--spec", "ellipsoid", "--spread", "-1"], "--spread"),
+    (["--spec", "ellipsoid", "--spread", "nan"], "--spread"),
+    (["--spec", "ellipsoid", "--spread", "inf"], "--spread"),
+    (["--spec", "ellipsoid", "--spread", "2"], "--spread"),
 ])
 def test_gen_rejects_out_of_range_flags(tmp_path, capsys, cycle5, args, flag):
     # each of these used to write a file the loader rejects, or end in a
@@ -238,6 +243,28 @@ def test_solve_rejects_nan_edge_weight(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "edges[0]" in err and "Traceback" not in err
     assert out == ""
+
+
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("instance, spec, field", [
+    ({"kind": "maxcut", "n": 3, "edges": [[1, 2, HUGE], [2, 3, 1.0]]}, None, "edges[0]"),
+    ({"kind": "allequal", "n": 3, "clauses": [{"literals": [1, 2], "weight": HUGE}]}, None,
+     "clauses[0].weight"),
+    (None, {"kind": "ellipsoidal", "w0": [1.0, 1.0], "Q": [[0.1, 0], [0, 0.1]], "a": HUGE},
+     "a"),
+    (None, {"kind": "singleton", "weights": [1.0, HUGE]}, "weights"),
+])
+def test_integers_too_large_for_a_float_are_named(tmp_path, capsys, instance, spec, field):
+    inst = write_json(tmp_path / "inst.json", instance or {
+        "kind": "maxcut", "n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
+    args = ["--spec", write_json(tmp_path / "spec.json", spec)] if spec else []
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", inst, *args, "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture()

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.numerics import (FeasibleTableau, InfeasibleError,
-                                LpProblem, NumericError, UnboundedError,
-                                _pivot, simplex_solve, sqrt_psd)
+from robustcut.numerics import (FeasibleTableau, InfeasibleError, NumericError,
+                                UnboundedError, _pivot, simplex_solve, sqrt_psd)
 
 
 def vertex_enum_min(c, A, b, senses):
@@ -75,9 +74,8 @@ def test_sqrt_psd_rejects_negative_eigenvalue():
 
 def test_lp_hand_example():
     # min x1 + x2  s.t.  x1 + 2 x2 >= 2, x >= 0  ->  value 1 at (0, 1)
-    lp = LpProblem(c=np.array([1.0, 1.0]), A=np.array([[1.0, 2.0]]),
-                   b=np.array([2.0]), senses=(">=",))
-    res = simplex_solve(lp)
+    res = simplex_solve(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([2.0]),
+                        (">=",))
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(res.x, [0.0, 1.0], atol=1e-10)
 
@@ -89,7 +87,7 @@ def test_lp_box_monotone():
     c = np.array([2.0, 1.0, 3.0])
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.concatenate([l, -u])
-    res = simplex_solve(LpProblem(c=c, A=A, b=b, senses=(">=",) * 6))
+    res = simplex_solve(c, A, b, (">=",) * 6)
     assert np.allclose(res.x, l, atol=1e-9)
     assert res.value == pytest.approx(c @ l)
 
@@ -98,28 +96,25 @@ def test_lp_infeasible():
     A = np.array([[1.0], [-1.0]])
     b = np.array([1.0, -0.0])  # w >= 1 and w <= 0
     with pytest.raises(InfeasibleError):
-        simplex_solve(LpProblem(c=np.array([1.0]), A=A, b=b, senses=(">=", ">=")))
+        simplex_solve(np.array([1.0]), A, b, (">=", ">="))
 
 
 def test_lp_unbounded():
-    lp = LpProblem(c=np.array([-1.0]), A=np.array([[1.0]]), b=np.array([0.0]),
-                   senses=(">=",))
     with pytest.raises(UnboundedError):
-        simplex_solve(lp)
+        simplex_solve(np.array([-1.0]), np.array([[1.0]]), np.array([0.0]), (">=",))
 
 
 def test_lp_equality_sense():
     # min x1 + 3 x2 s.t. x1 + x2 = 2 -> (2, 0)
-    lp = LpProblem(c=np.array([1.0, 3.0]), A=np.array([[1.0, 1.0]]),
-                   b=np.array([2.0]), senses=("=",))
-    res = simplex_solve(lp)
+    res = simplex_solve(np.array([1.0, 3.0]), np.array([[1.0, 1.0]]), np.array([2.0]),
+                        ("=",))
     assert res.value == pytest.approx(2.0)
     assert np.allclose(res.x, [2.0, 0.0], atol=1e-9)
 
 
 def random_bounded_lp(rng):
-    """Feasible-by-construction LP: box rows keep it bounded, extra random
-    >= rows pass through a known interior point."""
+    """Feasible-by-construction LP (c, A, b, senses): box rows keep it
+    bounded, extra random >= rows pass through a known interior point."""
     n = int(rng.integers(1, 5))
     x0 = rng.uniform(0.5, 1.5, size=n)
     rows, rhs, senses = [], [], []
@@ -135,27 +130,26 @@ def random_bounded_lp(rng):
         rhs.append(float(a @ x0 - rng.uniform(0.0, 1.0)))  # slack at x0
         senses.append(">=")
     c = rng.uniform(-1.0, 2.0, size=n)
-    return LpProblem(c=c, A=np.array(rows), b=np.array(rhs),
-                     senses=tuple(senses))
+    return c, np.array(rows), np.array(rhs), tuple(senses)
 
 
 def test_lp_matches_vertex_enumeration():
     rng = streams.stream(13, streams.TAG_GEN, 0)
     for _ in range(40):
         lp = random_bounded_lp(rng)
-        res = simplex_solve(lp)
-        ref, _ = vertex_enum_min(lp.c, lp.A, lp.b, lp.senses)
+        res = simplex_solve(*lp)
+        ref, _ = vertex_enum_min(*lp)
         assert res.value == pytest.approx(ref, abs=1e-8)
 
 
 def test_lp_strong_duality():
     rng = streams.stream(17, streams.TAG_GEN, 0)
     for _ in range(40):
-        lp = random_bounded_lp(rng)
-        res = simplex_solve(lp)
-        assert res.dual @ lp.b == pytest.approx(res.value, abs=1e-8)
+        _, _, b, senses = lp = random_bounded_lp(rng)
+        res = simplex_solve(*lp)
+        assert res.dual @ b == pytest.approx(res.value, abs=1e-8)
         # dual sign convention: >= rows yield y >= 0, <= rows y <= 0
-        for i, s in enumerate(lp.senses):
+        for i, s in enumerate(senses):
             if s == ">=":
                 assert res.dual[i] >= -1e-9
             elif s == "<=":
@@ -166,22 +160,25 @@ def test_lp_dual_feasibility():
     # reduced costs: c - A^T y >= 0 at optimum (x >= 0 problems)
     rng = streams.stream(19, streams.TAG_GEN, 0)
     for _ in range(25):
-        lp = random_bounded_lp(rng)
-        res = simplex_solve(lp)
-        reduced = lp.c - lp.A.T @ res.dual
+        c, A, _, _ = lp = random_bounded_lp(rng)
+        res = simplex_solve(*lp)
+        reduced = c - A.T @ res.dual
         assert np.all(reduced >= -1e-8)
 
 
 def test_lp_rejects_inconsistent_shapes():
-    with pytest.raises(ValueError):
-        LpProblem(c=np.array([1.0]), A=np.array([[1.0, 2.0]]),
-                  b=np.array([1.0]), senses=(">=",))
-    with pytest.raises(ValueError):
-        LpProblem(c=np.array([1.0, 2.0]), A=np.array([[1.0, 2.0]]),
-                  b=np.array([1.0]), senses=(">=", "<="))
-    with pytest.raises(ValueError):
-        LpProblem(c=np.array([1.0]), A=np.array([[1.0]]), b=np.array([1.0]),
-                  senses=("!!",))
+    with pytest.raises(ValueError, match="c: expected shape"):
+        simplex_solve(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]), (">=",))
+    with pytest.raises(ValueError, match="senses: expected 1 entries"):
+        simplex_solve(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]), np.array([1.0]),
+                      (">=", "<="))
+    with pytest.raises(ValueError, match="senses: unknown sense"):
+        simplex_solve(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), ("!!",))
+    # the cost is checked before phase 1: a bad cost on an empty region is
+    # a shape error, not an InfeasibleError
+    with pytest.raises(ValueError, match="c: expected shape"):
+        simplex_solve(np.array([1.0, 2.0]), np.array([[1.0], [-1.0]]),
+                      np.array([1.0, 0.0]), (">=", ">="))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def test_tableau_solve_is_bitwise_cold_simplex(region):
     rng = streams.stream(29, streams.TAG_GEN, 0)
     costs = [rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.7)
              for _ in range(15)] + [np.zeros(n)]
-    cold = [simplex_solve(LpProblem(c, A, b, senses)) for c in costs]
+    cold = [simplex_solve(c, A, b, senses) for c in costs]
     tableau = FeasibleTableau(A, b, senses)
     # shuffled and repeated, so state carried between solves would show
     for i in np.concatenate([rng.permutation(len(costs)), rng.permutation(len(costs))]):
@@ -267,7 +264,7 @@ def test_beale_cycling_example_terminates():
                   [0.0, 0.0, 1.0, 0.0]])
     b = np.array([0.0, 0.0, 1.0])
     senses = ("<=",) * 3
-    for res in (simplex_solve(LpProblem(c, A, b, senses)),
+    for res in (simplex_solve(c, A, b, senses),
                 FeasibleTableau(A, b, senses).solve(c)):
         assert res.value == pytest.approx(-1.25, abs=1e-12)
         assert np.allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)

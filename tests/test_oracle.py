@@ -18,10 +18,9 @@ from robustcut.oracle import (BRUTE_FORCE_LIMIT, OracleResult,
                               brute_force_robust, certify_sandwich,
                               guarantee_ratio, mc_allequal_value,
                               mc_expected_cut)
-from robustcut.robust import SolverConfig, solve_dro, solve_robust
+from robustcut.robust import SolverConfig, solve_robust
 from robustcut.rounding import (allequal_quadratic_matrix, expected_cut_exact,
                                 rounding_draws)
-from robustcut.sdp import GramFactor
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
                                    singleton_spec, wasserstein_spec,
                                    worst_case_values, worst_case_weights)
@@ -397,7 +396,7 @@ def test_brute_allequal_example():
 
 def test_mc_expected_cut_antipodal_edge():
     inst = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
-    factor = GramFactor(np.array([[1.0, -1.0], [0.0, 0.0]]))
+    factor = np.array([[1.0, -1.0], [0.0, 0.0]])
     mean, stderr = mc_expected_cut(inst, factor, [1.0], trials=500, seed=3)
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert stderr == pytest.approx(0.0, abs=1e-12)
@@ -405,7 +404,7 @@ def test_mc_expected_cut_antipodal_edge():
 
 def test_mc_expected_cut_orthogonal_edge():
     inst = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
-    factor = GramFactor(np.eye(2))
+    factor = np.eye(2)
     trials = 40000
     mean, stderr = mc_expected_cut(inst, factor, [1.0], trials=trials, seed=5)
     assert abs(mean - 0.5) <= 3.0 * max(stderr, 0.5 / math.sqrt(trials))
@@ -414,7 +413,7 @@ def test_mc_expected_cut_orthogonal_edge():
 def test_mc_expected_cut_pentagon():
     inst = graph_instance(5, MAXCUT, [(i, (i + 1) % 5, 1.0) for i in range(5)])
     ang = np.arange(5) * 4.0 * math.pi / 5.0
-    factor = GramFactor(np.vstack([np.cos(ang), np.sin(ang)]))
+    factor = np.vstack([np.cos(ang), np.sin(ang)])
     w = inst.nominal_weights()
     exact = expected_cut_exact(inst, factor, w)
     mean, stderr = mc_expected_cut(inst, factor, w, trials=60000, seed=7)
@@ -424,8 +423,7 @@ def test_mc_expected_cut_pentagon():
 def test_mc_expected_cut_dicut_always():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     U = np.array([[1.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
-    factor = GramFactor(U)
-    mean, stderr = mc_expected_cut(inst, factor, [1.0], trials=300, seed=1)
+    mean, stderr = mc_expected_cut(inst, U, [1.0], trials=300, seed=1)
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert stderr == 0.0
 
@@ -435,16 +433,15 @@ def test_mc_expected_cut_determinism_and_kind():
     rng = streams.stream(101, streams.TAG_GEN, 0)
     U = rng.standard_normal((3, 3))
     U /= np.linalg.norm(U, axis=0)
-    factor = GramFactor(U)
     w = inst.nominal_weights()
-    m1, _ = mc_expected_cut(inst, factor, w, trials=2000, seed=9)
-    m2, _ = mc_expected_cut(inst, factor, w, trials=2000, seed=9)
-    m3, _ = mc_expected_cut(inst, factor, w, trials=2000, seed=10)
+    m1, _ = mc_expected_cut(inst, U, w, trials=2000, seed=9)
+    m2, _ = mc_expected_cut(inst, U, w, trials=2000, seed=9)
+    m3, _ = mc_expected_cut(inst, U, w, trials=2000, seed=10)
     assert m1 == m2
     assert m1 != m3
     ae = allequal_instance(2, [([1, 2], 1.0)])
     with pytest.raises(DomainError, match="kind"):
-        mc_expected_cut(ae, factor, [1.0], trials=10, seed=0)
+        mc_expected_cut(ae, U, [1.0], trials=10, seed=0)
 
 
 def mean_and_stderr(vals):
@@ -473,7 +470,7 @@ def test_mc_expected_cut_matches_per_draw_loop(kind):
                             if y[i] == 1 and y[j] == -1))
         else:
             vals.append(sum(wt for i, j, wt in zip(*inst.endpoints(), w) if s[i] != s[j]))
-    got = mc_expected_cut(inst, GramFactor(U), w, trials=trials, seed=17)
+    got = mc_expected_cut(inst, U, w, trials=trials, seed=17)
     assert [x.hex() for x in got] == [x.hex() for x in mean_and_stderr(vals)]
 
 
@@ -555,7 +552,7 @@ def test_certify_wasserstein():
     inst = graph_instance(3, MAXCUT, [(0, 1, 1.0), (1, 2, 1.0)])
     sup = np.array([[1.0, 0.5], [0.5, 1.0]])
     spec = wasserstein_spec(sup, np.array([0.5, 0.5]), 0.25)
-    sol = solve_dro(inst, spec, SolverConfig(seed=4))
+    sol = solve_robust(inst, spec, SolverConfig(seed=4))
     rep = certify_sandwich(inst, spec, sol, seed=4)
     assert rep.ok
 

@@ -1,10 +1,17 @@
 """The package's public name list and its import hygiene."""
 
 import ast
+import importlib
+import inspect
 import pathlib
+
+import pytest
 
 import robustcut
 from robustcut.instances import KINDS
+from robustcut.sdp import solve_elliptope_max
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_star_import_resolves_every_export():
@@ -12,6 +19,36 @@ def test_star_import_resolves_every_export():
     exec("from robustcut import *", namespace)  # raises on a name that is gone
     assert len(set(robustcut.__all__)) == len(robustcut.__all__)
     assert all(name in namespace for name in robustcut.__all__)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("sdp", "GramFactor"), ("rounding", "RoundConfig"), ("numerics", "LpProblem"),
+    ("uncertainty", "ValidationReport"), ("robust", "solve_dro")])
+def test_removed_wrappers_stay_gone(module, name):
+    # a factor is a plain array, a seed an int, an LP its arrays, a
+    # validation its list of violations, and a Wasserstein ball goes
+    # through solve_robust
+    assert name not in robustcut.__all__ and not hasattr(robustcut, name)
+    assert not hasattr(importlib.import_module(f"robustcut.{module}"), name)
+
+
+def test_solve_elliptope_max_takes_no_warm_start():
+    # an ascent from a given factor is stacked_ascent with a stack of one
+    assert "start" not in inspect.signature(solve_elliptope_max).parameters
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark's layer tracer wraps still exists, so a
+    rename cannot silently blank a layer metric.  The tracer file is read,
+    not imported; rounding.best_of_roundings is a known stale target."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+    assert len(targets) > 20
+    missing = [f"{module}.{name}" for module, name, _ in targets
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert [m for m in missing if m != "robustcut.rounding.best_of_roundings"] == []
 
 
 def unused_imports(path):
@@ -36,8 +73,7 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    files = sorted((root / "src" / "robustcut").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    files = sorted((ROOT / "src" / "robustcut").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in unused_imports(path)] == []
 
@@ -45,8 +81,7 @@ def test_no_unused_imports():
 def test_only_instances_spells_an_instance_kind():
     """Other modules name a kind through instances.MAXCUT, DICUT or ALLEQUAL
     (and ask an Instance for its column layout), never by a string literal."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "robustcut"
-    files = sorted(src.glob("*.py"))
+    files = sorted((ROOT / "src" / "robustcut").glob("*.py"))
     assert len(files) > 5
     hits = [f"{path.name}:{node.lineno}: {node.value!r}"
             for path in files if path.name != "instances.py"

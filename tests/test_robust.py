@@ -12,8 +12,8 @@ from robustcut.instances import DICUT, MAXCUT, DomainError, graph_instance
 from robustcut.oracle import brute_force_robust
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               ellipsoid_reformulated_value, inner_worst,
-                              solve_dro, solve_robust)
-from robustcut.sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+                              solve_robust)
+from robustcut.sdp import (SolveReport, default_rank, objective_gradient,
                            solve_elliptope_max, stacked_ascent, term_gram_coefficients,
                            _random_unit_columns)
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
@@ -38,7 +38,7 @@ def two_scenario_hull():
 def random_unit_factor(rng, rank, ncols):
     U = rng.standard_normal((rank, ncols))
     U /= np.linalg.norm(U, axis=0)
-    return GramFactor(U)
+    return U
 
 
 def test_singleton_reduces_to_nominal():
@@ -93,7 +93,7 @@ def test_dro_large_radius_zero_point():
     sup = np.array([[0.0], [1.0]])
     emp = np.array([0.0, 1.0])
     spec = wasserstein_spec(sup, emp, 10.0)
-    sol = solve_dro(inst, spec, SolverConfig(seed=1))
+    sol = solve_robust(inst, spec, SolverConfig(seed=1))
     assert sol.value == pytest.approx(0.0, abs=1e-8)
     assert sol.worst_dist[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -105,7 +105,7 @@ def test_dro_bipartite_path_matches_brute_force():
     sup = np.array([[1.0, 0.5], [0.5, 1.0]])
     emp = np.array([0.5, 0.5])
     spec = wasserstein_spec(sup, emp, 0.3)
-    sol = solve_dro(inst, spec, SolverConfig(seed=4))
+    sol = solve_robust(inst, spec, SolverConfig(seed=4))
     bf = brute_force_robust(inst, spec)
     assert sol.value == pytest.approx(bf.value, abs=1e-4)
     assert sol.value >= bf.value - 1e-7
@@ -142,7 +142,7 @@ def test_dicut_robust_saddle():
     sol = solve_robust(inst, spec, SolverConfig(seed=6))
     bf = brute_force_robust(inst, spec)
     assert sol.value >= bf.value - 1e-6
-    assert sol.factor.ncols == inst.ncols == 5  # dicut factors carry the orientation column
+    assert sol.factor.shape[1] == inst.ncols == 5  # dicut factors carry the orientation column
 
 
 def test_monotone_in_set_size():
@@ -164,8 +164,6 @@ def test_invalid_spec_rejected():
     bad = polyhedral_spec(np.eye(3), np.zeros(3))  # unbounded
     with pytest.raises(DomainError):
         solve_robust(inst, bad, SolverConfig(seed=0))
-    with pytest.raises(DomainError):
-        solve_dro(inst, singleton_spec(inst.nominal_weights()), SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def test_dual_reformulated_simplex_at_all_equal_factor():
     A = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
     spec = polyhedral_spec(A, np.array([1.0, -1.0]))
     U = np.tile([[1.0], [0.0]], (1, 3))
-    assert dual_reformulated_value(inst, spec, GramFactor(U)) == \
+    assert dual_reformulated_value(inst, spec, U) == \
         pytest.approx(0.0, abs=1e-10)
 
 
@@ -238,7 +236,7 @@ def test_ellipsoid_reformulated_all_equal_factor_zero():
     inst = triangle()
     spec = ellipsoidal_spec(np.full(3, 2.0), np.eye(3), 1.0)
     U = np.tile([[1.0], [0.0]], (1, 3))
-    assert ellipsoid_reformulated_value(inst, spec, GramFactor(U)) == \
+    assert ellipsoid_reformulated_value(inst, spec, U) == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -347,10 +345,14 @@ def test_singleton_reports_its_restarts():
     _, fewer = solve_elliptope_max(inst, w0, restarts=2, max_iter=3000, seed=0)
     assert (fewer.restarts, fewer.restart) == (2, 1)
     assert fewer.value < sol.value
-    # a warm start counts as start 0; it starts at the optimum and wins
-    _, warm = solve_elliptope_max(inst, w0, restarts=3, max_iter=3000, seed=0,
-                                  start=sol.factor)
-    assert (warm.restarts, warm.restart) == (4, 0)
+    # an ascent from the optimum, stacked before the three seeded starts,
+    # stays there and is the earliest best of the four
+    starts = [sol.factor] + [_random_unit_columns(
+        default_rank(inst.ncols), inst.ncols, streams.stream(0, streams.TAG_SOLVER_INIT, r))
+        for r in range(3)]
+    _, warm = stacked_ascent(inst, np.tile(w0, (4, 1)), np.stack(starts), max_iter=3000)
+    values = [rep.value for rep in warm]
+    assert (len(warm), values.index(max(values))) == (4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +386,17 @@ def test_residual_before_the_stall_window_fills_is_the_change_so_far():
 
 def sequential_saddle_loop(inst, cfg, spec):
     """The saddle loop with its restarts run one after the other and every
-    polish its own solve_elliptope_max call: the reference for
+    polish its own stacked ascent of one: the reference for
     robust._saddle_loop, which runs the restarts in lockstep."""
     ncols = inst.ncols
     rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
 
     def respond(U):
-        coef = np.clip(term_gram_coefficients(inst, GramFactor(U)), 0.0, None)
+        coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
         return robust._best_response(spec, coef)
 
     def polish(w, U):
-        return solve_elliptope_max(inst, w, rank=rank, restarts=0, seed=cfg.seed,
-                                   start=GramFactor(U))[0]
+        return stacked_ascent(inst, w[None], U[None])[0][0]
 
     best_phi = -np.inf
     best_U = best_w = best_extra = best_report = None
@@ -403,7 +404,7 @@ def sequential_saddle_loop(inst, cfg, spec):
         rng = streams.stream(cfg.seed, streams.TAG_SOLVER_INIT, 100 + restart)
         U = _random_unit_columns(rank, ncols, rng)
         w, phi, extra = respond(U)
-        U = polish(w, U).U
+        U = polish(w, U)
         w, phi, extra = respond(U)
         r_best = (phi, U.copy(), w, extra)
         hist = [phi]
@@ -419,18 +420,18 @@ def sequential_saddle_loop(inst, cfg, spec):
             w_prev = w
             if frozen:
                 fac = polish(w, U)
-                w2, phi2, extra2 = respond(fac.U)
+                w2, phi2, extra2 = respond(fac)
                 if phi2 >= r_best[0]:
-                    r_best = (phi2, fac.U.copy(), w2, extra2)
+                    r_best = (phi2, fac.copy(), w2, extra2)
                 if np.allclose(w2, w, rtol=1e-9, atol=1e-12):
                     converged = saddle = True
                     residual = 0.0
                     break
-                U = fac.U
+                U = fac
                 w, phi, extra = w2, phi2, extra2
                 hist.append(r_best[0])
                 continue
-            G = objective_gradient(inst, GramFactor(U), w)
+            G = objective_gradient(inst, U, w)
             gn = float(np.linalg.norm(G))
             if gn == 0.0:
                 converged = True
@@ -445,10 +446,10 @@ def sequential_saddle_loop(inst, cfg, spec):
             nresp += 1
             if t % 10 == 0:
                 fac = polish(wbar, U)
-                w_f, phi_f, extra_f = respond(fac.U)
+                w_f, phi_f, extra_f = respond(fac)
                 if phi_f > r_best[0]:
-                    r_best = (phi_f, fac.U.copy(), w_f, extra_f)
-                    U = fac.U
+                    r_best = (phi_f, fac.copy(), w_f, extra_f)
+                    U = fac
                     w, phi, extra = w_f, phi_f, extra_f
             hist.append(r_best[0])
             if len(hist) > robust._STALL_WINDOW:
@@ -467,7 +468,7 @@ def sequential_saddle_loop(inst, cfg, spec):
         if saddle:
             break
     best_report.restarts = restart + 1
-    return robust.SaddleSolution(factor=GramFactor(best_U), worst=best_w, value=best_phi,
+    return robust.SaddleSolution(factor=best_U, worst=best_w, value=best_phi,
                                  report=best_report, worst_dist=best_extra)
 
 
@@ -476,7 +477,7 @@ def same_bits(x, y):
 
 
 def assert_same_solution(got, want):
-    assert same_bits(got.factor.U, want.factor.U)
+    assert same_bits(got.factor, want.factor)
     assert same_bits(got.worst, want.worst)
     assert same_bits(got.value, want.value)
     assert (got.worst_dist is None) == (want.worst_dist is None)

@@ -13,18 +13,17 @@ from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
                                  instance_to_json, term_coefficients)
 from robustcut.numerics import NumericError
 from robustcut.rounding import (APPROX_RATIO_DICUT, CROSSOVER_GAMMA,
-                                RoundConfig, allequal_round, alpha_ratio, dicut_biased_ratio_search,
+                                allequal_round, alpha_ratio, dicut_biased_ratio_search,
                                 dicut_triple_prob, expected_allequal_exact,
                                 expected_cut_exact, expected_dicut_exact,
                                 feasible_pair_grid, hyperplane_round,
                                 large_cut_ratio, negative_weight_bound,
                                 round_cut, rounding_draws, sign_round_psd,
                                 uniform_arc_indicator)
-from robustcut.sdp import GramFactor
 
 
 def factor_from_columns(*cols):
-    return GramFactor(np.column_stack(cols).astype(float))
+    return np.column_stack(cols).astype(float)
 
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -56,7 +55,7 @@ def golden_section_min(f, lo, hi, iters=200):
 def test_hyperplane_equal_columns_agree():
     factor = factor_from_columns(E1, E1, E1)
     for trial in range(5):
-        y = hyperplane_round(factor, RoundConfig(seed=11), trial)
+        y = hyperplane_round(factor, 11, trial)
         assert set(np.unique(y)) <= {-1, 1}
         assert len(set(y.tolist())) == 1
 
@@ -64,7 +63,7 @@ def test_hyperplane_equal_columns_agree():
 def test_hyperplane_antipodal_disagree():
     factor = factor_from_columns(E1, -E1)
     for trial in range(5):
-        y = hyperplane_round(factor, RoundConfig(seed=3), trial)
+        y = hyperplane_round(factor, 3, trial)
         assert y[1] == -y[0]
 
 
@@ -73,7 +72,7 @@ def test_hyperplane_orthogonal_half():
     trials = 4000
     agree = sum(
         int(y[0] == y[1])
-        for y in (hyperplane_round(factor, RoundConfig(seed=17), t)
+        for y in (hyperplane_round(factor, 17, t)
                   for t in range(trials))
     )
     sigma = 0.5 / math.sqrt(trials)
@@ -84,11 +83,10 @@ def test_hyperplane_seed_and_trial_determinism():
     rng = streams.stream(5, streams.TAG_GEN, 0)
     U = rng.standard_normal((6, 10))
     U /= np.linalg.norm(U, axis=0)
-    factor = GramFactor(U)
-    a = hyperplane_round(factor, RoundConfig(seed=21), trial=2)
-    b = hyperplane_round(factor, RoundConfig(seed=21), trial=2)
-    c = hyperplane_round(factor, RoundConfig(seed=21), trial=3)
-    d = hyperplane_round(factor, RoundConfig(seed=22), trial=2)
+    a = hyperplane_round(U, 21, trial=2)
+    b = hyperplane_round(U, 21, trial=2)
+    c = hyperplane_round(U, 21, trial=3)
+    d = hyperplane_round(U, 22, trial=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c) or not np.array_equal(a, d)
 
@@ -97,7 +95,7 @@ def test_round_cut_dicut_orientation():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     factor = factor_from_columns(E1, E1, -E1)
     for trial in range(4):
-        y = round_cut(inst, factor, RoundConfig(seed=9), trial)
+        y = round_cut(inst, factor, 9, trial)
         assert np.array_equal(y, [1, -1])
 
 
@@ -105,13 +103,13 @@ def test_round_cut_rejects_allequal():
     inst = allequal_instance(2, [([1, 2], 1.0)])
     factor = factor_from_columns(E1, E2)
     with pytest.raises(DomainError, match="allequal"):
-        round_cut(inst, factor, RoundConfig(seed=0))
+        round_cut(inst, factor, 0)
 
 
 def random_factor(ncols, seed):
     rng = streams.stream(seed, streams.TAG_GEN, 0)
     U = rng.standard_normal((4, ncols))
-    return GramFactor(U / np.linalg.norm(U, axis=0))
+    return U / np.linalg.norm(U, axis=0)
 
 
 DRAW_CASES = [
@@ -138,9 +136,9 @@ def test_rounding_draws_scores_and_prefixes(inst, ncols):
     for t, (x, v) in enumerate(zip(cuts8, vals8)):
         assert type(v) is float and v == float(term_coefficients(inst, x) @ w)
         if inst.kind != ALLEQUAL:
-            assert np.array_equal(x, round_cut(inst, factor, RoundConfig(seed=13), trial=t))
+            assert np.array_equal(x, round_cut(inst, factor, 13, trial=t))
         else:
-            assert np.array_equal(x, allequal_round(z8, 3, RoundConfig(seed=13), trial=t))
+            assert np.array_equal(x, allequal_round(z8, 3, 13, trial=t))
     if inst.kind == ALLEQUAL:
         assert np.array_equal(z1, z8)
 
@@ -185,7 +183,7 @@ def test_expected_cut_anchors():
 def test_expected_cut_pentagon():
     inst = graph_instance(5, MAXCUT, [(i, (i + 1) % 5, 1.0) for i in range(5)])
     ang = np.arange(5) * 4.0 * math.pi / 5.0
-    factor = GramFactor(np.vstack([np.cos(ang), np.sin(ang)]))
+    factor = np.vstack([np.cos(ang), np.sin(ang)])
     v = expected_cut_exact(inst, factor, inst.nominal_weights())
     assert v == pytest.approx(4.0, abs=1e-9)
 
@@ -196,12 +194,11 @@ def test_expected_cut_linear_in_weights():
     rng = streams.stream(37, streams.TAG_GEN, 0)
     U = rng.standard_normal((3, 3))
     U /= np.linalg.norm(U, axis=0)
-    factor = GramFactor(U)
     wa = np.array([1.0, 0.0, 2.0])
     wb = np.array([0.0, -1.5, 1.0])
-    va = expected_cut_exact(inst, factor, wa)
-    vb = expected_cut_exact(inst, factor, wb)
-    assert expected_cut_exact(inst, factor, wa + wb) == \
+    va = expected_cut_exact(inst, U, wa)
+    vb = expected_cut_exact(inst, U, wb)
+    assert expected_cut_exact(inst, U, wa + wb) == \
         pytest.approx(va + vb, abs=1e-12)
 
 
@@ -231,8 +228,7 @@ def test_expected_dicut_matches_triple_prob():
     for _ in range(20):
         U = rng.standard_normal((4, 3))
         U /= np.linalg.norm(U, axis=0)
-        factor = GramFactor(U)
-        p = expected_dicut_exact(inst, factor, [1.0])
+        p = expected_dicut_exact(inst, U, [1.0])
         q = dicut_triple_prob(U[:, 0], U[:, 1], -U[:, 2])
         assert p == pytest.approx(q, abs=1e-12)
 
@@ -364,7 +360,7 @@ def test_feasible_pair_grid_properties():
 def test_ratio_search_single_pair_exact():
     u0 = E1
     pairs = np.array([[E1, -E1]])
-    res = dicut_biased_ratio_search(u0, pairs, RoundConfig(seed=7, trials=500))
+    res = dicut_biased_ratio_search(u0, pairs, seed=7, trials=500)
     assert res.denom == pytest.approx(1.0, abs=1e-12)
     assert res.prob == 1.0
     assert res.ratio == 1.0
@@ -375,19 +371,19 @@ def test_ratio_search_single_pair_exact():
 def test_ratio_search_skips_zero_denominator():
     u0 = E1
     pairs = np.array([[-E1, E1], [E1, -E1]])  # first pair has denominator 0
-    res = dicut_biased_ratio_search(u0, pairs, RoundConfig(seed=7, trials=200))
+    res = dicut_biased_ratio_search(u0, pairs, seed=7, trials=200)
     assert res.index == 1
     with pytest.raises(DomainError, match="positive relaxation"):
         dicut_biased_ratio_search(u0, np.array([[-E1, E1]]),
-                                  RoundConfig(seed=7, trials=10))
+                                  seed=7, trials=10)
     with pytest.raises(DomainError, match="shape"):
         dicut_biased_ratio_search(u0, np.zeros((3, 2, 4)),
-                                  RoundConfig(seed=7, trials=10))
+                                  seed=7, trials=10)
 
 
 def test_ratio_search_grid_meets_constant():
     u0, pairs = feasible_pair_grid(300, seed=59)
-    res = dicut_biased_ratio_search(u0, pairs, RoundConfig(seed=61, trials=20000))
+    res = dicut_biased_ratio_search(u0, pairs, seed=61, trials=20000)
     assert res.ratio >= APPROX_RATIO_DICUT - 3.0 * res.stderr
     assert 0.0 <= res.prob <= 1.0
     # the estimate never sits far above the worst-case constant either:
@@ -399,7 +395,7 @@ def test_ratio_search_custom_indicator():
     u0, pairs = feasible_pair_grid(50, seed=67)
     def pessimist(u0_, ui, uj, draws):
         return np.zeros(len(draws))
-    res = dicut_biased_ratio_search(u0, pairs, RoundConfig(seed=7, trials=50),
+    res = dicut_biased_ratio_search(u0, pairs, seed=7, trials=50,
                                     prob=pessimist)
     assert res.ratio == 0.0 and res.prob == 0.0
 
@@ -422,7 +418,7 @@ def test_sign_round_psd_identity():
     rng = streams.stream(73, streams.TAG_GEN, 2)
     U = rng.standard_normal((3, 5))
     U /= np.linalg.norm(U, axis=0)
-    z = sign_round_psd(np.eye(5), GramFactor(U), RoundConfig(seed=1, trials=1))
+    z = sign_round_psd(np.eye(5), U, seed=1, trials=1)
     assert z.shape == (5,) and set(np.unique(z)) <= {-1, 1}
     assert float(z @ np.eye(5) @ z) == pytest.approx(5.0)
 
@@ -430,7 +426,7 @@ def test_sign_round_psd_identity():
 def test_sign_round_psd_equal_columns():
     U = np.tile([[1.0], [0.0]], (1, 4))
     A = np.ones((4, 4))
-    z = sign_round_psd(A, GramFactor(U), RoundConfig(seed=2, trials=1))
+    z = sign_round_psd(A, U, seed=2, trials=1)
     assert abs(int(np.sum(z))) == 4
     assert float(z @ A @ z) == pytest.approx(16.0)
 
@@ -443,7 +439,7 @@ def test_sign_round_psd_guarantee_sweep():
         A = B @ B.T
         U = rng.standard_normal((int(rng.integers(2, 5)), n))
         U /= np.linalg.norm(U, axis=0)
-        z = sign_round_psd(A, GramFactor(U), RoundConfig(seed=case, trials=4))
+        z = sign_round_psd(A, U, seed=case, trials=4)
         target = (2.0 / math.pi) * float(np.sum(A * (U.T @ U)))
         assert float(z @ A @ z) >= target - 1e-9 * (1.0 + abs(target))
 
@@ -451,9 +447,9 @@ def test_sign_round_psd_guarantee_sweep():
 def test_sign_round_psd_rejects_negative_definite():
     U = np.eye(3)
     with pytest.raises(NumericError, match="below target"):
-        sign_round_psd(-np.eye(3), GramFactor(U), RoundConfig(seed=0, trials=1))
+        sign_round_psd(-np.eye(3), U, seed=0, trials=1)
     with pytest.raises(DomainError, match="shape"):
-        sign_round_psd(np.eye(2), GramFactor(U), RoundConfig(seed=0))
+        sign_round_psd(np.eye(2), U, 0)
 
 
 def test_sign_round_psd_exhausts_its_draws():
@@ -463,7 +459,7 @@ def test_sign_round_psd_exhausts_its_draws():
     U = rng.standard_normal((3, 5))
     U /= np.linalg.norm(U, axis=0)
     with pytest.raises(NumericError) as err:
-        sign_round_psd(-np.eye(5), GramFactor(U), RoundConfig(seed=4, trials=2))
+        sign_round_psd(-np.eye(5), U, seed=4, trials=2)
     assert str(err.value) == \
         "sign_round_psd: best value -5 below target -3.1831 after 200 draws"
 
@@ -471,7 +467,7 @@ def test_sign_round_psd_exhausts_its_draws():
 def test_allequal_round_k2_deterministic():
     z = np.array([1, -1, 1, 1, -1])
     for seed in range(4):
-        x = allequal_round(z, 2, RoundConfig(seed=seed), trial=seed)
+        x = allequal_round(z, 2, seed, trial=seed)
         assert np.array_equal(x, z)
 
 
@@ -480,7 +476,7 @@ def test_allequal_round_k8_marginals():
     hits = 0
     total = 0
     for t in range(10):
-        x = allequal_round(z, 8, RoundConfig(seed=83), trial=t)
+        x = allequal_round(z, 8, 83, trial=t)
         hits += int(np.sum(x == 1))
         total += len(x)
     p_hat = hits / total
@@ -491,7 +487,7 @@ def test_allequal_round_k8_marginals():
 def test_allequal_round_k3_marginals():
     z = -np.ones(3000)
     p = (1.0 - math.sqrt(2.0 / 3.0)) / 2.0
-    x = allequal_round(z, 3, RoundConfig(seed=89))
+    x = allequal_round(z, 3, 89)
     p_hat = float(np.mean(x == 1))
     sigma = math.sqrt(p * (1.0 - p) / len(z))
     assert abs(p_hat - p) <= 3.5 * sigma
@@ -499,13 +495,13 @@ def test_allequal_round_k3_marginals():
 
 def test_allequal_round_rejects_bad_input():
     with pytest.raises(DomainError, match="arity"):
-        allequal_round(np.array([1, -1]), 1, RoundConfig(seed=0))
+        allequal_round(np.array([1, -1]), 1, 0)
     with pytest.raises(DomainError, match="sign|\\+-1"):
-        allequal_round(np.array([1.0, 0.5]), 2, RoundConfig(seed=0))
+        allequal_round(np.array([1.0, 0.5]), 2, 0)
 
 
 def test_allequal_round_seed_determinism():
     z = np.array([1, -1, 1, -1, 1, 1, -1, 1])
-    a = allequal_round(z, 4, RoundConfig(seed=5), trial=1)
-    b = allequal_round(z, 4, RoundConfig(seed=5), trial=1)
+    a = allequal_round(z, 4, 5, trial=1)
+    b = allequal_round(z, 4, 5, trial=1)
     assert np.array_equal(a, b)

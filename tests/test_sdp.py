@@ -13,7 +13,7 @@ import pytest
 from robustcut import sdp, streams
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
                                  allequal_instance, cut_value, graph_instance)
-from robustcut.sdp import (GramFactor, SolveReport, default_rank, objective_gradient,
+from robustcut.sdp import (SolveReport, default_rank, objective_gradient,
                            relaxed_value, solve_elliptope_max, stacked_ascent,
                            term_gram_coefficients)
 
@@ -27,7 +27,7 @@ def cycle5():
 def pentagon_factor():
     """Planar optimal C5 embedding: neighbors at angle 4*pi/5."""
     ang = np.arange(5) * 4.0 * math.pi / 5.0
-    return GramFactor(np.vstack([np.cos(ang), np.sin(ang)]))
+    return np.vstack([np.cos(ang), np.sin(ang)])
 
 
 def brute_maxcut(inst, w):
@@ -44,13 +44,13 @@ def brute_maxcut(inst, w):
 
 def test_objective_antipodal_single_edge():
     inst = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
-    U = GramFactor(np.array([[1.0, -1.0]]))
+    U = np.array([[1.0, -1.0]])
     assert relaxed_value(inst, U, np.ones(1)) == pytest.approx(1.0)
 
 
 def test_objective_all_equal_is_zero():
     inst = cycle5()
-    U = GramFactor(np.tile([[1.0], [0.0]], (1, 5)))
+    U = np.tile([[1.0], [0.0]], (1, 5))
     assert relaxed_value(inst, U, np.ones(5)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_dicut_coefficient_formula():
     inst = graph_instance(4, DICUT, [(0, 1, 1.0), (2, 1, 1.0), (3, 2, 1.0)])
     U = rng.standard_normal((3, 5))
     U /= np.linalg.norm(U, axis=0)
-    coef = term_gram_coefficients(inst, GramFactor(U))
+    coef = term_gram_coefficients(inst, U)
     u0 = U[:, 0]
     for t, (i, j, _) in enumerate(inst.edges):
         ui, uj = U[:, i + 1], U[:, j + 1]
@@ -75,10 +75,10 @@ def test_dicut_coefficient_formula():
 def test_factor_width_follows_the_column_layout():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     with pytest.raises(DomainError, match="expected 3 columns for dicut"):
-        term_gram_coefficients(inst, GramFactor(np.eye(2)))
+        term_gram_coefficients(inst, np.eye(2))
     with pytest.raises(DomainError, match="expected 3 columns for dicut"):
-        objective_gradient(inst, GramFactor(np.ones((2, 4))), [1.0])
-    assert term_gram_coefficients(inst, GramFactor(np.ones((1, 3))))[0] == 0.0
+        objective_gradient(inst, np.ones((2, 4)), [1.0])
+    assert term_gram_coefficients(inst, np.ones((1, 3)))[0] == 0.0
 
 
 def test_allequal_coefficient_formula():
@@ -86,7 +86,7 @@ def test_allequal_coefficient_formula():
     inst = allequal_instance(4, [([1, -2, 3], 1.0), ([2, 3, -4], 1.0)])
     U = rng.standard_normal((4, 4))
     U /= np.linalg.norm(U, axis=0)
-    coef = term_gram_coefficients(inst, GramFactor(U))
+    coef = term_gram_coefficients(inst, U)
     for t, (lits, _) in enumerate(inst.clauses):
         s = sum(sign * U[:, v] for v, sign in lits)
         assert coef[t] == pytest.approx((s @ s) / 9.0, abs=1e-12)
@@ -104,7 +104,7 @@ def test_gradient_matches_finite_differences():
         U = rng.standard_normal((3, ncols))
         U /= np.linalg.norm(U, axis=0)
         w = rng.uniform(0.2, 1.5, size=inst.m)
-        G = objective_gradient(inst, GramFactor(U), w)
+        G = objective_gradient(inst, U, w)
         eps = 1e-6
         for _ in range(6):
             r, c = int(rng.integers(3)), int(rng.integers(ncols))
@@ -113,8 +113,8 @@ def test_gradient_matches_finite_differences():
             Um = U.copy()
             Um[r, c] -= eps
             # unnormalized directional derivative of the quadratic objective
-            num = (relaxed_value(inst, GramFactor(Up), w)
-                   - relaxed_value(inst, GramFactor(Um), w)) / (2 * eps)
+            num = (relaxed_value(inst, Up, w)
+                   - relaxed_value(inst, Um, w)) / (2 * eps)
             assert G[r, c] == pytest.approx(num, abs=1e-5)
 
 
@@ -126,14 +126,14 @@ def test_k2_antipodal_optimum():
     inst = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
     factor, rep = solve_elliptope_max(inst, np.ones(1), seed=0)
     assert rep.value == pytest.approx(1.0, abs=1e-6)
-    assert factor.U[:, 0] @ factor.U[:, 1] == pytest.approx(-1.0, abs=1e-6)
+    assert factor[:, 0] @ factor[:, 1] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_c5_reaches_analytic_optimum():
     factor, rep = solve_elliptope_max(cycle5(), np.ones(5), seed=1)
     assert rep.converged
     assert rep.value == pytest.approx(C5_OPT, abs=1e-4)
-    assert np.allclose(np.linalg.norm(factor.U, axis=0), 1.0, atol=1e-10)
+    assert np.allclose(np.linalg.norm(factor, axis=0), 1.0, atol=1e-10)
 
 
 def test_zero_weights_single_pass():
@@ -148,10 +148,10 @@ def test_seed_determinism_bitwise():
     inst = cycle5()
     f1, r1 = solve_elliptope_max(inst, np.ones(5), seed=42)
     f2, r2 = solve_elliptope_max(inst, np.ones(5), seed=42)
-    assert np.array_equal(f1.U, f2.U)
+    assert np.array_equal(f1, f2)
     assert r1.value == r2.value
     f3, _ = solve_elliptope_max(inst, np.ones(5), seed=43)
-    assert not np.array_equal(f1.U, f3.U)
+    assert not np.array_equal(f1, f3)
 
 
 def test_relaxation_dominates_brute_force():
@@ -170,9 +170,7 @@ def test_relaxation_dominates_brute_force():
 
 def test_warm_start_only_polishes():
     inst = cycle5()
-    start = pentagon_factor()
-    factor, rep = solve_elliptope_max(inst, np.ones(5), rank=2, restarts=0,
-                                      seed=0, start=start)
+    _, (rep,) = stacked_ascent(inst, np.ones((1, 5)), pentagon_factor()[None])
     assert rep.value == pytest.approx(C5_OPT, abs=1e-9)
 
 
@@ -376,7 +374,7 @@ def kernel_cases():
 def random_factor(rng, inst, rank):
     U = rng.standard_normal((rank, inst.ncols))
     U /= np.linalg.norm(U, axis=0)
-    return GramFactor(U)
+    return U
 
 
 def assert_close(got, want, tol=1e-12):
@@ -391,9 +389,9 @@ def test_coefficients_and_gradient_match_loop_reference():
             fac = random_factor(rng, inst, rank)
             w = rng.uniform(-1.0, 2.0, size=inst.m)
             assert_close(term_gram_coefficients(inst, fac),
-                         REF_COEFFICIENTS[inst.kind](inst, fac.U))
+                         REF_COEFFICIENTS[inst.kind](inst, fac))
             assert_close(objective_gradient(inst, fac, w),
-                         REF_GRADIENT[inst.kind](inst, fac.U, w))
+                         REF_GRADIENT[inst.kind](inst, fac, w))
 
 
 @pytest.mark.parametrize("rank", [2, 4, 7])
@@ -401,7 +399,7 @@ def test_ascent_pass_matches_loop_reference(rank):
     rng = streams.stream(42, streams.TAG_GEN, rank)
     for inst in kernel_cases():
         w = rng.uniform(0.0, 2.0, size=inst.m)
-        U = random_factor(rng, inst, rank).U
+        U = random_factor(rng, inst, rank)
         U_ref = U.copy()
         step, ref = sdp._ascent_pass(inst, w[None]), ref_pass(inst, w)
         for _ in range(6):
@@ -414,10 +412,10 @@ def test_sweep_value_does_not_overflow_before_the_objective():
     # C(w) has entries of 1e308; the value 1.5e308 is finite
     inst = graph_instance(3, MAXCUT, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
     w = inst.nominal_weights()
-    fac = GramFactor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    fac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     step = sdp._ascent_pass(inst, w[None])
     with np.errstate(over="raise"):
-        assert step.values(fac.U[None]) == [relaxed_value(inst, fac, w)] == [1.5e308]
+        assert step.values(fac[None]) == [relaxed_value(inst, fac, w)] == [1.5e308]
     assert step.scale == [2.0 ** 1023]
     # an exponent of two: C(w) / scale is exact, so small weights keep their bits
     small = sdp._ascent_pass(inst, np.array([[3.0, 1.0, 0.25]]))
@@ -435,14 +433,13 @@ def test_rank1_ascent_pass_is_monotone_with_exact_fixed_points():
         fac = random_factor(rng, inst, 1)
         step = sdp._ascent_pass(inst, w[None])
         for _ in range(6):
-            before = fac.U.copy()
+            before = fac.copy()
             value = relaxed_value(inst, fac, w)
-            step(fac.U[None])
+            step(fac[None])
             assert relaxed_value(inst, fac, w) >= value - 1e-12
-            if np.array_equal(fac.U, before):
+            if np.array_equal(fac, before):
                 fixed += 1
-                _, rep = solve_elliptope_max(inst, w, rank=1, restarts=0,
-                                             start=GramFactor(before))
+                _, (rep,) = stacked_ascent(inst, w[None], before[None])
                 assert (rep.iterations, rep.residual, rep.converged) == (1, 0.0, True)
     assert fixed > 0
 
@@ -452,7 +449,7 @@ def test_solver_fixed_point_and_degenerate_instances():
     for inst in (graph_instance(1, MAXCUT, []), graph_instance(1, DICUT, [])):
         factor, rep = solve_elliptope_max(inst, np.zeros(0), seed=0)
         assert rep.iterations == 1 and rep.converged and rep.value == 0.0
-        assert factor.U.shape[1] == inst.ncols
+        assert factor.shape[1] == inst.ncols
     inst = kernel_cases()[4]
     _, rep = solve_elliptope_max(inst, inst.nominal_weights(), seed=0)
     assert rep.converged
@@ -545,7 +542,7 @@ def assert_members_are_single_runs(inst, W, starts, **kwargs):
 
 
 def random_stack(rng, inst, R, rank):
-    return np.stack([random_factor(rng, inst, rank).U for _ in range(R)])
+    return np.stack([random_factor(rng, inst, rank) for _ in range(R)])
 
 
 @pytest.mark.parametrize("R", [1, 2, 3, 4])
@@ -586,7 +583,7 @@ def test_stacked_ascent_at_max_iter():
 
 def test_stacked_ascent_rejects_mismatched_stacks():
     inst = cycle5()
-    starts = np.stack([pentagon_factor().U] * 2)
+    starts = np.stack([pentagon_factor()] * 2)
     with pytest.raises(DomainError):
         stacked_ascent(inst, np.ones((3, 5)), starts)
     with pytest.raises(DomainError):
@@ -597,26 +594,22 @@ def test_stacked_ascent_rejects_mismatched_stacks():
         stacked_ascent(inst, np.ones((0, 5)), starts[:0])
 
 
-def test_solve_keeps_the_best_of_single_runs_with_a_smaller_warm_start():
-    # restarts run as one stack, the warm start (rank 2, padded to the
-    # default rank) as member 0; the earliest best start wins
+def test_solve_keeps_the_earliest_best_of_its_seeded_starts():
+    # the seeded starts run as one stack; the earliest best start wins
     rng = streams.stream(61, streams.TAG_GEN, 0)
     for inst in kernel_cases()[5:9]:
         w = rng.uniform(0.5, 1.5, size=inst.m)
         rank = default_rank(inst.ncols)
-        warm = random_factor(rng, inst, 2)
-        factor, rep = solve_elliptope_max(inst, w, restarts=3, seed=5, start=warm)
-        padded, _ = solve_elliptope_max(inst, w, restarts=0, start=warm, max_iter=0)
-        assert padded.rank == rank
-        starts = [padded.U] + [sdp._random_unit_columns(
+        factor, rep = solve_elliptope_max(inst, w, restarts=3, seed=5)
+        starts = [sdp._random_unit_columns(
             rank, inst.ncols, streams.stream(5, streams.TAG_SOLVER_INIT, r)) for r in range(3)]
         runs = [single_run(inst, w, U0) for U0 in starts]
         best = 0
         for r, (_, single) in enumerate(runs):
             if single.value > runs[best][1].value:
                 best = r
-        assert factor.U.tobytes() == runs[best][0].tobytes()
-        assert (rep.restart, rep.restarts) == (best, 4)
+        assert factor.tobytes() == runs[best][0].tobytes()
+        assert (rep.restart, rep.restarts) == (best, 3)
         assert (rep.value, rep.iterations, rep.residual, rep.converged) == \
             (runs[best][1].value, runs[best][1].iterations, runs[best][1].residual,
              runs[best][1].converged)

@@ -15,12 +15,10 @@ from robustcut import streams, uncertainty
 from robustcut.gen import ellipsoid_for, gnp_instance, wasserstein_for
 from robustcut.instances import (DICUT, MAXCUT, DomainError, cut_value, dicut_value,
                                  term_coefficients)
-from robustcut.numerics import (FeasibleTableau, InfeasibleError, LpProblem, simplex_solve,
-                                sqrt_psd)
+from robustcut.numerics import FeasibleTableau, InfeasibleError, simplex_solve, sqrt_psd
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
-from robustcut.sdp import (GramFactor, _random_unit_columns, default_rank,
-                           term_gram_coefficients)
+from robustcut.sdp import _random_unit_columns, default_rank, term_gram_coefficients
 from robustcut.uncertainty import (_chord, _worst_block, box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, require_valid, sample_feasible,
@@ -64,69 +62,63 @@ def transport_enum_2x2(costs, emp, d, r0, steps=20001):
 # ---------------------------------------------------------------------------
 
 def test_box_ok():
-    rep = validate_set(box_spec(np.zeros(3), np.ones(3)), m=3)
-    assert rep.ok and not rep.violations
+    assert validate_set(box_spec(np.zeros(3), np.ones(3)), m=3) == []
 
 
 def test_box_negative_lower_flagged():
-    rep = validate_set(box_spec(np.array([-1.0, 0.0]), np.ones(2)), m=2)
-    assert not rep.ok
-    assert any("negativ" in v for v in rep.violations)
+    violations = validate_set(box_spec(np.array([-1.0, 0.0]), np.ones(2)), m=2)
+    assert violations
+    assert any("negativ" in v for v in violations)
 
 
 def test_unbounded_polyhedron_flagged():
     spec = polyhedral_spec(np.eye(2), np.zeros(2))  # {w >= 0}: no cap
-    rep = validate_set(spec, m=2)
-    assert not rep.ok
-    assert any("unbounded" in v for v in rep.violations)
+    violations = validate_set(spec, m=2)
+    assert violations
+    assert any("unbounded" in v for v in violations)
 
 
 def test_empty_polyhedron_flagged():
     A = np.array([[1.0], [-1.0]])
     b = np.array([2.0, -1.0])  # w >= 2 and w <= 1
-    rep = validate_set(polyhedral_spec(A, b), m=1)
-    assert not rep.ok
-    assert any("empty" in v or "infeasible" in v for v in rep.violations)
+    violations = validate_set(polyhedral_spec(A, b), m=1)
+    assert violations
+    assert any("empty" in v or "infeasible" in v for v in violations)
 
 
 def test_ellipsoid_negativity_reachable_flagged():
     # w0_i - sqrt(a Q_ii) < 0 at index 1
     spec = ellipsoidal_spec(np.array([3.0, 0.5]), np.diag([1.0, 1.0]), 1.0)
-    rep = validate_set(spec, m=2)
-    assert not rep.ok
-    assert any("1" in v for v in rep.violations)
+    violations = validate_set(spec, m=2)
+    assert violations
+    assert any("1" in v for v in violations)
 
 
 def test_ellipsoid_q_must_be_positive_definite():
     spec = ellipsoidal_spec(np.ones(2), np.diag([1.0, 0.0]), 0.01)
-    rep = validate_set(spec, m=2)
-    assert not rep.ok
+    assert validate_set(spec, m=2)
 
 
 def test_ellipsoid_singular_q_rejected():
     # rank 5 of 6: eigvalsh returns a roundoff-sized smallest eigenvalue
     V = np.random.default_rng(1).standard_normal((6, 5))
-    rep = validate_set(ellipsoidal_spec(10.0 * np.ones(6), V @ V.T, 0.01), m=6)
-    assert not rep.ok
+    violations = validate_set(ellipsoidal_spec(10.0 * np.ones(6), V @ V.T, 0.01), m=6)
+    assert violations
     assert any(v.startswith("Q: not positive definite (min eigenvalue")
-               for v in rep.violations)
+               for v in violations)
     # positive, but below dim * eps * lambda_max
-    rep = validate_set(ellipsoidal_spec(np.ones(2), np.diag([1.0, 1e-17]), 0.01), m=2)
-    assert rep.violations == ["Q: not positive definite (min eigenvalue 1.000e-17)"]
+    assert validate_set(ellipsoidal_spec(np.ones(2), np.diag([1.0, 1e-17]), 0.01), m=2) == [
+        "Q: not positive definite (min eigenvalue 1.000e-17)"]
     # well-conditioned but tiny in scale is still positive definite
-    assert validate_set(ellipsoidal_spec(np.ones(2), np.diag([1e-12, 2e-12]), 0.01), m=2).ok
+    assert validate_set(ellipsoidal_spec(np.ones(2), np.diag([1e-12, 2e-12]), 0.01), m=2) == []
 
 
 def test_wasserstein_validation():
     sup = np.array([[1.0, 2.0], [2.0, 1.0]])
-    ok = validate_set(wasserstein_spec(sup, np.array([0.5, 0.5]), 0.1), m=2)
-    assert ok.ok
-    bad_emp = validate_set(wasserstein_spec(sup, np.array([0.7, 0.5]), 0.1), m=2)
-    assert not bad_emp.ok
-    bad_sup = validate_set(
-        wasserstein_spec(np.array([[1.0, -2.0], [2.0, 1.0]]),
-                         np.array([0.5, 0.5]), 0.1), m=2)
-    assert not bad_sup.ok
+    assert validate_set(wasserstein_spec(sup, np.array([0.5, 0.5]), 0.1), m=2) == []
+    assert validate_set(wasserstein_spec(sup, np.array([0.7, 0.5]), 0.1), m=2)
+    assert validate_set(wasserstein_spec(np.array([[1.0, -2.0], [2.0, 1.0]]),
+                                         np.array([0.5, 0.5]), 0.1), m=2)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -149,17 +141,16 @@ SUP2 = [[1.0, 2.0], [2.0, 1.0]]
 def test_non_finite_fields_are_rejected_by_name(field, make):
     # specs built in Python skip the parser's finite check; validation
     # names the field before any other check can trip on the NaN
-    rep = validate_set(make())
-    assert not rep.ok
-    assert rep.violations[0].startswith(f"{field}: not a finite number (")
+    violations = validate_set(make())
+    assert violations
+    assert violations[0].startswith(f"{field}: not a finite number (")
     with pytest.raises(DomainError) as info:
         require_valid(make())
     assert str(info.value).startswith(f"invalid uncertainty set: {field}: not a finite")
 
 
 def test_dimension_mismatch_flagged():
-    rep = validate_set(singleton_spec(np.ones(3)), m=4)
-    assert not rep.ok
+    assert validate_set(singleton_spec(np.ones(3)), m=4)
 
 
 def test_require_valid_checks_a_set_once_per_term_count(monkeypatch):
@@ -595,7 +586,7 @@ def test_spec_is_frozen(name, parsed):
         assert arr.dtype == float
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
-    assert validate_set(spec, m=2).ok
+    assert validate_set(spec, m=2) == []
 
 
 def test_spec_arrays_are_views_of_the_inputs():
@@ -615,7 +606,7 @@ def test_a_validated_set_cannot_be_edited_in_place():
         spec.b[2] = -0.1  # would empty the set behind the validation
     assert np.array_equal(worst_case_weights(spec, np.ones(2))[0], [0.5, 1.0])
     assert validate_set(dataclasses.replace(spec, b=np.array([0.5, 1.0, -0.1, -2.0]))
-                        ).violations == ["polyhedron: empty feasible set"]
+                        ) == ["polyhedron: empty feasible set"]
 
 
 def test_replace_validates_afresh_and_rebuilds_the_derived_forms(monkeypatch):
@@ -718,7 +709,7 @@ def test_declared_lower_bound_scan_matches_row_loop():
     for spec in cases:
         expect = declared_lower_loop(spec.A, spec.b)
         found += len(expect)
-        got = [v for v in validate_set(spec).violations
+        got = [v for v in validate_set(spec)
                if v.startswith("polyhedron: negative declared lower bound")]
         assert got == expect
     assert found == 4
@@ -798,7 +789,7 @@ def _box_cases():
 def test_box_view_is_the_tableau_vertex_bit_for_bit(name):
     spec = _box_cases()[name]
     lower, upper = spec._box
-    assert validate_set(spec, m=6).ok
+    assert validate_set(spec, m=6) == []
     rng = streams.stream(59, streams.TAG_GEN, 0)
     coefs = coef_cases(rng, 6)
     for c in coefs:
@@ -833,7 +824,7 @@ def _fallback_cases():
 def test_box_view_fallbacks_keep_the_tableau(name):
     spec, violations = _fallback_cases()[name]
     assert spec._box is None
-    assert validate_set(spec, m=2).violations == violations
+    assert validate_set(spec, m=2) == violations
     if violations:
         return
     for c in coef_cases(streams.stream(61, streams.TAG_GEN, 0), 2):
@@ -869,7 +860,7 @@ def test_box_view_answers_tied_bounds_at_lower(name):
     assert np.all(lower <= upper) and lower[1] == 1.0
     assert np.isclose(lower[0], {"bounds_tied": 1.0, "point_below_pivot_tol": 1e-10,
                                  "scaled_point": 5e-9}[name], rtol=1e-15, atol=0.0)
-    assert validate_set(spec, m=2).ok
+    assert validate_set(spec, m=2) == []
     for c in (coef, np.array([0.5, 2.0])):
         w, v = worst_case_weights(spec, c)
         assert same_bits(w, lower) and same_bits(v, float(c @ lower))
@@ -967,7 +958,7 @@ def _general_polyhedra():
 @pytest.mark.parametrize("name", sorted(_general_polyhedra()))
 def test_general_polyhedron_samples_match_tableau_route_bit_for_bit(name):
     spec = _general_polyhedra()[name]
-    assert spec._box is None and validate_set(spec).ok
+    assert spec._box is None and validate_set(spec) == []
     got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
     want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
     assert same_bits(got, want)
@@ -984,7 +975,7 @@ def in_wasserstein_ball(spec, w):
     A = np.vstack([marginals, mean_rows, spec.metric.reshape(1, -1)])
     b = np.concatenate([spec.empirical, w, [spec.radius]])
     try:
-        simplex_solve(LpProblem(np.zeros(k * k), A, b, ["="] * (k + m) + ["<="]))
+        simplex_solve(np.zeros(k * k), A, b, ["="] * (k + m) + ["<="])
     except InfeasibleError:
         return False
     return True
@@ -1011,7 +1002,7 @@ def _wasserstein_cases():
 @pytest.mark.parametrize("name", sorted(_wasserstein_cases()))
 def test_wasserstein_samples_lie_in_the_ball(name):
     spec = _wasserstein_cases()[name]
-    assert validate_set(spec).ok
+    assert validate_set(spec) == []
     k = spec.support.shape[0]
     got = sample_feasible(spec, streams.stream(97, streams.TAG_GEN, 0), 16)
     assert got.shape == (16, spec.dim())
@@ -1052,7 +1043,7 @@ def transport_coupling(spec, costs):
     k = len(costs)
     A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
     b = np.append(spec.empirical, spec.radius)
-    return simplex_solve(LpProblem(np.repeat(costs, k), A, b, ["="] * k + ["<="]))
+    return simplex_solve(np.repeat(costs, k), A, b, ["="] * k + ["<="])
 
 
 def transport_lp(spec, costs):
@@ -1140,7 +1131,7 @@ def test_diagonal_q_matches_dense_route_bit_for_bit():
     Q = np.diag(q)
     spec = ellipsoidal_spec(w0, Q, a)
     assert same_bits(spec._diag, q)
-    assert validate_set(spec, m=7).ok
+    assert validate_set(spec, m=7) == []
     rng = streams.stream(79, streams.TAG_GEN, 0)
     coefs = coef_cases(rng, 7)
     for c in coefs[:1] + coefs[2:]:  # coefs[1] = 0 returns the center
@@ -1169,7 +1160,7 @@ def test_diagonal_q_validation_message_matches_eigvalsh():
         eig = np.linalg.eigvalsh(np.diag(qb))
         spec = ellipsoidal_spec(w0, np.diag(qb), a)
         assert spec._diag is not None
-        assert validate_set(spec, m=7).violations == \
+        assert validate_set(spec, m=7) == \
             [f"Q: not positive definite (min eigenvalue {eig[0]:.3e})"]
 
 
@@ -1180,7 +1171,7 @@ def test_diagonal_q_norm_route_matches_dense_root():
     ncols = inst.ncols
     rng = streams.stream(89, streams.TAG_GEN, 0)
     for _ in range(3):
-        factor = GramFactor(_random_unit_columns(default_rank(ncols), ncols, rng))
+        factor = _random_unit_columns(default_rank(ncols), ncols, rng)
         coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
         want = float(coef @ spec.w0 - np.sqrt(spec.a) * np.linalg.norm(sqrt_psd(spec.Q) @ coef))
         assert same_bits(ellipsoid_reformulated_value(inst, spec, factor), want)
@@ -1192,7 +1183,7 @@ def test_q_with_tiny_off_diagonal_keeps_the_dense_route():
     Q[0, 1] = Q[1, 0] = 1e-300
     spec = ellipsoidal_spec(w0, Q, a)
     assert spec._diag is None
-    assert validate_set(spec, m=7).ok
+    assert validate_set(spec, m=7) == []
     c = np.linspace(0.1, 1.0, 7)
     w, v = worst_case_weights(spec, c)
     w_d, v_d = dense_ellipsoid_worst(w0, Q, a, c)
