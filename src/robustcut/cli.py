@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: ``solve`` (relaxation -> factor ->
 rounding -> report), ``verify`` (solve + certification against the
 brute-force oracle), ``round`` (rounding statistics for a solved factor),
-``gen`` (reproducible random instances and uncertainty sets), and ``bench``
-(timing smoke across sizes; timings go to stderr only).
+and ``gen`` (reproducible random instances and uncertainty sets); wall-clock
+timings go to stderr only.
 
 Reports are JSON with sorted keys and no wall-clock content, so identical
 inputs + seed reproduce them byte-for-byte.  Exit codes: 0 success, 1 parse
@@ -31,9 +31,8 @@ from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
 from .numerics import InfeasibleError, NumericError, UnboundedError
 from .oracle import certify_sandwich
 from .robust import SaddleSolution, SolverConfig, solve_robust
-from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, expected_cut_exact,
-                       expected_rounded_value, large_cut_ratio,
-                       negative_weight_bound, rounding_draws)
+from .rounding import (APPROX_RATIO_MAXCUT, CROSSOVER_GAMMA, expected_rounded_value,
+                       large_cut_ratio, negative_weight_bound, rounding_draws)
 from .sdp import term_gram_coefficients
 from .uncertainty import (SINGLETON, UncertaintySpec, load_spec,
                           singleton_spec, spec_to_json)
@@ -181,7 +180,7 @@ def cmd_verify(args) -> int:
         _emit(report, args.out)
         return EXIT_NO_CONVERGE
     t0 = time.perf_counter()
-    cert = certify_sandwich(inst, spec, sol, samples=args.samples, seed=args.seed)
+    cert = certify_sandwich(inst, spec, sol, seed=args.seed)
     _stderr_time("certify", time.perf_counter() - t0)
     report["certification"] = {
         "ok": cert.ok,
@@ -215,7 +214,7 @@ def _appendix_checks(inst: Instance, spec: UncertaintySpec,
         if a_tilde >= CROSSOVER_GAMMA:
             info["large_cut_ratio"] = large_cut_ratio(a_tilde)
     if inst.signed and spec.kind == SINGLETON:
-        expected = expected_cut_exact(inst, sol.factor, sol.worst)
+        expected = expected_rounded_value(inst, sol.factor, None, sol.worst)
         w_minus = float(np.sum(np.minimum(sol.worst, 0.0)))
         ok = negative_weight_bound(expected, w_minus, sol.value)
         checks.append({"name": "shifted_signed_bound", "passed": bool(ok),
@@ -284,23 +283,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    for n in args.sizes:
-        inst = genmod.gnp_instance(n, 0.5, args.seed)
-        spec = genmod.singleton_for(inst)
-        cfg = SolverConfig(seed=args.seed, max_iter=args.max_iter)
-        t0 = time.perf_counter()
-        sol = solve_robust(inst, spec, cfg)
-        dt = time.perf_counter() - t0
-        _stderr_time(f"solve n={n} m={inst.m}", dt)
-        rows.append({"n": n, "m": inst.m, "value": sol.value,
-                     "iterations": sol.report.iterations,
-                     "converged": sol.report.converged})
-    _emit({"command": "bench", "seed": args.seed, "rows": rows}, args.out)
-    return EXIT_OK
-
-
 def _int_at_least(low: int):
     """Argument type: a decimal integer >= low."""
     def parse(text: str) -> int:
@@ -312,15 +294,6 @@ def _int_at_least(low: int):
 
 _at_least_zero = _int_at_least(0)
 _at_least_one = _int_at_least(1)
-
-
-def _sizes(text: str) -> list[int]:
-    """Argument type: a comma-separated list of integers >= 1."""
-    parts = text.split(",")
-    if not all(part.isdecimal() and int(part) >= 1 for part in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers >= 1, got {text!r}")
-    return [int(part) for part in parts]
 
 
 def _finite(want: str = "", ok=lambda v: True):
@@ -366,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="solve and certify against brute force")
     _add_solver_flags(p, trials=False)
-    p.add_argument("--samples", type=_at_least_zero, default=20,
-                   help="feasible weight samples for the lower sandwich")
     p.add_argument("--corrupt-value", type=float, default=0.0,
                    dest="corrupt_value", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
@@ -399,12 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", help="timing smoke across sizes (times on stderr)")
-    p.add_argument("--sizes", type=_sizes, default="6,10,14")
-    p.add_argument("--seed", type=_at_least_zero, default=0)
-    p.add_argument("--max-iter", type=_at_least_one, default=300, dest="max_iter")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

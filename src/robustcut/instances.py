@@ -29,6 +29,11 @@ DICUT = "dicut"
 ALLEQUAL = "allequal"
 KINDS = (MAXCUT, DICUT, ALLEQUAL)
 
+# the solver builds dense ncols x ncols weight matrices C(w), 2 GiB of
+# float64 each at this many entries; an instance whose matrix would have more
+# is refused when it is built
+MAX_DENSE_ENTRIES = 2 ** 28
+
 
 class ParseError(ValueError):
     """Malformed instance text/JSON; message names the offending field."""
@@ -168,13 +173,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_n(n: int, kind: str) -> None:
+    """A DomainError naming ``n`` unless it is a positive integer whose dense
+    ncols x ncols weight matrix (:func:`sdp._weight_matrix`) has at most
+    :data:`MAX_DENSE_ENTRIES` entries."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"n: expected positive integer, got {n!r}")
+    limit = math.isqrt(MAX_DENSE_ENTRIES) - (kind == DICUT)
+    if n > limit:
+        raise DomainError(f"n: {n} exceeds {limit}, the largest n whose dense "
+                          f"weight matrix has at most {MAX_DENSE_ENTRIES} entries")
+
+
 def graph_instance(n: int, kind: str, edges: Iterable[tuple[int, int, float]],
                    signed: bool = False) -> Instance:
     """Build a validated maxcut/dicut instance from 0-based edges."""
     if kind not in (MAXCUT, DICUT):
         raise DomainError(f"kind: expected maxcut or dicut, got {kind!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n: expected positive integer, got {n!r}")
+    _check_n(n, kind)
     seen: set[tuple[int, int]] = set()
     out = []
     for idx, (i, j, w) in enumerate(edges):
@@ -201,8 +217,7 @@ def allequal_instance(n: int, clauses: Iterable[tuple[Sequence[int], float]],
     ``clauses`` yields ``(literals, weight)`` with literals as signed 1-based
     variable ids (the on-disk convention): ``-3`` means "not x3".
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n: expected positive integer, got {n!r}")
+    _check_n(n, ALLEQUAL)
     out = []
     arity = 0
     for idx, (lits, w) in enumerate(clauses):

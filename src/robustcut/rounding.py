@@ -3,7 +3,9 @@ them.
 
 Facts used throughout (r uniform on the unit sphere, u, v, w unit vectors):
 
-* P[sgn(u.r) != sgn(v.r)] = arccos(u.v) / pi
+* P[sgn(u.r) != sgn(v.r)] = arccos(u.v) / pi, i.e. the signs x_u, x_v have
+  E[x_u x_v] = (2/pi) arcsin(u.v); every graph-kind term is affine in such
+  pair moments (:func:`expected_terms`)
 * P[sgn(u.r) = sgn(v.r) = sgn(w.r)]
     = 1 - (arccos(u.v) + arccos(u.w) + arccos(v.w)) / (2 pi)
 * arccos(t)/pi >= (alpha/2)(1 - t) on [-1, 1] with alpha ~ 0.87856 (the
@@ -24,10 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import streams
-from .instances import (ALLEQUAL, DICUT, MAXCUT, DomainError, Instance,
-                        term_coefficients)
+from .instances import ALLEQUAL, DomainError, Instance, term_coefficients
 from .numerics import NumericError
-from .sdp import _check_factor
+from .sdp import pair_gram
 
 APPROX_RATIO_MAXCUT = 0.878
 APPROX_RATIO_DICUT = 0.796
@@ -90,65 +91,41 @@ def rounding_draws(inst: Instance, U: np.ndarray, w, seed: int,
 # exact expectations
 # ---------------------------------------------------------------------------
 
-def _pair_dots(inst: Instance, U: np.ndarray) -> np.ndarray:
-    i, j = inst.endpoints()
-    off = int(inst.reference)
-    return np.clip(np.einsum("ri,ri->i", U[:, i + off], U[:, j + off]), -1.0, 1.0)
+def expected_terms(inst: Instance, U: np.ndarray, z: Optional[np.ndarray] = None,
+                   ) -> np.ndarray:
+    """Exact expectation of ``term_coefficients(inst, x)`` over the draws x
+    that :func:`rounding_draws` makes, one entry per term.
 
-
-def expected_cut_exact(inst: Instance, U: np.ndarray, w) -> float:
-    """Exact expected cut weight of hyperplane rounding:
-    sum_e w_e arccos(u_i . u_j) / pi.  Signed weights are allowed (the
-    formula is linear in w)."""
-    if inst.kind != MAXCUT:
-        raise DomainError(f"expected_cut_exact: instance kind is {inst.kind}")
-    U = _check_factor(inst, U)
-    w = np.asarray(w, dtype=float)
-    return float(w @ (np.arccos(_pair_dots(inst, U)) / math.pi))
-
-
-def expected_dicut_exact(inst: Instance, U: np.ndarray, w) -> float:
-    """Exact expected directed-cut weight of reference-oriented rounding.
-
-    Arc i -> j is cut when i agrees with the reference and j does not:
-    P = (arccos(u0.u_j) + arccos(u_i.u_j) - arccos(u0.u_i)) / (2 pi).
-    """
-    if inst.kind != DICUT:
-        raise DomainError(f"expected_dicut_exact: instance kind is {inst.kind}")
-    U = _check_factor(inst, U)
-    w = np.asarray(w, dtype=float)
-    i, j = inst.endpoints()
-    u0 = U[:, 0]
-    a = np.clip(U[:, i + 1].T @ u0, -1.0, 1.0)
-    b = np.clip(U[:, j + 1].T @ u0, -1.0, 1.0)
-    c = _pair_dots(inst, U)
-    probs = (np.arccos(b) + np.arccos(c) - np.arccos(a)) / (2.0 * math.pi)
-    return float(w @ probs)
+    For the graph kinds it reads the pair table: hyperplane rounding gives
+    E[x_a x_b] = (2/pi) arcsin <u_a, u_b>, so e_t = c0 + sum_p beta_p (2/pi)
+    arcsin <u_a, u_b> -- arccos(u_i.u_j)/pi for an edge, and for an arc the
+    probability that i sides with the reference and j does not.  For
+    all-equal, given the seed vector z, the variables flip independently
+    and a clause holds when all its literal values agree."""
+    if inst.kind == ALLEQUAL:
+        V, S = inst.clause_arrays
+        p_plus = assignment_prob(z, inst.arity)
+        q = np.where(S > 0, p_plus[V], 1.0 - p_plus[V])
+        return np.prod(q, axis=1) + np.prod(1.0 - q, axis=1)
+    c0, term, _, _, beta = inst.pair_table
+    moments = np.arcsin(np.clip(pair_gram(inst, U), -1.0, 1.0)) * (2.0 / math.pi)
+    return c0 + np.bincount(term, beta * moments, minlength=inst.m)
 
 
 def expected_allequal_exact(inst: Instance, z: np.ndarray, w) -> float:
-    """Exact expected satisfied weight of the biased assignment built from a
-    sign vector z: each clause holds when all literal values agree, and the
-    variables flip independently."""
+    """Exact expected satisfied weight at w of the biased assignment built
+    from a sign vector z (:func:`expected_terms`)."""
     if inst.kind != ALLEQUAL:
         raise DomainError(f"expected_allequal_exact: instance kind is {inst.kind}")
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    V, S = inst.clause_arrays
-    p_plus = assignment_prob(z, inst.arity)
-    q = np.where(S > 0, p_plus[V], 1.0 - p_plus[V])
-    return float(w @ (np.prod(q, axis=1) + np.prod(1.0 - q, axis=1)))
+    return float(np.asarray(w, dtype=float) @ expected_terms(inst, None, z))
 
 
 def expected_rounded_value(inst: Instance, U: np.ndarray,
                            z: Optional[np.ndarray], w) -> float:
-    """Exact expected value at w of the draws :func:`rounding_draws` makes,
-    given its seed vector z (used for all-equal only)."""
-    if inst.kind == ALLEQUAL:
-        return expected_allequal_exact(inst, z, w)
-    if inst.kind == MAXCUT:
-        return expected_cut_exact(inst, U, w)
-    return expected_dicut_exact(inst, U, w)
+    """Exact expected value e . w at w of the draws :func:`rounding_draws`
+    makes, given its seed vector z (used for all-equal only); e is
+    :func:`expected_terms`, and signed weights are allowed."""
+    return float(expected_terms(inst, U, z) @ np.asarray(w, dtype=float))
 
 
 # ---------------------------------------------------------------------------

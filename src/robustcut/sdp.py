@@ -82,6 +82,14 @@ def _check_factor(inst: Instance, U) -> np.ndarray:
     return U
 
 
+def pair_gram(inst: Instance, U) -> np.ndarray:
+    """The Gram entry <u_a, u_b> of the factor U for each pair (a, b) of
+    :attr:`instances.Instance.pair_table`."""
+    U = _check_factor(inst, U)
+    _, _, a, b, _ = inst.pair_table
+    return np.einsum("ri,ri->i", U[:, a], U[:, b])
+
+
 def term_gram_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
     """Per-term relaxation coefficients at a factor (the factor multiplying
     each weight in the relaxed objective); they reduce to
@@ -90,10 +98,8 @@ def term_gram_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
     (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and the callers in :mod:`robust`
     clip it at 0 (``_saddle_loop``, ``inner_worst`` and both reformulated
     values; ROADMAP item 1)."""
-    U = _check_factor(inst, U)
-    c0, term, a, b, beta = inst.pair_table
-    dots = np.einsum("ri,ri->i", U[:, a], U[:, b])
-    return c0 + np.bincount(term, beta * dots, minlength=inst.m)
+    c0, term, _, _, beta = inst.pair_table
+    return c0 + np.bincount(term, beta * pair_gram(inst, U), minlength=inst.m)
 
 
 def relaxed_value(inst: Instance, U: np.ndarray, w: np.ndarray) -> float:

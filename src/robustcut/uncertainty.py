@@ -426,20 +426,13 @@ def _worst_block(spec: UncertaintySpec, C: np.ndarray,
     return np.where(live, np.vecdot(costs, P), 0.0), None, P
 
 
-def _root_times(spec: UncertaintySpec, X: np.ndarray) -> np.ndarray:
-    """Q^{1/2} @ x for a vector x, or each row times Q^{1/2} for a block
-    (X @ Q^{1/2}.T), with the root of :func:`sqrt_psd`; an elementwise
-    product with :func:`sqrt_psd_diagonal` when Q is diagonal."""
-    q = spec._diag
-    if q is not None:
-        return X * sqrt_psd_diagonal(q)
-    root = sqrt_psd(spec.Q)
-    return root @ X if X.ndim == 1 else X @ root.T
-
-
 def ellipsoid_root_norm(spec: UncertaintySpec, coef: np.ndarray) -> float:
-    """||Q^{1/2} coef|| for an ellipsoidal set."""
-    return float(np.linalg.norm(_root_times(spec, coef)))
+    """||Q^{1/2} coef|| for an ellipsoidal set, with the root of
+    :func:`sqrt_psd`; an elementwise product with :func:`sqrt_psd_diagonal`
+    when Q is diagonal."""
+    q = spec._diag
+    root_coef = coef * sqrt_psd_diagonal(q) if q is not None else sqrt_psd(spec.Q) @ coef
+    return float(np.linalg.norm(root_coef))
 
 
 def _worst_distributions(spec: UncertaintySpec, costs: np.ndarray) -> np.ndarray:
@@ -514,80 +507,6 @@ def dual_polyhedral_value(spec: UncertaintySpec, coef) -> float:
     coef = _check_coef(spec, coef)
     res = simplex_solve(-spec.b, spec.A.T, coef, ["<="] * spec.dim())
     return -res.value
-
-
-# ---------------------------------------------------------------------------
-# feasible sampling (for certification sweeps)
-# ---------------------------------------------------------------------------
-
-def sample_feasible(spec: UncertaintySpec, rng: np.random.Generator,
-                    count: int) -> np.ndarray:
-    """Draw `count` feasible weight vectors (mean weights for wasserstein).
-
-    Any feasible point serves the certification sweeps, so each kind draws
-    the cheapest way it has:
-
-    * a box: uniform on [lower, upper], ``lower + U (upper - lower)`` with
-      ``U = rng.random((count, m))``;
-    * an ellipsoid: uniform in the ball, through Q^{1/2};
-    * a Wasserstein ball: the mean of the mixture (1 - lam) p_hat + lam e_i
-      that moves the share lam of every atom's mass to one atom i, drawn
-      uniformly, with lam uniform on [0, min(1, r / cost_i)) where cost_i =
-      sum_j p_hat_j d_ij is the cost of moving all the mass to i;
-    * any other polyhedron: hit-and-run (2 m steps between samples) from the
-      tableau's vertex for a zero cost.
-    """
-    dim = spec.dim()
-    if spec.kind == SINGLETON:
-        return np.tile(spec.weights, (count, 1))
-
-    if spec.kind == ELLIPSOIDAL:
-        z = rng.standard_normal((count, dim))
-        z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-        rho = rng.random(count) ** (1.0 / dim)
-        pts = spec.w0 + _root_times(spec, np.sqrt(spec.a) * (rho[:, None] * z))
-        return np.clip(pts, 0.0, None)  # clip roundoff-level negatives
-
-    if spec.kind == POLYHEDRAL:
-        box = spec._box
-        if box is not None:
-            lower, upper = box
-            return lower + rng.random((count, dim)) * (upper - lower)
-        w = spec._tableau.solve(np.zeros(dim)).x
-        out = np.empty((count, dim))
-        for t in range(count):
-            for _ in range(2 * dim):  # a few hit-and-run steps between samples
-                d = rng.standard_normal(dim)
-                lo, hi = _chord(spec.A, spec.b, w, d)
-                if hi <= lo:
-                    continue
-                w = w + rng.uniform(lo, hi) * d
-            out[t] = np.clip(w, 0.0, None)
-        return out
-
-    # wasserstein: an atom within r of all the mass (cost_i <= r, 0 included)
-    # can take all of it
-    k = spec.support.shape[0]
-    emp_mean = spec.support.T @ spec.empirical
-    cost = spec.metric @ spec.empirical
-    reach = np.divide(spec.radius, cost, out=np.ones(k), where=cost > spec.radius)
-    atom = rng.integers(k, size=count)
-    lam = rng.random(count) * reach[atom]
-    return emp_mean + lam[:, None] * (spec.support[atom] - emp_mean)
-
-
-def _chord(A: np.ndarray, b: np.ndarray, w: np.ndarray, d: np.ndarray,
-           eps: float = 1e-12) -> tuple[float, float]:
-    """Step range t so that w + t d stays in {A x >= b, x >= 0}."""
-    # every row, of A x >= b and of x >= 0 alike, reads slack + t * rate >= 0;
-    # rows with |rate| <= eps do not bound t
-    rate = np.concatenate([A @ d, d])
-    slack = np.concatenate([A @ w - b, w])
-    down = rate < -eps
-    up = rate > eps
-    hi = float(np.min(slack[down] / -rate[down], initial=np.inf))
-    lo = float(np.max(-slack[up] / rate[up], initial=-np.inf))
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from robustcut import streams
 from robustcut.instances import (allequal_instance, allequal_value,
                                  term_coefficients)
-from robustcut.oracle import mc_allequal_value
 from robustcut.rounding import allequal_quadratic_matrix, expected_allequal_exact
+
+from mc_reference import mc_allequal_value
 
 REL = 1e-15
 

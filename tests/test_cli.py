@@ -267,6 +267,19 @@ def test_integers_too_large_for_a_float_are_named(tmp_path, capsys, instance, sp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["maxcut", "dicut", "allequal"])
+@pytest.mark.parametrize("n", [HUGE, 10 ** 11])
+def test_n_beyond_the_dense_weight_matrix_is_named(tmp_path, capsys, kind, n):
+    terms = ({"clauses": [{"literals": [1, 2], "weight": 1.0}]} if kind == "allequal"
+             else {"edges": [[1, 2, 1.0]]})
+    inst = write_json(tmp_path / "inst.json", {"kind": kind, "n": n, **terms})
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", inst, "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: n: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture()
 def allequal_file(tmp_path):
     path = tmp_path / "ae.json"
@@ -289,15 +302,11 @@ def test_trials_below_one_rejected(tmp_path, capsys, cycle5, allequal_file, cmd,
     ("verify", "--gap-tol", "nan"), ("verify", "--gap-tol", "-1"),
     ("solve", "--gap-tol", "0"), ("solve", "--gap-tol", "inf"),
     ("verify", "--restarts", "-2"), ("solve", "--restarts", "0"),
-    ("round", "--max-iter", "0"), ("bench", "--max-iter", "-5"),
-    ("verify", "--samples", "-1"), ("verify", "--rank", "-1"),
-    ("solve", "--seed", "-3"), ("verify", "--seed", "-1"), ("round", "--seed", "x"),
-    ("bench", "--seed", "-1"), ("bench", "--sizes", "5,x"), ("bench", "--sizes", "0"),
-    ("bench", "--sizes", "6,,10"), ("bench", "--sizes", "")])
+    ("round", "--max-iter", "0"), ("verify", "--rank", "-1"),
+    ("solve", "--seed", "-3"), ("verify", "--seed", "-1"), ("round", "--seed", "x")])
 def test_out_of_range_solver_flags_rejected(tmp_path, capsys, triangle_file, cmd, flag, value):
     out = tmp_path / "r.json"
-    args = [] if cmd == "bench" else ["--instance", triangle_file]
-    assert run(cmd, *args, flag, value, "--out", str(out)) == EXIT_PARSE
+    assert run(cmd, "--instance", triangle_file, flag, value, "--out", str(out)) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: argument {flag}: ") and "Traceback" not in err
     assert not out.exists()
@@ -530,7 +539,7 @@ def test_parser_reused_across_calls(tmp_path, capsys, triangle_file):
 
 
 # ---------------------------------------------------------------------------
-# round / bench
+# round
 # ---------------------------------------------------------------------------
 
 def test_round_command(tmp_path, cycle5):
@@ -586,13 +595,16 @@ def test_round_allequal_best_matches_solve(tmp_path):
     assert rep["best"] == json.loads(solved.read_text())["rounding"]["value"]
 
 
-def test_bench_command(capsys, tmp_path):
-    out = tmp_path / "b.json"
-    assert run("bench", "--sizes", "5,6", "--seed", "1",
-               "--out", str(out)) == EXIT_OK
-    rep = json.loads(out.read_text())
-    assert [row["n"] for row in rep["rows"]] == [5, 6]
-    assert all(row["converged"] for row in rep["rows"])
+@pytest.mark.parametrize("argv, named", [
+    (("verify", "--samples", "3"), "--samples"), (("bench",), "bench"),
+    (("bench", "--sizes", "5,6"), "bench")])
+def test_removed_sampling_flag_and_bench_command_exit_1(tmp_path, capsys, triangle_file,
+                                                        argv, named):
+    # the lower sandwich reads the set's exact minimum, so verify takes no
+    # samples; perfbench/ is the benchmark, so there is no bench command
+    out = tmp_path / "r.json"
+    args = ["--instance", triangle_file] if argv[0] == "verify" else []
+    assert run(*argv, *args, "--out", str(out)) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert "[time]" in err  # wall-clock only ever goes to stderr
-    assert "[time]" not in out.read_text()
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not out.exists()

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from robustcut import streams
-from robustcut.instances import (DICUT, MAXCUT, DomainError, ParseError,
-                                 allequal_instance,
+from robustcut.instances import (DICUT, MAX_DENSE_ENTRIES, MAXCUT, DomainError,
+                                 ParseError, allequal_instance,
                                  allequal_value, check_cut, cut_value,
                                  dicut_value, graph_instance,
                                  instance_from_dict, instance_to_dict,
@@ -78,6 +78,21 @@ def test_out_of_range_index_rejected():
         graph_instance(3, MAXCUT, [(0, 3, 1.0)])
     with pytest.raises(DomainError):
         graph_instance(3, MAXCUT, [(-1, 1, 1.0)])
+
+
+def test_n_is_bounded_by_the_dense_weight_matrix():
+    # the largest n whose ncols x ncols weight matrix has at most
+    # MAX_DENSE_ENTRIES entries is accepted, the next one is refused by name
+    assert MAX_DENSE_ENTRIES == 2 ** 28  # ncols up to 16384
+    for kind, limit in ((MAXCUT, 16384), (DICUT, 16383)):
+        assert graph_instance(limit, kind, [(0, 1, 1.0)]).ncols ** 2 <= MAX_DENSE_ENTRIES
+        with pytest.raises(DomainError, match=f"^n: {limit + 1} exceeds {limit}"):
+            graph_instance(limit + 1, kind, [(0, 1, 1.0)])
+    assert allequal_instance(16384, [([1, 2], 1.0)]).n == 16384
+    with pytest.raises(DomainError, match="^n: 16385 exceeds 16384"):
+        allequal_instance(16385, [([1, 2], 1.0)])
+    with pytest.raises(DomainError, match="^n: "):
+        instance_from_dict({"kind": MAXCUT, "n": 10 ** 400, "edges": [[1, 2, 1.0]]})
 
 
 def test_allequal_validation():

@@ -1,4 +1,4 @@
-"""Brute-force oracles, Monte-Carlo estimators, and the certificate report."""
+"""Brute-force oracles, the Monte-Carlo references, and the certificate report."""
 
 import dataclasses
 import math
@@ -16,14 +16,16 @@ from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
                                  graph_instance, term_coefficients)
 from robustcut.oracle import (BRUTE_FORCE_LIMIT, OracleResult,
                               brute_force_robust, certify_sandwich,
-                              guarantee_ratio, mc_allequal_value,
-                              mc_expected_cut)
+                              guarantee_ratio)
 from robustcut.robust import SolverConfig, solve_robust
-from robustcut.rounding import (allequal_quadratic_matrix, expected_cut_exact,
-                                rounding_draws)
+from robustcut.rounding import (allequal_quadratic_matrix, expected_rounded_value,
+                                expected_terms, rounding_draws)
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
                                    singleton_spec, wasserstein_spec,
-                                   worst_case_values, worst_case_weights)
+                                   worst_case_mean, worst_case_values,
+                                   worst_case_weights)
+
+from mc_reference import mc_allequal_value, mc_expected_cut
 
 
 def triangle(kind=MAXCUT, edges=None):
@@ -165,7 +167,7 @@ def test_brute_force_builds_one_tableau(monkeypatch, make_spec):
 @pytest.mark.parametrize("kind", ["singleton", "box", "ellipsoid", "wasserstein",
                                   "wasserstein_metric", "budgeted_box"])
 def test_only_general_polyhedra_build_a_tableau(monkeypatch, kind):
-    # validation, both oracles, sampling, a solve and a certificate: every
+    # validation, both oracles, a solve and a certificate: every
     # set kind but a polyhedron that is not a box runs without an LP
     inst = gnp_instance(6, 0.5, 3)
     D = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -178,7 +180,7 @@ def test_only_general_polyhedra_build_a_tableau(monkeypatch, kind):
             "budgeted_box": lambda: _budgeted_box(inst, 3)}[kind]()
     built = count_tableaus(monkeypatch)
     sol = solve_robust(inst, spec, SolverConfig(seed=0, restarts=1, max_iter=40))
-    rep = certify_sandwich(inst, spec, sol, samples=3)
+    rep = certify_sandwich(inst, spec, sol)
     worst_case_values(spec, term_coefficients(inst, np.ones((2, inst.n), dtype=int)))
     assert rep.oracle_value > 0.0
     assert len(built) == (1 if kind == "budgeted_box" else 0)
@@ -415,7 +417,7 @@ def test_mc_expected_cut_pentagon():
     ang = np.arange(5) * 4.0 * math.pi / 5.0
     factor = np.vstack([np.cos(ang), np.sin(ang)])
     w = inst.nominal_weights()
-    exact = expected_cut_exact(inst, factor, w)
+    exact = expected_rounded_value(inst, factor, None, w)
     mean, stderr = mc_expected_cut(inst, factor, w, trials=60000, seed=7)
     assert abs(mean - exact) <= 3.5 * stderr
 
@@ -615,6 +617,66 @@ def test_certify_upper_points_are_solves_first_draws(kind):
     assert [c.name for c in rep.checks if c.name.startswith("upper")] == \
         [f"upper_sandwich[round{t}]" for t in range(4)]
     assert rep.checks == explicit.checks
+
+
+def same_bits(x, y):
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def test_lower_sandwich_set_is_one_oracle_call_on_the_expected_terms(monkeypatch):
+    """lower_sandwich[set] is min_w e . w over the whole set, from one
+    inner-oracle call on the expected rounded terms e: on an ellipsoid it
+    lies strictly below e . w*, on a box the lower corner is both."""
+    inst = gnp_instance(12, 0.5, 1)
+    calls = []
+
+    def counted(spec, coef):
+        calls.append(coef)
+        return best_response(spec, coef)
+
+    best_response = oracle._best_response
+    monkeypatch.setattr(oracle, "_best_response", counted)
+    for spec in (ellipsoid_for(inst, 0.5), box_for(inst, 0.2)):
+        sol = solve_robust(inst, spec, SolverConfig(seed=0))
+        calls.clear()
+        rep = certify_sandwich(inst, spec, sol)
+        assert rep.ok and len(calls) == 1
+        checks = {c.name: c for c in rep.checks}
+        e = expected_terms(inst, sol.factor)
+        assert same_bits(calls[0], e)
+        assert same_bits(checks["lower_sandwich[set]"].lhs, worst_case_weights(spec, e)[1])
+        assert same_bits(checks["lower_sandwich[worst]"].lhs, e @ sol.worst)
+        if spec.kind == "ellipsoidal":
+            assert checks["lower_sandwich[set]"].lhs < checks["lower_sandwich[worst]"].lhs
+        else:
+            assert checks["lower_sandwich[set]"].lhs == checks["lower_sandwich[worst]"].lhs
+
+
+def test_lower_sandwich_set_reads_the_worst_distribution_of_a_wasserstein_ball():
+    inst = gnp_instance(10, 0.5, 1)
+    spec = wasserstein_for(inst, 4, 0.3)
+    sol = solve_robust(inst, spec, SolverConfig(seed=0))
+    rep = certify_sandwich(inst, spec, sol)
+    e = expected_terms(inst, sol.factor)
+    lhs = next(c.lhs for c in rep.checks if c.name == "lower_sandwich[set]")
+    assert rep.ok and same_bits(lhs, worst_case_mean(spec, e)[2])
+
+
+@pytest.mark.parametrize("kind", ["singleton", "allequal"])
+def test_lower_sandwich_checks_only_the_worst_weights(kind):
+    # a singleton is its own minimum; all-equal's seed vector is chosen
+    # against the worst weights, so its bound is checked there only
+    if kind == "singleton":
+        inst = gnp_instance(8, 0.5, 2)
+        spec = singleton_for(inst)
+    else:
+        inst = random_allequal_instance(6, 3, 8, 2)
+        spec = box_for(inst, 0.2)
+    sol = solve_robust(inst, spec, SolverConfig(seed=0))
+    rep = certify_sandwich(inst, spec, sol)
+    assert rep.ok
+    assert [c.name for c in rep.checks if c.name.startswith("lower")] == \
+        ["lower_sandwich[worst]"]
 
 
 def test_allequal_quadratic_matrix():

@@ -1,9 +1,8 @@
 """Property tests: the closed-form box and diagonal-ellipsoid routes give the
-exact box vertex and the dense routes' bits on randomly drawn sets, box
-samples are uniform draws inside the box, the closed-form Wasserstein worst
-case is the transport LP's optimum on balls drawn with many ties, and the
-colour classes of randomly drawn instances of every kind are valid classes
-for the ascent sweep.
+exact box vertex and the dense routes' bits on randomly drawn sets, the
+closed-form Wasserstein worst case is the transport LP's optimum on balls
+drawn with many ties, and the colour classes of randomly drawn instances of
+every kind are valid classes for the ascent sweep.
 
 Drawn with ``hypothesis`` (a test-only dependency) at a fixed seed
 (``derandomize``), without an example database, so every run checks the same
@@ -21,10 +20,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from robustcut import sdp  # noqa: E402
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT,  # noqa: E402
                                  allequal_instance, graph_instance)
-from robustcut.numerics import (FeasibleTableau, simplex_solve,  # noqa: E402
-                                sqrt_psd)
+from robustcut.numerics import FeasibleTableau, simplex_solve  # noqa: E402
 from robustcut.uncertainty import (_worst_distributions,  # noqa: E402
-                                   ellipsoidal_spec, polyhedral_spec, sample_feasible,
+                                   ellipsoidal_spec, polyhedral_spec,
                                    validate_set, wasserstein_spec,
                                    worst_case_mean, worst_case_values,
                                    worst_case_weights)
@@ -84,8 +82,7 @@ def boxes(draw):
 
 def check_tableau_fallback(spec, vertex, coefs):
     """A set of :func:`boxes` that is no box as written: the tableau answers
-    it, within its 1e-9 tolerance of `vertex`, and its samples satisfy the
-    rows to that tolerance."""
+    it, within its 1e-9 tolerance of `vertex`."""
     assert spec._box is None
     tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
     for c in np.clip(coefs, 0.0, None):
@@ -93,8 +90,6 @@ def check_tableau_fallback(spec, vertex, coefs):
         res = tableau.solve(c)
         assert same_bits(w, res.x) and same_bits(v, res.value)
         assert np.allclose(w, vertex, rtol=1e-9, atol=1e-9)
-    got = sample_feasible(spec, np.random.default_rng(0), 5)
-    assert np.all(spec.A @ got.T >= spec.b[:, None] - 1e-9 * (1.0 + np.abs(spec.b[:, None])))
     assert "_tableau" in vars(spec)
 
 
@@ -129,24 +124,6 @@ def test_random_box_oracle_is_the_exact_vertex(box, data):
             res = tableau.solve(c_clip)
             assert same_bits(w, res.x) and same_bits(v, res.value)
     assert same_bits(worst_case_values(spec, coefs), [float(c @ vertex) for c in clipped])
-    assert "_tableau" not in vars(spec)
-
-
-@FIXED
-@given(boxes(), st.integers(0, 2 ** 32 - 1))
-def test_random_box_samples_are_uniform_draws(box, seed):
-    spec, vertex, _, is_box = box
-    m = spec.dim()
-    if not is_box:
-        check_tableau_fallback(spec, vertex, np.ones((1, m)))
-        return
-    lower, upper = spec._box
-    got = sample_feasible(spec, np.random.default_rng(seed), 5)
-    U = np.random.default_rng(seed).random((5, m))
-    assert same_bits(got, lower + U * (upper - lower))
-    assert np.all(got >= lower) and np.all(got <= upper)
-    point = lower == upper  # the draws are exactly the point
-    assert same_bits(got[:, point], np.broadcast_to(lower[point], (5, point.sum())))
     assert "_tableau" not in vars(spec)
 
 
@@ -185,14 +162,6 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     pd = [] if eig[0] > m * np.finfo(float).eps * eig[-1] else \
         [f"Q: not positive definite (min eigenvalue {eig[0]:.3e})"]
     assert [v for v in validate_set(spec) if v.startswith("Q:")] == pd
-    # sampling: the dense root from the eigendecomposition
-    seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((4, m))
-    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-    rho = rng.random(4) ** (1.0 / m)
-    want = np.clip(w0 + np.sqrt(a) * (rho[:, None] * z) @ sqrt_psd(Q).T, 0.0, None)
-    assert same_bits(sample_feasible(spec, np.random.default_rng(seed), 4), want)
 
 
 # ---------------------------------------------------------------------------

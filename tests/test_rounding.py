@@ -8,14 +8,16 @@ import pytest
 
 from robustcut import streams
 from robustcut.cli import main
+from robustcut.gen import box_for, ellipsoid_for, gnp_instance, wasserstein_for
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
                                  allequal_instance, graph_instance,
                                  instance_to_json, term_coefficients)
 from robustcut.numerics import NumericError
+from robustcut.robust import SolverConfig, solve_robust
 from robustcut.rounding import (APPROX_RATIO_DICUT, CROSSOVER_GAMMA,
                                 allequal_round, alpha_ratio, dicut_biased_ratio_search,
                                 dicut_triple_prob, expected_allequal_exact,
-                                expected_cut_exact, expected_dicut_exact,
+                                expected_rounded_value, expected_terms,
                                 feasible_pair_grid, hyperplane_round,
                                 large_cut_ratio, negative_weight_bound,
                                 round_cut, rounding_draws, sign_round_psd,
@@ -172,11 +174,15 @@ def test_allequal_assignments_and_hyperplanes_use_disjoint_streams(tmp_path, mon
 # exact expectations
 # ---------------------------------------------------------------------------
 
+def expected_cut(inst, U, w):
+    return expected_rounded_value(inst, U, None, w)
+
+
 def test_expected_cut_anchors():
     edge = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
-    assert expected_cut_exact(edge, factor_from_columns(E1, -E1), [1.0]) == \
+    assert expected_cut(edge, factor_from_columns(E1, -E1), [1.0]) == \
         pytest.approx(1.0, abs=1e-12)
-    assert expected_cut_exact(edge, factor_from_columns(E1, E2), [1.0]) == \
+    assert expected_cut(edge, factor_from_columns(E1, E2), [1.0]) == \
         pytest.approx(0.5, abs=1e-12)
 
 
@@ -184,7 +190,7 @@ def test_expected_cut_pentagon():
     inst = graph_instance(5, MAXCUT, [(i, (i + 1) % 5, 1.0) for i in range(5)])
     ang = np.arange(5) * 4.0 * math.pi / 5.0
     factor = np.vstack([np.cos(ang), np.sin(ang)])
-    v = expected_cut_exact(inst, factor, inst.nominal_weights())
+    v = expected_cut(inst, factor, inst.nominal_weights())
     assert v == pytest.approx(4.0, abs=1e-9)
 
 
@@ -196,28 +202,28 @@ def test_expected_cut_linear_in_weights():
     U /= np.linalg.norm(U, axis=0)
     wa = np.array([1.0, 0.0, 2.0])
     wb = np.array([0.0, -1.5, 1.0])
-    va = expected_cut_exact(inst, U, wa)
-    vb = expected_cut_exact(inst, U, wb)
-    assert expected_cut_exact(inst, U, wa + wb) == \
+    va = expected_cut(inst, U, wa)
+    vb = expected_cut(inst, U, wb)
+    assert expected_cut(inst, U, wa + wb) == \
         pytest.approx(va + vb, abs=1e-12)
 
 
 def test_expected_cut_wrong_kind():
-    inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
-    with pytest.raises(DomainError, match="kind"):
-        expected_cut_exact(inst, factor_from_columns(E1, E1, E2),
-                           [1.0])
+    # a factor in di-cut's column layout (a reference column first) does not
+    # fit a max-cut instance on the same vertices
+    inst = graph_instance(2, MAXCUT, [(0, 1, 1.0)])
+    with pytest.raises(DomainError, match="columns"):
+        expected_cut(inst, factor_from_columns(E1, E1, E2), [1.0])
 
 
 def test_expected_dicut_anchors():
     inst = graph_instance(2, DICUT, [(0, 1, 1.0)])
     always = factor_from_columns(E1, E1, -E1)
-    assert expected_dicut_exact(inst, always, [1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert expected_cut(inst, always, [1.0]) == pytest.approx(1.0, abs=1e-12)
     ortho = factor_from_columns(E1, E2, E3)
-    assert expected_dicut_exact(inst, ortho, [1.0]) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(DomainError, match="kind"):
-        expected_dicut_exact(graph_instance(2, MAXCUT, [(0, 1, 1.0)]),
-                             ortho, [1.0])
+    assert expected_cut(inst, ortho, [1.0]) == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(DomainError, match="columns"):
+        expected_cut(graph_instance(2, MAXCUT, [(0, 1, 1.0)]), ortho, [1.0])
 
 
 def test_expected_dicut_matches_triple_prob():
@@ -228,9 +234,50 @@ def test_expected_dicut_matches_triple_prob():
     for _ in range(20):
         U = rng.standard_normal((4, 3))
         U /= np.linalg.norm(U, axis=0)
-        p = expected_dicut_exact(inst, U, [1.0])
+        p = expected_cut(inst, U, [1.0])
         q = dicut_triple_prob(U[:, 0], U[:, 1], -U[:, 2])
         assert p == pytest.approx(q, abs=1e-12)
+
+
+def test_expected_terms_per_arc_match_triple_prob():
+    # every arc i -> j of a multi-arc instance: the kernel's term is the
+    # triple-agreement probability of (u0, u_i, -u_j), read arc by arc
+    rng = streams.stream(43, streams.TAG_GEN, 0)
+    inst = gnp_instance(9, 0.6, 4, kind=DICUT)
+    i, j = inst.endpoints()
+    for _ in range(5):
+        U = rng.standard_normal((5, inst.ncols))
+        U /= np.linalg.norm(U, axis=0)
+        e = expected_terms(inst, U)
+        want = [dicut_triple_prob(U[:, 0], U[:, a + 1], -U[:, b + 1]) for a, b in zip(i, j)]
+        assert e.shape == (inst.m,)
+        assert np.allclose(e, want, rtol=0.0, atol=1e-15)
+
+
+def arccos_formula(inst, U, w):
+    """The closed forms the pair-table kernel replaced: sum_e w_e
+    arccos(u_i.u_j)/pi for an edge, and (arccos(u0.u_j) + arccos(u_i.u_j) -
+    arccos(u0.u_i)) / (2 pi) for an arc."""
+    i, j = inst.endpoints()
+    off = int(inst.reference)
+    c = np.clip(np.einsum("ri,ri->i", U[:, i + off], U[:, j + off]), -1.0, 1.0)
+    if inst.kind == MAXCUT:
+        return float(w @ (np.arccos(c) / math.pi))
+    a = np.clip(U[:, i + 1].T @ U[:, 0], -1.0, 1.0)
+    b = np.clip(U[:, j + 1].T @ U[:, 0], -1.0, 1.0)
+    return float(w @ ((np.arccos(b) + np.arccos(c) - np.arccos(a)) / (2.0 * math.pi)))
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT])
+def test_expected_rounded_value_matches_arccos_formulas(kind):
+    for n in (20, 40):
+        inst = gnp_instance(n, 0.5, 1, kind=kind)
+        for spec in (box_for(inst, 0.2), ellipsoid_for(inst, 0.5),
+                     wasserstein_for(inst, 4, 0.3)):
+            sol = solve_robust(inst, spec, SolverConfig(seed=0))
+            want = arccos_formula(inst, sol.factor, sol.worst)
+            got = expected_rounded_value(inst, sol.factor, None, sol.worst)
+            assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_expected_allequal_anchors():

@@ -2,7 +2,8 @@
 
 Independent cross-checks: a projected-gradient minimizer for the ellipsoid
 (never touches the closed form), a 2x2 transport enumeration for the
-Wasserstein ball, and feasible-sample domination sweeps for everything.
+Wasserstein ball, and domination sweeps over the oracles' own minimizers
+for everything.
 """
 
 import dataclasses
@@ -19,10 +20,9 @@ from robustcut.numerics import FeasibleTableau, InfeasibleError, simplex_solve, 
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
 from robustcut.sdp import _random_unit_columns, default_rank, term_gram_coefficients
-from robustcut.uncertainty import (_chord, _worst_block, box_spec, dual_polyhedral_value,
+from robustcut.uncertainty import (_worst_block, box_spec, dual_polyhedral_value,
                                    ellipsoidal_spec, load_spec, parse_spec,
-                                   polyhedral_spec, require_valid, sample_feasible,
-                                   singleton_spec, spec_to_json, validate_set,
+                                   polyhedral_spec, require_valid, singleton_spec, spec_to_json, validate_set,
                                    wasserstein_spec, worst_case_mean,
                                    worst_case_values, worst_case_weights)
 
@@ -406,26 +406,20 @@ def test_sample_domination_all_kinds():
                          np.array([0.3, 0.3, 0.4]), 0.5),
     ]
     for spec in specs:
-        for _ in range(8):
-            coef = rng.uniform(0.0, 2.0, size=m)
+        # every minimizer lies in the set, so no coefficient vector scores
+        # another one's minimizer below its own minimum
+        coefs = rng.uniform(0.0, 2.0, size=(8, m))
+        points, values = [], []
+        for coef in coefs:
             if spec.kind == "wasserstein":
-                _, _, v = worst_case_mean(spec, coef)
+                _, w, v = worst_case_mean(spec, coef)
             else:
-                _, v = worst_case_weights(spec, coef)
-            for w in sample_feasible(spec, rng, 10):
+                w, v = worst_case_weights(spec, coef)
+            points.append(w)
+            values.append(v)
+        for coef, v in zip(coefs, values):
+            for w in points:
                 assert coef @ w >= v - 1e-8
-
-
-def test_sample_feasible_stays_in_set():
-    rng = streams.stream(59, streams.TAG_GEN, 0)
-    l = np.array([0.2, 0.5, 0.1])
-    u = np.array([1.0, 1.5, 0.9])
-    for w in sample_feasible(box_spec(l, u), rng, 25):
-        assert np.all(w >= l - 1e-9) and np.all(w <= u + 1e-9)
-    ell = ellipsoidal_spec(np.array([2.0, 2.0]), np.diag([0.5, 1.0]), 1.0)
-    for w in sample_feasible(ell, rng, 25):
-        quad = (w - ell.w0) @ np.linalg.solve(ell.Q, w - ell.w0)
-        assert quad <= ell.a + 1e-9
 
 
 def test_monotone_in_set_size():
@@ -643,37 +637,6 @@ def test_replace_validates_afresh_and_rebuilds_the_derived_forms(monkeypatch):
     assert far == wasserstein_spec(3.0 * np.array(SUP), [0.5, 0.5], 0.3)
 
 
-def chord_loops(A, b, w, d, eps=1e-12):
-    """Row-by-row reference for the hit-and-run chord."""
-    lo, hi = -np.inf, np.inf
-    Ad = A @ d
-    slack = A @ w - b
-    for r in range(len(b)):
-        if Ad[r] < -eps:
-            hi = min(hi, slack[r] / -Ad[r])
-        elif Ad[r] > eps:
-            lo = max(lo, -slack[r] / Ad[r])
-    for i in range(len(w)):
-        if d[i] < -eps:
-            hi = min(hi, w[i] / -d[i])
-        elif d[i] > eps:
-            lo = max(lo, -w[i] / d[i])
-    return lo, hi
-
-
-def test_chord_matches_row_loop_exactly():
-    rng = streams.stream(31, streams.TAG_GEN, 0)
-    for _ in range(200):
-        m = int(rng.integers(1, 6))
-        lower = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
-        upper = lower + rng.uniform(0.0, 1.0, m)
-        spec = box_spec(lower, upper)
-        # interior points and points on faces (zero slack)
-        w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
-        d = rng.standard_normal(m) * (rng.random(m) < 0.8)
-        assert _chord(spec.A, spec.b, w, d) == chord_loops(spec.A, spec.b, w, d)
-
-
 def declared_lower_loop(A, b):
     """Row-by-row reference for validate_set's declared-lower-bound scan."""
     out = []
@@ -735,23 +698,6 @@ def tableau_worst(spec, coef):
     """The simplex route for a polyhedron: phase 2 of a fresh tableau."""
     res = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(np.clip(coef, 0.0, None))
     return res.x, res.value
-
-
-def tableau_hit_and_run(spec, rng, count):
-    """The simplex route of sample_feasible for a polyhedron: start at the
-    tableau's vertex for a zero cost, step along the dense chords."""
-    dim = spec.dim()
-    w = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(np.zeros(dim)).x
-    out = np.empty((count, dim))
-    for t in range(count):
-        for _ in range(2 * dim):
-            d = rng.standard_normal(dim)
-            lo, hi = _chord(spec.A, spec.b, w, d)
-            if hi <= lo:
-                continue
-            w = w + rng.uniform(lo, hi) * d
-        out[t] = np.clip(w, 0.0, None)
-    return out
 
 
 def coef_cases(rng, m):
@@ -867,104 +813,6 @@ def test_box_view_answers_tied_bounds_at_lower(name):
     assert "_tableau" not in vars(spec)
 
 
-def box_chord(lower, upper, w, d, eps=1e-12):
-    """The chord of a box from its bounds, in O(m): the rows w >= lower and
-    -w >= -upper read slack + t * rate >= 0; the rows w >= 0 are implied."""
-    rate = np.concatenate([d, -d])
-    slack = np.concatenate([w - lower, upper - w])
-    down = rate < -eps
-    up = rate > eps
-    hi = float(np.min(slack[down] / -rate[down], initial=np.inf))
-    lo = float(np.max(-slack[up] / rate[up], initial=-np.inf))
-    return lo, hi
-
-
-def test_box_chord_matches_dense_chord_bit_for_bit():
-    """On unit rows the dense chord's slacks and rates are the same floats as
-    the bounds' ones, so its step range is too."""
-    rng = streams.stream(67, streams.TAG_GEN, 0)
-    for _ in range(300):
-        m = int(rng.integers(1, 7))
-        lower = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
-        upper = lower + rng.uniform(0.01, 1.0, m) * (rng.random(m) < 0.9)
-        spec = box_spec(lower, upper)
-        lo_w, up_w = spec._box
-        # interior points and points on faces (zero slack)
-        w = lower + np.clip(rng.uniform(-0.3, 1.3, m), 0.0, 1.0) * (upper - lower)
-        d = rng.standard_normal(m) * (rng.random(m) < 0.8)
-        d[rng.random(m) < 0.1] = 1e-13  # below the chord's rate threshold
-        assert same_bits(box_chord(lo_w, up_w, w, d), _chord(spec.A, spec.b, w, d))
-
-
-def test_box_samples_match_tableau_route_bit_for_bit():
-    """Box draws are uniform on the corners the tableau reaches: on unit rows
-    its vertices for the costs +1 (lower) and -1 (upper) are the same floats
-    as the box's bounds, so the draws are the same bits.  (On rows scaled by
-    -3 the tableau's upper corner can differ from b / a in the last bit;
-    test_box_samples_are_uniform_draws covers those rows.)"""
-    inst = gnp_instance(9, 0.5, 2)
-    w0 = inst.nominal_weights()
-    for spec in (box_spec(0.8 * w0, 1.2 * w0),
-                 box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
-                 _box_cases()["box_spec"],
-                 _box_cases()["open_zero_and_point_bounds"]):
-        m = spec.dim()
-        got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-        assert "_tableau" not in vars(spec)
-        tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
-        lower, upper = tableau.solve(np.ones(m)).x, tableau.solve(-np.ones(m)).x
-        U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
-        assert same_bits(got, lower + U * (upper - lower))
-
-
-def test_box_samples_are_uniform_draws():
-    inst = gnp_instance(9, 0.5, 2)
-    w0 = inst.nominal_weights()
-    for spec in (box_spec(0.8 * w0, 1.2 * w0),
-                 box_spec(np.where(np.arange(inst.m) % 3 == 0, 0.0, 0.9 * w0), w0),
-                 _box_cases()["permuted_scaled_rows"],
-                 _box_cases()["open_zero_and_point_bounds"]):
-        lower, upper = spec._box
-        m = spec.dim()
-        got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-        U = streams.stream(71, streams.TAG_GEN, 0).random((12, m))
-        assert same_bits(got, lower + U * (upper - lower))
-        assert np.all(got >= lower) and np.all(got <= upper)
-        point = lower == upper
-        assert same_bits(got[:, point], np.broadcast_to(lower[point], (12, point.sum())))
-        assert "_tableau" not in vars(spec)
-
-
-def _general_polyhedra():
-    """A box with two random budget rows, and the segment between two weight
-    scenarios written as opposite pairs of rows: neither is a box."""
-    inst = gnp_instance(7, 0.5, 3)
-    w0 = inst.nominal_weights()
-    rng = np.random.default_rng(5)
-    box = box_spec(0.8 * w0, 1.2 * w0)
-    R = rng.uniform(0.0, 1.0, size=(2, inst.m))
-    s1, s2 = w0 * rng.uniform(0.7, 1.3, size=(2, inst.m))
-    d = s2 - s1
-    N = np.linalg.svd(d[None, :])[2][1:]  # rows span the complement of d
-    return {
-        "budgeted_box": polyhedral_spec(np.vstack([box.A, R]),
-                                        np.concatenate([box.b, R @ w0])),
-        "scenario_hull": polyhedral_spec(
-            np.vstack([N, -N, d, -d]),
-            np.concatenate([N @ s1, -(N @ s1), [d @ s1], [-(d @ s2)]])),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_general_polyhedra()))
-def test_general_polyhedron_samples_match_tableau_route_bit_for_bit(name):
-    spec = _general_polyhedra()[name]
-    assert spec._box is None and validate_set(spec) == []
-    got = sample_feasible(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-    want = tableau_hit_and_run(spec, streams.stream(71, streams.TAG_GEN, 0), 12)
-    assert same_bits(got, want)
-    assert np.all(spec.A @ got.T >= spec.b[:, None] - 1e-9)
-
-
 def in_wasserstein_ball(spec, w):
     """A cold feasibility LP over couplings K >= 0 (K_ij: mass moved from
     atom j to atom i): column marginals equal the empirical weights, the
@@ -997,31 +845,6 @@ def _wasserstein_cases():
         "all_mass_on_one_atom": wasserstein_spec(pts, np.array([0.0, 1.0, 0.0]), 0.2),
         "all_mass_radius_0": wasserstein_spec(pts, np.array([0.0, 1.0, 0.0]), 0.0),
     }
-
-
-@pytest.mark.parametrize("name", sorted(_wasserstein_cases()))
-def test_wasserstein_samples_lie_in_the_ball(name):
-    spec = _wasserstein_cases()[name]
-    assert validate_set(spec) == []
-    k = spec.support.shape[0]
-    got = sample_feasible(spec, streams.stream(97, streams.TAG_GEN, 0), 16)
-    assert got.shape == (16, spec.dim())
-    for w in got:
-        assert in_wasserstein_ball(spec, w)
-    emp_mean = spec.support.T @ spec.empirical
-    # the draws: mixtures (1 - lam) p_hat + lam e_i, lam below min(1, r / cost_i)
-    rng = streams.stream(97, streams.TAG_GEN, 0)
-    atom = rng.integers(k, size=16)
-    share = rng.random(16)
-    cost = spec.metric @ spec.empirical
-    reach = np.array([1.0 if c <= spec.radius else spec.radius / c for c in cost])
-    lam = share * reach[atom]
-    assert same_bits(got, emp_mean + lam[:, None] * (spec.support[atom] - emp_mean))
-    if spec.radius == 0.0 or k == 1:
-        # no mass can move, or it all sits where it would go: the mean
-        assert same_bits(got, np.broadcast_to(emp_mean, got.shape))
-    if name == "wide":
-        assert np.any(reach == 1.0) and np.any(lam > 0.5)
 
 
 def test_wasserstein_ball_check_rejects_points_outside():
@@ -1143,13 +966,6 @@ def test_diagonal_q_matches_dense_route_bit_for_bit():
     C[0] = 0.0
     want = [dense_ellipsoid_worst(w0, Q, a, c)[1] if c.max() > 1e-14 else 0.0 for c in C]
     assert same_bits(worst_case_values(spec, C), want)
-    # sampling: the dense root from the eigendecomposition
-    rng_a, rng_b = (streams.stream(83, streams.TAG_GEN, 0) for _ in range(2))
-    z = rng_b.standard_normal((20, 7))
-    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-    rho = rng_b.random(20) ** (1.0 / 7)
-    want = np.clip(w0 + np.sqrt(a) * (rho[:, None] * z) @ sqrt_psd(Q).T, 0.0, None)
-    assert same_bits(sample_feasible(spec, rng_a, 20), want)
 
 
 def test_diagonal_q_validation_message_matches_eigvalsh():
