@@ -8,7 +8,8 @@ timings go to stderr only.
 
 Reports are JSON with sorted keys and no wall-clock content, so identical
 inputs + seed reproduce them byte-for-byte.  Exit codes: 0 success, 1 parse
-or validation error, 2 solver non-convergence, 3 certification failure.
+or validation error or out of memory, 2 solver non-convergence, 3
+certification failure.
 """
 
 from __future__ import annotations
@@ -387,6 +388,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (_CliError, ParseError, DomainError, NumericError, InfeasibleError,
             UnboundedError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

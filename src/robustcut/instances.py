@@ -314,7 +314,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance from JSON text."""
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond 4,300 digits
         raise ParseError(f"instance JSON: {exc}") from exc
     return instance_from_dict(d)
 

@@ -37,6 +37,7 @@ from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
 
 BRUTE_FORCE_LIMIT = 24
 _BLOCK = 128  # candidates scored at once; peak memory grows with it
+_PRUNE_REL = 1e-6  # rounding margin of the pruning bound, relative to sum_i c_i |w_bar_i|
 
 
 @dataclass
@@ -45,6 +46,7 @@ class OracleResult:
     worst: np.ndarray     # inner minimizing weights at the maximizer
     value: float          # max-min value
     enumerated: int
+    scored: int           # candidates the inner oracle scored; the rest were pruned
 
 
 def _signs(n: int, fix_first: bool, t: np.ndarray) -> np.ndarray:
@@ -62,30 +64,63 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     """Exact robust optimum by enumeration: max over cuts of the exact inner
     minimum, the first maximizer in enumeration order.  Guarded at n <= 24.
 
-    Candidates are built and scored ``_BLOCK`` at a time by
-    :func:`worst_case_values`, whose rows carry the bits of
-    :func:`worst_case_weights` for the same cut, so the first strict maximum
-    of the block values is the one a candidate-by-candidate loop finds; a
-    NaN never wins.  One :func:`worst_case_weights` call gives the winner's
-    weights.
+    Bound and prune (the bounding step of BiqMac; Rendl, Rinaldi & Wiegele
+    2010): for any point w_bar of the set, V(c) = min_w c . w <= c . w_bar,
+    so one dot product bounds a candidate's value.  w_bar is the set's
+    minimizer of sum(w), one :func:`worst_case_weights` call; on a box it is
+    the lower corner, the exact minimizer for every candidate.  Candidates
+    are built ``_BLOCK`` at a time in enumeration order, and one is pruned
+    when
+
+        c . (w_bar + _PRUNE_REL |w_bar|) < incumbent,
+
+    the incumbent being the largest value scored so far.  As c >= 0, the
+    left side is the bound plus a rounding margin of _PRUNE_REL sum_i c_i
+    |w_bar_i|.  The margin covers what separates a computed bound from a
+    computed value: the dot products' rounding (m u relative, u = 2^-53), a
+    computed w_bar that lies an ulp or so outside the set, and the oracle's
+    own rounding and 1e-9 simplex tolerances.  With c in [0, 1] and w_bar
+    on the weights' scale, all of them lie far below 1e-6 of sum_i c_i
+    |w_bar_i|.  So a pruned candidate's computed value lies strictly below
+    the incumbent: it can neither win nor tie.  A NaN bound is never pruned,
+    and a bound that ties the incumbent is scored.
+
+    The survivors are scored in enumeration order by
+    :func:`worst_case_values`, at most ``_BLOCK`` rows a call, and each row
+    carries the bits :func:`worst_case_weights` gives for the same cut.  So
+    the first strict maximum of the scored values, taken batch by batch, is
+    the candidate a candidate-by-candidate loop finds, with the same value;
+    a NaN never wins.  One :func:`worst_case_weights` call gives the
+    winner's weights.  ``scored`` counts the candidates scored.
     """
     if inst.n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force: n = {inst.n} exceeds limit {BRUTE_FORCE_LIMIT}")
     require_valid(spec, inst)
     fix_first = not inst.reference  # oriented objectives are not flip-symmetric
     count = 1 << (inst.n - 1 if fix_first else inst.n)
-    top, best = -np.inf, None
+    w_bar = worst_case_weights(spec, np.ones(spec.dim()))[0]
+    w_high = w_bar + _PRUNE_REL * np.abs(w_bar)
+    top, best, scored = -np.inf, None, 0
+    held_t, held_c = np.empty(0, dtype=int), np.empty((0, spec.dim()))  # survivors to score
     for start in range(0, count, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, count))
-        v = worst_case_values(spec, term_coefficients(inst, _signs(inst.n, fix_first, t)))
-        block_top = np.fmax.reduce(v)  # NaN only where every value is NaN
-        if block_top > top:
-            top, best = block_top, t[np.argmax(v == block_top)]
+        C = term_coefficients(inst, _signs(inst.n, fix_first, t))
+        keep = ~(np.vecdot(C, w_high) < top)  # a NaN bound is kept
+        held_t, held_c = np.concatenate([held_t, t[keep]]), np.concatenate([held_c, C[keep]])
+        last = start + _BLOCK >= count
+        while len(held_t) >= _BLOCK or (last and len(held_t)):
+            v = worst_case_values(spec, held_c[:_BLOCK])
+            batch_top = np.fmax.reduce(v)  # NaN only where every value is NaN
+            if batch_top > top:
+                top, best = batch_top, held_t[np.argmax(v == batch_top)]
+            scored += len(v)
+            held_t, held_c = held_t[_BLOCK:], held_c[_BLOCK:]
     if best is None:  # every value NaN or -inf: no candidate beats -inf
-        return OracleResult(best=None, worst=None, value=-np.inf, enumerated=count)
+        return OracleResult(best=None, worst=None, value=-np.inf, enumerated=count,
+                            scored=scored)
     y = _signs(inst.n, fix_first, best[None])[0]
     w, value = worst_case_weights(spec, term_coefficients(inst, y))
-    return OracleResult(best=y, worst=w, value=value, enumerated=count)
+    return OracleResult(best=y, worst=w, value=value, enumerated=count, scored=scored)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +197,10 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
                             expected, floor))
 
     # upper half: the worst case of any fixed rounded solution is dominated
-    # by the robust optimum
-    for t, y in enumerate(draws if cuts is None else cuts):
-        _, v = worst_case_weights(spec, term_coefficients(inst, y))
+    # by the robust optimum; one block call, each row with its scalar bits
+    upper = worst_case_values(spec, term_coefficients(
+        inst, np.stack(draws if cuts is None else cuts)))
+    for t, v in enumerate(upper.tolist()):
         checks.append(Check(f"upper_sandwich[round{t}]",
                             v <= oracle.value + exact_tol, v, oracle.value))
 

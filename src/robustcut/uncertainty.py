@@ -83,8 +83,9 @@ class UncertaintySpec:
     A set with ``auto_metric`` builds its metric from the support, d_ij =
     ||s_i - s_j||_1.  Change a set with :func:`dataclasses.replace`, which
     builds a new one.  The derived forms (box bounds, diag(Q), a polyhedron's
-    phase-1 tableau, the term counts a clean validation was for) are built on
-    first use and kept on the set; they are not part of its value.
+    phase-1 tableau, a Wasserstein ball's transport tables, the term counts a
+    clean validation was for) are built on first use and kept on the set;
+    they are not part of its value.
     """
 
     kind: str
@@ -177,6 +178,21 @@ class UncertaintySpec:
             return None
         q = np.diagonal(Q)
         return _frozen(q.copy()) if np.count_nonzero(Q) == np.count_nonzero(q) else None
+
+    @functools.cached_property
+    def _transport(self) -> tuple[np.ndarray, np.ndarray]:
+        """A Wasserstein ball's constant tables for :func:`_worst_distributions`:
+        dist[j, i], the radius a unit of mass moved j -> i spends (the metric
+        transposed, its diagonal zeroed), and the reciprocal of the rise
+        dist[j, i] - dist[j, v] at [j, v, i] where the rise is positive, else
+        0.  Rises below 1e-200 count as 1e-200, so no reciprocal overflows."""
+        k = self.metric.shape[0]
+        dist = self.metric.T.copy()
+        dist.flat[::k + 1] = 0.0
+        rise = dist[:, None, :] - dist[:, :, None]
+        per_rise = np.divide(1.0, np.maximum(rise, 1e-200), out=np.zeros_like(rise),
+                             where=rise > 0.0)
+        return _frozen(dist), _frozen(per_rise)
 
     @functools.cached_property
     def _tableau(self) -> FeasibleTableau:
@@ -455,16 +471,12 @@ def _worst_distributions(spec: UncertaintySpec, costs: np.ndarray) -> np.ndarray
     B, k = costs.shape
     n = k * k - k  # segments in a row: k - 1 for each atom's walk
     atom = np.arange(k)
-    dist = spec.metric.T.copy()  # dist[j, i]: radius spent by a unit of mass moved j -> i
-    dist.flat[::k + 1] = 0.0
+    dist, per_rise = spec._transport
     fall = costs[:, None, :] - costs[:, :, None]  # [b, v, i]: costs[b, i] - costs[b, v]
     down = fall < 0.0
-    rise = dist[:, None, :] - dist[:, :, None]    # [j, v, i]: dist[j, i] - dist[j, v]
     # slope[b, j, v, i] < 0 exactly for a move v -> i of atom j's walk to a
-    # farther, cheaper atom; the steepest is the next hull vertex after v.
-    # Rises below 1e-200 count as 1e-200, so no reciprocal overflows.
-    slope = fall[:, None] * np.divide(1.0, np.maximum(rise, 1e-200), out=np.zeros_like(rise),
-                                      where=rise > 0.0)
+    # farther, cheaper atom; the steepest is the next hull vertex after v
+    slope = fall[:, None] * per_rise
     after = slope.argmin(axis=3).ravel()  # tables over (b, j, v), flattened
     steep = slope.ravel().take(np.arange(0, B * k ** 3, k) + after)
     after = np.where(steep < 0.0, after, np.arange(B * k * k) % k)  # no move: stay at v
@@ -564,7 +576,7 @@ def _field_error(key: str, arr: np.ndarray, form: str) -> Optional[str]:
 def parse_spec(text: str) -> UncertaintySpec:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond 4,300 digits
         raise ParseError(f"spec JSON: {exc}") from exc
     return spec_from_dict(d)
 

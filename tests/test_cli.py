@@ -280,6 +280,35 @@ def test_n_beyond_the_dense_weight_matrix_is_named(tmp_path, capsys, kind, n):
     assert not out.exists()
 
 
+LONG = "1" + "0" * 5000  # beyond json's 4,300-digit limit for integer strings
+
+
+@pytest.mark.parametrize("which", ["instance", "spec"])
+def test_integers_beyond_the_digit_limit_exit_1(tmp_path, capsys, which):
+    inst = tmp_path / "inst.json"
+    n = LONG if which == "instance" else "3"
+    inst.write_text(f'{{"kind": "maxcut", "n": {n}, "edges": [[1, 2, 1.0], [2, 3, 1.0]]}}')
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"kind": "singleton", "weights": [1.0, {LONG}]}}')
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", str(inst), "--spec", str(spec),
+               "--out", str(out)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {which} JSON: ") and "4300" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, triangle_file, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli, "solve_robust", no_memory)
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", triangle_file, "--out", str(out)) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+    assert not out.exists()
+
+
 @pytest.fixture()
 def allequal_file(tmp_path):
     path = tmp_path / "ae.json"

@@ -79,7 +79,7 @@ def brute_force_loop(inst, spec):
             best_y = y.copy()
             best_w = w
     return OracleResult(best=best_y, worst=best_w, value=float(best_v),
-                        enumerated=count)
+                        enumerated=count, scored=count)
 
 
 def test_enumerate_signs_counts_and_pinning():
@@ -252,6 +252,16 @@ def _budgeted_box(inst, seed):
     return polyhedral_spec(np.vstack([box.A, R]), np.concatenate([box.b, R @ w0]))
 
 
+def _budget_row_box(inst, seed=None):
+    """A +-20% box with one Bertsimas-Sim budget row: at most Gamma = 0.2 m
+    of the total relative deviation, sum_i (u_i - w_i)/(u_i - l_i) <= Gamma."""
+    box = box_for(inst, 0.2)
+    lower, upper = box._box
+    g = 1.0 / (upper - lower)
+    return polyhedral_spec(np.vstack([box.A, g]),
+                           np.concatenate([box.b, [g @ upper - 0.2 * inst.m]]))
+
+
 def _dense_ellipsoid(inst, seed):
     rng = np.random.default_rng(seed)
     w0 = inst.nominal_weights()
@@ -275,6 +285,7 @@ SET_MAKERS = {
     "singleton": lambda inst, seed: singleton_for(inst),
     "box": lambda inst, seed: box_for(inst, 0.2),
     "budgeted_box": _budgeted_box,
+    "budget_row_box": _budget_row_box,
     "scenario_hull": _scenario_hull,
     "ellipsoid_dense": _dense_ellipsoid,
     "wasserstein_auto": lambda inst, seed: wasserstein_for(inst, 4, 0.3, seed=seed),
@@ -322,6 +333,14 @@ def test_brute_force_spans_several_blocks():
         assert_same_result(brute_force_robust(inst, spec), want)
 
 
+def _scaled_ones_ball(inst, seed, radius):
+    """A Wasserstein ball whose support points are multiples of the all-ones
+    weights: every cut of unit K10 keeps its exact ties, while the sums of
+    its 25 cut weights round differently with their positions."""
+    alpha = np.random.default_rng(seed).uniform(0.5, 1.5, size=3)
+    return wasserstein_spec(alpha[:, None] * np.ones((3, inst.m)), np.full(3, 1 / 3), radius)
+
+
 @pytest.mark.parametrize("spec_of", [singleton_for, lambda inst: box_for(inst, 0.2)])
 def test_brute_force_takes_the_first_of_tied_maxima(spec_of):
     # unit K10: 126 tied maximizers over 4 blocks; the first one in
@@ -333,30 +352,80 @@ def test_brute_force_takes_the_first_of_tied_maxima(spec_of):
     assert_same_result(brute_force_robust(inst, spec), want)
 
 
+@pytest.mark.parametrize("spec_of", [
+    lambda inst: ellipsoidal_spec(np.ones(inst.m), 0.1 * np.eye(inst.m), 2.5),
+    # on these two balls the set's minimizer of sum(w) is every max cut's
+    # minimizer, and without the rounding margin the pruning bound of a later
+    # tied cut reads below a value it beats in the last bit
+    lambda inst: _scaled_ones_ball(inst, 2, 0.3),
+    lambda inst: _scaled_ones_ball(inst, 14, 0.0),
+], ids=["ellipsoid", "ones_ball_r0.3", "ones_ball_r0"])
+def test_brute_force_takes_the_loops_maximizer_among_curved_ties(spec_of):
+    # unit K10 on sets that keep its 126 ties exact: the tied values differ
+    # in the last bit, and the pruned enumeration takes the loop's maximizer
+    inst = complete_instance(10)
+    spec = spec_of(inst)
+    got = brute_force_robust(inst, spec)
+    assert_same_result(got, brute_force_loop(inst, spec))
+    assert got.scored < got.enumerated
+
+
+def test_brute_force_scores_the_first_block_and_the_later_ties():
+    # a singleton's bound is its value: after the first block only the max
+    # cuts (value 25 of unit K10; the next value is 24) reach the incumbent
+    inst = complete_instance(10)
+    got = brute_force_robust(inst, singleton_for(inst))
+    values = [cut_value(inst, y, inst.nominal_weights()) for y in enumerate_signs(10, True)]
+    assert got.scored == oracle._BLOCK + sum(v == 25.0 for v in values[oracle._BLOCK:])
+    assert brute_force_robust(inst, singleton_for(inst)).scored == got.scored
+
+
+def test_brute_force_scores_bounds_that_tie_the_incumbent():
+    # a box whose lower corner is 0: every bound, margin and value is 0, so
+    # no bound lies below the incumbent and every candidate is scored
+    inst = gnp_instance(10, 0.5, 4)
+    spec = box_spec(np.zeros(inst.m), inst.nominal_weights())
+    got = brute_force_robust(inst, spec)
+    assert_same_result(got, brute_force_loop(inst, spec))
+    assert got.value == 0.0 and got.scored == got.enumerated == 512
+
+
+@pytest.mark.parametrize("spec_of", [
+    lambda inst: wasserstein_for(inst, 4, 0.3, seed=11), _budget_row_box])
+def test_brute_force_prunes_most_candidates(spec_of):
+    # max-cut G(12): the bound c . w_bar prunes more than 80% of the 2,048
+    # candidates before the inner oracle scores them
+    inst = gnp_instance(12, 0.5, 11)
+    got = brute_force_robust(inst, spec_of(inst))
+    assert got.enumerated == 2048
+    assert got.scored < 0.2 * got.enumerated
+
+
 def test_brute_force_skips_nan_block_values(monkeypatch):
-    # a NaN never wins: the first value of every block and all of block 1
-    # read NaN, and np.argmax would stop at the first of them
+    # a NaN never wins: the first scored value and all of the second scored
+    # batch read NaN, and np.argmax would stop at the first of them
     inst = complete_instance(10)
     spec = singleton_for(inst)
     want = brute_force_loop(inst, spec)
     exact = oracle.worst_case_values
-    blocks = []
+    batches = []
 
     def with_nans(spec, coef_block):
         v = exact(spec, coef_block)
-        v[0] = np.nan
-        if len(blocks) == 1:
+        if batches:
             v[:] = np.nan
-        blocks.append(v)
+        else:
+            v[0] = np.nan
+        batches.append(v)
         return v
 
     monkeypatch.setattr(oracle, "worst_case_values", with_nans)
     assert_same_result(brute_force_robust(inst, spec), want)
-    assert len(blocks) == 4 and np.argmax(blocks[0]) == 0
-    # no value beats -inf, as in the loop: no maximizer
+    assert len(batches) == 2 and np.argmax(batches[0]) == 0
+    # no value beats -inf, as in the loop: no maximizer, and nothing pruned
     monkeypatch.setattr(oracle, "worst_case_values",
                         lambda spec, coef_block: np.full(len(coef_block), np.nan))
-    assert brute_force_robust(inst, spec) == OracleResult(None, None, -np.inf, 512)
+    assert brute_force_robust(inst, spec) == OracleResult(None, None, -np.inf, 512, 512)
 
 
 def test_brute_force_builds_only_one_block_at_a_time(monkeypatch):
@@ -621,6 +690,28 @@ def test_certify_upper_points_are_solves_first_draws(kind):
 
 def same_bits(x, y):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("make_spec", [lambda inst: wasserstein_for(inst, 4, 0.3, seed=2),
+                                       lambda inst: ellipsoid_for(inst, 0.5, seed=1)],
+                         ids=["wasserstein", "ellipsoid"])
+def test_upper_sandwich_is_one_block_call_with_each_cuts_bits(monkeypatch, make_spec):
+    inst = gnp_instance(9, 0.5, 5)
+    spec = make_spec(inst)
+    sol = solve_robust(inst, spec, SolverConfig(seed=2))
+    draws, _, _ = rounding_draws(inst, sol.factor, sol.worst, 0, 4)
+    exact, shapes = oracle.worst_case_values, []
+
+    def recorded(spec, coef_block):
+        shapes.append(coef_block.shape)
+        return exact(spec, coef_block)
+
+    monkeypatch.setattr(oracle, "worst_case_values", recorded)
+    rep = certify_sandwich(inst, spec, sol)
+    assert shapes[-1] == (4, inst.m)
+    uppers = [c.lhs for c in rep.checks if c.name.startswith("upper_sandwich")]
+    assert same_bits(uppers, [worst_case_weights(spec, term_coefficients(inst, y))[1]
+                              for y in draws])
 
 
 def test_lower_sandwich_set_is_one_oracle_call_on_the_expected_terms(monkeypatch):

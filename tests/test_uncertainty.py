@@ -933,6 +933,22 @@ def test_wasserstein_subnormal_distances():
     assert same_bits(worst_case_mean(spec, np.ones(1))[0], spec.empirical)
 
 
+def test_wasserstein_transport_tables_are_built_once_per_set():
+    spec = wasserstein_for(gnp_instance(8, 0.5, 3), 4, 0.3, seed=2)
+    C = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, spec.dim()))
+    values = worst_case_values(spec, C)
+    dist, per_rise = spec._transport
+    assert spec._transport[1] is per_rise
+    assert not dist.flags.writeable and not per_rise.flags.writeable
+    want = spec.metric.T.copy()
+    np.fill_diagonal(want, 0.0)
+    assert same_bits(dist, want)
+    rise = want[:, None, :] - want[:, :, None]
+    assert same_bits(per_rise, np.where(rise > 0.0, 1.0 / np.maximum(rise, 1e-200), 0.0))
+    # a fresh copy of the set builds its own tables and gives the same bits
+    assert same_bits(worst_case_values(dataclasses.replace(spec), C), values)
+
+
 def dense_ellipsoid_worst(w0, Q, a, coef):
     """The dense route of the ellipsoid oracle: Q @ coef as one dot per row
     of Q."""
