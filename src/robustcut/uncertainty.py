@@ -56,7 +56,8 @@ SET_KINDS = (SINGLETON, POLYHEDRAL, ELLIPSOIDAL, WASSERSTEIN)
 _ZERO_COEF = 1e-14
 
 # a spec field's form and the array dimensions the parser accepts; a matrix of
-# lower dimension is promoted by numpy.atleast_2d
+# lower dimension is promoted by numpy.atleast_2d, except that an empty list
+# is the (0, 0) matrix
 _NUMBER, _VECTOR, _MATRIX = "a number", "a list of numbers", "a matrix of numbers"
 _NDIM = {_NUMBER: (0,), _VECTOR: (1,), _MATRIX: (0, 1, 2)}
 
@@ -77,9 +78,9 @@ class UncertaintySpec:
     fields (:data:`_FIELDS`), the others left at their defaults.
 
     On construction numbers become floats and arrays become read-only float
-    views (vectors at least 1-D, matrices at least 2-D) of what was passed
-    in; a float array is not copied, so a caller must not write to an array
-    it passed.
+    views (vectors at least 1-D, matrices at least 2-D, an empty list the
+    (0, 0) matrix) of what was passed in; a float array is not copied, so a
+    caller must not write to an array it passed.
     A set with ``auto_metric`` builds its metric from the support, d_ij =
     ||s_i - s_j||_1.  Change a set with :func:`dataclasses.replace`, which
     builds a new one.  The derived forms (box bounds, diag(Q), a polyhedron's
@@ -115,8 +116,11 @@ class UncertaintySpec:
             if form == _NUMBER:
                 value = float(value)
             else:
+                value = np.asarray(value, dtype=float)
+                if form == _MATRIX and value.shape == (0,):
+                    value = value.reshape(0, 0)  # [] has no rows, not one empty row
                 promote = np.atleast_2d if form == _MATRIX else np.atleast_1d
-                value = _frozen(promote(np.asarray(value, dtype=float)).view())
+                value = _frozen(promote(value).view())
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -154,7 +158,7 @@ class UncertaintySpec:
             return None
         m = A.shape[1]
         rows = np.arange(A.shape[0])
-        cols = np.argmax(nonzero, axis=1)
+        cols = np.argmax(nonzero, axis=1) if m else rows  # no rows when m = 0
         a = A[rows, cols]
         pos, neg = a > 0.0, a < 0.0
         if np.any(np.bincount(cols[pos], minlength=m) > 1) or \
@@ -305,7 +309,7 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
                 # eigenvalues below dim * eps * lambda_max are roundoff of a
                 # singular matrix; a diagonal matrix's are its sorted diagonal
                 eig = np.linalg.eigvalsh(spec.Q) if q is None else np.sort(q)
-                if eig[0] <= dim * np.finfo(float).eps * eig[-1]:
+                if eig.size and eig[0] <= dim * np.finfo(float).eps * eig[-1]:
                     v.append(f"Q: not positive definite (min eigenvalue {eig[0]:.3e})")
         if spec.a <= 0.0:
             v.append(f"a: radius parameter must be positive, got {spec.a}")

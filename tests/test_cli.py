@@ -473,6 +473,24 @@ def test_verify_with_box_spec(tmp_path, triangle_file):
                "--seed", "1", "--out", str(tmp_path / "v.json")) == EXIT_OK
 
 
+@pytest.mark.parametrize("kind, n", [("maxcut", 3), ("dicut", 2)])
+def test_verify_with_box_spec_over_no_edges(tmp_path, kind, n):
+    # gen writes "A": [], which reads back as the (0, 0) matrix of a box in
+    # no weights, not as one empty row; brute force then scores m = 0
+    inst_path, spec_path = tmp_path / "empty.json", tmp_path / "box.json"
+    inst_path.write_text(json.dumps({"kind": kind, "n": n, "edges": []}))
+    assert run("gen", "--spec", "box", "--instance", str(inst_path),
+               "--out", str(spec_path)) == EXIT_OK
+    assert json.loads(spec_path.read_text())["A"] == []
+    spec = load_spec(str(spec_path))
+    assert spec.A.shape == (0, 0) and spec.b.shape == (0,) and spec._box is not None
+    out = tmp_path / "v.json"
+    assert run("verify", "--instance", str(inst_path), "--spec", str(spec_path),
+               "--out", str(out)) == EXIT_OK
+    cert = json.loads(out.read_text())["certification"]
+    assert cert["ok"] is True and cert["oracle_value"] == 0.0
+
+
 def test_verify_validates_the_set_once(tmp_path, triangle_file, monkeypatch):
     spec_path = tmp_path / "box.json"
     assert run("gen", "--spec", "box", "--width", "0.1",

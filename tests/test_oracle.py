@@ -11,9 +11,9 @@ from robustcut import numerics, oracle, streams
 from robustcut.gen import (box_for, complete_instance, cycle_instance,
                            ellipsoid_for, gnp_instance, random_allequal_instance,
                            singleton_for, wasserstein_for)
-from robustcut.instances import (DICUT, MAXCUT, DomainError, allequal_instance,
-                                 allequal_value, cut_value, dicut_value,
-                                 graph_instance, term_coefficients)
+from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT, DomainError,
+                                 allequal_instance, allequal_value, cut_value,
+                                 dicut_value, graph_instance, term_coefficients)
 from robustcut.oracle import (BRUTE_FORCE_LIMIT, OracleResult,
                               brute_force_robust, certify_sandwich,
                               guarantee_ratio)
@@ -322,15 +322,104 @@ def test_brute_force_equals_candidate_loop(inst_name, set_name):
     assert_same_result(brute_force_robust(inst, spec), brute_force_loop(inst, spec))
 
 
+def _seeded_instance(kind, n, seed):
+    """A numpy-seeded instance: each vertex pair an edge with probability
+    0.3 (a randomly oriented arc for di-cut), or, for kind ("allequal", k),
+    2n clauses of k distinct variables with random negations; weights
+    uniform in [0.5, 1.5].  n = 1 has no edges."""
+    rng = np.random.default_rng(seed)
+    if isinstance(kind, tuple):
+        k = kind[1]
+        return allequal_instance(n, [((rng.permutation(n)[:k] + 1) * rng.choice([-1, 1], k),
+                                      rng.uniform(0.5, 1.5)) for _ in range(2 * n)])
+    pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    return graph_instance(n, kind, [(i, j, rng.uniform(0.5, 1.5)) for i, j in pairs])
+
+
+def _seeded_ellipsoid(inst, seed):
+    """A diagonal ellipsoid inside the nonnegative orthant (any a <= 1 when
+    there are no terms)."""
+    rng = np.random.default_rng(seed)
+    w0 = inst.nominal_weights()
+    q = rng.uniform(0.5, 1.5, inst.m)
+    return ellipsoidal_spec(w0, np.diag(q), float(np.min((0.5 * w0) ** 2 / q, initial=1.0)))
+
+
+GRID_SETS = {
+    "singleton": lambda inst, seed: singleton_for(inst),
+    "box": lambda inst, seed: box_for(inst, 0.2),
+    "budget_row_box": _budget_row_box,
+    "ellipsoid": _seeded_ellipsoid,
+    "wasserstein_r0": lambda inst, seed: wasserstein_for(inst, 3, 0.0, seed=seed),
+    "wasserstein": lambda inst, seed: wasserstein_for(inst, 4, 0.3, seed=seed),
+}
+
+
+SEEDED_KINDS = [MAXCUT, DICUT, ("allequal", 2), ("allequal", 3), ("allequal", 4)]
+
+
+# 0, 7 and 8 free bits sit at the edges of a bound block's low bits
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in SEEDED_KINDS for n in (1, 2, 8, 9, 12)
+    if not isinstance(kind, tuple) or kind[1] <= n], ids=str)
+def test_brute_force_equals_candidate_loop_on_seeded_cases(kind, n):
+    inst = _seeded_instance(kind, n, 100 + n)
+    assert (inst.m == 0) == (n == 1)
+    for name, make in GRID_SETS.items():
+        spec = make(inst, n)
+        got, want = brute_force_robust(inst, spec), brute_force_loop(inst, spec)
+        assert_same_result(got, want)
+        assert 1 < got.scored <= got.enumerated + 1, name
+
+
+@pytest.mark.parametrize("kind", SEEDED_KINDS, ids=str)
+def test_pair_table_bound_dominates_every_candidate(kind):
+    # bound = q(x) . w+ >= c . w+ >= c . w_bar, for every candidate of
+    # n = 10 and every set's minimizer of sum(w); q = c for the graph kinds
+    inst = _seeded_instance(kind, 10, 7)
+    count = 1 << (inst.ncols - 1)
+    C = term_coefficients(inst, oracle._signs(inst.n, inst.kind != DICUT, np.arange(count)))
+    for make in GRID_SETS.values():
+        w_bar = worst_case_weights(make(inst, 3), np.ones(inst.m))[0]
+        w_pos = np.maximum(w_bar, 0.0)
+        starts, bounds = oracle._bound_blocks(inst, w_pos)
+        blocks = [bounds(start) for start in starts]
+        assert [len(b) for b in blocks] == np.diff([*starts, count]).tolist()
+        bound = np.concatenate(blocks)
+        assert np.all(bound >= C @ w_bar - 1e-12 * w_bar.sum())
+        if inst.kind == ALLEQUAL:
+            V, S = inst.clause_arrays
+            y = oracle._signs(inst.n, True, np.arange(count))
+            q = np.sum(S * y[:, V], axis=-1) ** 2 / inst.arity ** 2
+            np.testing.assert_allclose(bound, q @ w_pos, rtol=1e-13)
+        else:
+            np.testing.assert_allclose(bound, C @ w_pos, rtol=1e-13, atol=1e-13)
+
+
 def test_brute_force_spans_several_blocks():
-    # 2^11 candidates in 16 blocks; a fresh spec and one whose tableau already
-    # keeps bases from an earlier run give the loop's result
+    # 2^11 candidates, 16 scoring batches' worth; a fresh spec and one whose
+    # tableau already keeps bases from an earlier run give the loop's result
     inst = gnp_instance(12, 0.5, 11)
     for spec in (box_for(inst, 0.2), wasserstein_for(inst, 4, 0.3, seed=11)):
         want = brute_force_loop(inst, spec)
         assert want.enumerated > 8 * oracle._BLOCK
         assert_same_result(brute_force_robust(inst, spec), want)
         assert_same_result(brute_force_robust(inst, spec), want)
+
+
+@pytest.mark.parametrize("inst, spec_of", [
+    (complete_instance(16), singleton_for),  # 6,435 tied max cuts in both blocks
+    (gnp_instance(16, 0.5, 16), lambda inst: box_for(inst, 0.2)),
+    (gnp_instance(15, 0.5, 15, kind=DICUT), lambda inst: box_for(inst, 0.2)),
+], ids=["unit_k16", "maxcut_g16", "dicut_g15"])
+def test_brute_force_spans_several_bound_blocks(inst, spec_of):
+    # 2^15 candidates: two blocks of 128 high bit patterns, bounded for the
+    # seed and again for the walk unless a block's largest bound is pruned
+    spec = spec_of(inst)
+    starts, _ = oracle._bound_blocks(inst, inst.nominal_weights())
+    assert len(starts) == 2
+    assert_same_result(brute_force_robust(inst, spec), brute_force_loop(inst, spec))
 
 
 def _scaled_ones_ball(inst, seed, radius):
@@ -370,24 +459,26 @@ def test_brute_force_takes_the_loops_maximizer_among_curved_ties(spec_of):
     assert got.scored < got.enumerated
 
 
-def test_brute_force_scores_the_first_block_and_the_later_ties():
-    # a singleton's bound is its value: after the first block only the max
-    # cuts (value 25 of unit K10; the next value is 24) reach the incumbent
+def test_brute_force_scores_the_seed_and_the_ties():
+    # a singleton's bound is its value: the seed, the first max cut (value 25
+    # of unit K10; the next value is 24), sets the incumbent, and the walk
+    # scores only the 126 max cuts, the seed among them
     inst = complete_instance(10)
     got = brute_force_robust(inst, singleton_for(inst))
     values = [cut_value(inst, y, inst.nominal_weights()) for y in enumerate_signs(10, True)]
-    assert got.scored == oracle._BLOCK + sum(v == 25.0 for v in values[oracle._BLOCK:])
+    assert got.scored == 1 + sum(v == 25.0 for v in values) == 127
     assert brute_force_robust(inst, singleton_for(inst)).scored == got.scored
 
 
 def test_brute_force_scores_bounds_that_tie_the_incumbent():
     # a box whose lower corner is 0: every bound, margin and value is 0, so
-    # no bound lies below the incumbent and every candidate is scored
+    # no bound lies below the incumbent and every candidate is scored, after
+    # the seed
     inst = gnp_instance(10, 0.5, 4)
     spec = box_spec(np.zeros(inst.m), inst.nominal_weights())
     got = brute_force_robust(inst, spec)
     assert_same_result(got, brute_force_loop(inst, spec))
-    assert got.value == 0.0 and got.scored == got.enumerated == 512
+    assert got.value == 0.0 and got.enumerated == 512 and got.scored == 513
 
 
 @pytest.mark.parametrize("spec_of", [
@@ -402,8 +493,9 @@ def test_brute_force_prunes_most_candidates(spec_of):
 
 
 def test_brute_force_skips_nan_block_values(monkeypatch):
-    # a NaN never wins: the first scored value and all of the second scored
-    # batch read NaN, and np.argmax would stop at the first of them
+    # a NaN never wins and a NaN seed prunes nothing: the seed, the first
+    # value of the first walk batch (np.argmax would stop there) and all of
+    # the second walk batch read NaN
     inst = complete_instance(10)
     spec = singleton_for(inst)
     want = brute_force_loop(inst, spec)
@@ -412,44 +504,99 @@ def test_brute_force_skips_nan_block_values(monkeypatch):
 
     def with_nans(spec, coef_block):
         v = exact(spec, coef_block)
-        if batches:
-            v[:] = np.nan
-        else:
+        if len(batches) == 1:
             v[0] = np.nan
+        else:
+            v[:] = np.nan
         batches.append(v)
         return v
 
     monkeypatch.setattr(oracle, "worst_case_values", with_nans)
-    assert_same_result(brute_force_robust(inst, spec), want)
-    assert len(batches) == 2 and np.argmax(batches[0]) == 0
+    got = brute_force_robust(inst, spec)
+    assert_same_result(got, want)
+    # the seed; all of the first 128 candidates, as nothing is pruned; then
+    # the 91 max cuts among the other 384 (35 of the 126 lie in the first 128)
+    assert [len(v) for v in batches] == [1, oracle._BLOCK, 91]
+    assert np.argmax(batches[1]) == 0 and got.scored == 1 + oracle._BLOCK + 91
     # no value beats -inf, as in the loop: no maximizer, and nothing pruned
     monkeypatch.setattr(oracle, "worst_case_values",
                         lambda spec, coef_block: np.full(len(coef_block), np.nan))
-    assert brute_force_robust(inst, spec) == OracleResult(None, None, -np.inf, 512, 512)
+    assert brute_force_robust(inst, spec) == OracleResult(None, None, -np.inf, 512, 513)
+
+
+def test_brute_force_never_prunes_a_nan_bound(monkeypatch):
+    # a NaN in the set's minimizer of sum(w) makes every bound NaN: nothing
+    # is pruned, and the result is still the loop's
+    inst = complete_instance(10)
+    spec = singleton_for(inst)
+    want = brute_force_loop(inst, spec)
+    exact = oracle.worst_case_weights
+    seen = []
+
+    def nan_w_bar(spec, coef):
+        w, v = exact(spec, coef)
+        if not seen:
+            w[3] = np.nan
+        seen.append(v)
+        return w, v
+
+    monkeypatch.setattr(oracle, "worst_case_weights", nan_w_bar)
+    got = brute_force_robust(inst, spec)
+    assert_same_result(got, want)
+    assert got.scored == 1 + got.enumerated and len(seen) == 2
+    monkeypatch.undo()
+    # every bound -inf but the winner's, NaN, under a finite margin: its
+    # block is not skipped, it alone survives the seed, and it wins
+    t_win = int(np.flatnonzero([np.array_equal(y, want.best)
+                                for y in enumerate_signs(10, True)])[0])
+    bound_blocks = oracle._bound_blocks
+
+    def nan_at_winner(inst, w):
+        starts, bounds = bound_blocks(inst, w)
+
+        def nan_bounds(start):
+            b = np.full_like(bounds(start), -np.inf)
+            if 0 <= t_win - start < len(b):
+                b[t_win - start] = np.nan
+            return b
+        return starts, nan_bounds
+
+    monkeypatch.setattr(oracle, "_bound_blocks", nan_at_winner)
+    got = brute_force_robust(inst, spec)
+    assert_same_result(got, want)
+    assert got.scored == 2
 
 
 def test_brute_force_builds_only_one_block_at_a_time(monkeypatch):
     # at the guard n = 24 all candidates would be 2^23 x 24 integers (1.6 GB)
+    # and all bounds 64 MB: the bound pass runs over every block, and no
+    # scoring call takes more than _BLOCK rows
     inst = cycle_instance(BRUTE_FORCE_LIMIT)
-    spec = singleton_for(inst)
+    exact = oracle.worst_case_values
     shapes = []
 
     class Stop(Exception):
         pass
 
-    def first_block_only(spec, coef_block):
+    def recorded(spec, coef_block):
         shapes.append(coef_block.shape)
-        raise Stop
+        if len(shapes) > 4:
+            raise Stop
+        return exact(spec, coef_block)
 
-    monkeypatch.setattr(oracle, "worst_case_values", first_block_only)
+    monkeypatch.setattr(oracle, "worst_case_values", recorded)
     tracemalloc.start()
     try:
+        # the even cycle's one max cut: the seed, and that cut again
+        got = brute_force_robust(inst, singleton_for(inst))
+        assert got.value == 24.0 and got.scored == 2
+        # a zero lower corner prunes nothing: the seed, then full batches
         with pytest.raises(Stop):
-            brute_force_robust(inst, spec)
+            brute_force_robust(inst, box_spec(np.zeros(inst.m), inst.nominal_weights()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert shapes == [(oracle._BLOCK, inst.m)]
+    assert shapes == [(1, inst.m)] * 3 + [(oracle._BLOCK, inst.m)] * 2
     assert peak < 4 << 20
 
 

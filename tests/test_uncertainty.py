@@ -506,6 +506,21 @@ def test_spec_parse_rejects_non_finite(d, field):
     assert str(info.value).startswith(field + ":")
 
 
+def test_empty_matrix_fields_are_zero_by_zero():
+    # [] is a matrix with no rows: a box and an ellipsoid in no weights are
+    # valid sets whose oracles score the empty row; [[]] keeps its one row
+    box = parse_spec(json.dumps({"kind": "polyhedral", "A": [], "b": []}))
+    ball = parse_spec(json.dumps({"kind": "ellipsoidal", "w0": [], "Q": [], "a": 1.0}))
+    for spec in (box, ball):
+        assert spec.dim() == 0 and validate_set(spec, m=0) == []
+        assert worst_case_weights(spec, np.empty(0))[1] == 0.0
+        assert worst_case_values(spec, np.empty((3, 0))).tolist() == [0.0] * 3
+        assert parse_spec(spec_to_json(spec)) == spec
+    assert box.A.shape == ball.Q.shape == (0, 0) and box._box is not None
+    one_row = parse_spec(json.dumps({"kind": "polyhedral", "A": [[]], "b": [0.0]}))
+    assert one_row.A.shape == (1, 0)
+
+
 def test_spec_tableau_is_a_private_cache():
     spec = box_spec(np.array([0.5, 1.0]), np.array([1.5, 2.0]))
     twin = box_spec(np.array([0.5, 1.0]), np.array([1.5, 2.0]))
