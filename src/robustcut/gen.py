@@ -101,16 +101,17 @@ def ellipsoid_for(inst: Instance, spread: float, seed: int = 0) -> UncertaintySp
 
 
 def wasserstein_for(inst: Instance, scenarios: int, radius: float,
-                    seed: int = 0, jitter: float = 0.3) -> UncertaintySpec:
-    """Discrete transport ball: support points are jittered copies of the
-    nominal weights (clipped at zero), empirical distribution uniform."""
+                    seed: int = 0) -> UncertaintySpec:
+    """Discrete transport ball: support points are copies of the nominal
+    weights jittered by up to +-30% each (clipped at zero), empirical
+    distribution uniform."""
     if scenarios < 1:
         raise DomainError(f"wasserstein_for: scenarios must be >= 1, got {scenarios}")
     w0 = inst.nominal_weights()
     rng = streams.stream(seed, streams.TAG_GEN, 4)
     pts = [w0]
     for _ in range(scenarios - 1):
-        pts.append(np.maximum(0.0, w0 * (1.0 + rng.uniform(-jitter, jitter, size=inst.m))))
+        pts.append(np.maximum(0.0, w0 * (1.0 + rng.uniform(-0.3, 0.3, size=inst.m))))
     support = np.stack(pts)
     empirical = np.full(scenarios, 1.0 / scenarios)
     return wasserstein_spec(support, empirical, radius)

@@ -39,31 +39,34 @@ def _check_symmetric(M: np.ndarray, tol: float, what: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def sqrt_psd(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+PSD_TOL = 1e-10  # relative asymmetry and negative eigenvalues below it are roundoff
+
+
+def sqrt_psd(Q: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol*scale, 0) are clamped to zero; anything more negative
-    raises :class:`NumericError`.
+    Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
+    negative raises :class:`NumericError`.
     """
     Q = np.asarray(Q, dtype=float)
     scale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)
-    Q = _check_symmetric(Q, max(tol, 1e-12) * scale, "sqrt_psd")
+    Q = _check_symmetric(Q, PSD_TOL * scale, "sqrt_psd")
     lam, V = np.linalg.eigh(Q)
     scale = max(1.0, float(lam[-1])) if lam.size else 1.0
-    if lam.size and lam[0] < -tol * scale:
+    if lam.size and lam[0] < -PSD_TOL * scale:
         raise NumericError(f"sqrt_psd: negative eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam, 0.0, None)
     return (V * np.sqrt(lam)) @ V.T
 
 
-def sqrt_psd_diagonal(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def sqrt_psd_diagonal(q: np.ndarray) -> np.ndarray:
     """:func:`sqrt_psd` of the diagonal matrix diag(q), returned as the root's
     diagonal: elementwise square roots, with the same clamp and the same
     error for negative entries.  Equal bit for bit to the diagonal of
     ``sqrt_psd(np.diag(q))``, whose eigendecomposition returns q exactly."""
     q = np.asarray(q, dtype=float)
     scale = max(1.0, float(q.max())) if q.size else 1.0
-    if q.size and q.min() < -tol * scale:
+    if q.size and q.min() < -PSD_TOL * scale:
         raise NumericError(f"sqrt_psd: negative eigenvalue {q.min():.3e}")
     return np.sqrt(np.clip(q, 0.0, None))
 
@@ -74,12 +77,14 @@ def sqrt_psd_diagonal(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 SENSES = (">=", "<=", "=")
 
+PIVOT_TOL = 1e-9  # the simplex's: reduced costs above -PIVOT_TOL are optimal
 
-def _check_region(A, b, senses, lb):
-    """Normalise and validate the constraint data of {A x (senses) b, x >= lb}."""
+
+def _check_region(A, b, senses):
+    """Normalise and validate the constraint data of {A x (senses) b, x >= 0}."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    m, n = A.shape
+    m = A.shape[0]
     if b.shape != (m,):
         raise ValueError(f"b: expected shape ({m},), got {b.shape}")
     senses = tuple(senses)
@@ -88,15 +93,7 @@ def _check_region(A, b, senses, lb):
     for s in senses:
         if s not in SENSES:
             raise ValueError(f"senses: unknown sense {s!r}")
-    if lb is None:
-        lb = np.zeros(n)
-    else:
-        lb = np.asarray(lb, dtype=float)
-        if lb.shape != (n,):
-            raise ValueError(f"lb: expected shape ({n},), got {lb.shape}")
-        if not np.all(np.isfinite(lb)):
-            raise ValueError("lb: bounds must be finite")
-    return A, b, senses, lb
+    return A, b, senses
 
 
 def _check_cost(c, n: int) -> np.ndarray:
@@ -124,12 +121,12 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                 tol: float, max_pivots: int) -> int:
+                 max_pivots: int) -> int:
     """Bland-rule simplex iterations on a tableau in canonical form.
 
-    Entering: lowest-index allowed column with reduced cost < -tol.  Leaving:
-    the row of the minimum ratio over the entries > tol of the entering
-    column, exact ties broken by lowest basis index.  A ratio within a
+    Entering: lowest-index allowed column with reduced cost < -PIVOT_TOL.
+    Leaving: the row of the minimum ratio over the entries > PIVOT_TOL of
+    the entering column, exact ties broken by lowest basis index.  A ratio within a
     tolerance of the minimum is no tie: that row's basic variable would go
     negative by up to the tolerance, which is as large as right-hand sides
     near 1e-9.  After each pivot the right-hand sides are clipped at 0, so
@@ -141,12 +138,12 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
     m = T.shape[0] - 1
     pivots = 0
     while True:
-        cand_cols = np.flatnonzero(allowed & (T[-1, :-1] < -tol))
+        cand_cols = np.flatnonzero(allowed & (T[-1, :-1] < -PIVOT_TOL))
         if cand_cols.size == 0:
             return pivots
         enter = int(cand_cols[0])
         col = T[:m, enter]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
             raise UnboundedError(f"unbounded: column {enter} has no blocking row")
         ratios = T[rows, -1] / col[rows]
@@ -161,7 +158,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
 
 class FeasibleTableau:
     """Phase 1 of the dense two-phase simplex for the fixed region
-    {x : A x (senses) b, x >= lb}, run once.
+    {x : A x (senses) b, x >= 0}, run once.
 
     The constructor standardises the rows, drives the artificials out (also
     the zero-level ones where possible) and keeps the feasible tableau and
@@ -171,11 +168,9 @@ class FeasibleTableau:
     between solves.  ``phase1_pivots`` counts the constructor's pivots.
     """
 
-    def __init__(self, A, b, senses, lb=None, tol: float = 1e-9):
-        A, b, senses, lb = _check_region(A, b, senses, lb)
+    def __init__(self, A, b, senses):
+        A, b, senses = _check_region(A, b, senses)
         m, n = A.shape
-        # shift lower bounds to zero
-        b = b - A @ lb
         # slack/surplus columns
         ns = sum(1 for s in senses if s != "=")
         A_std = np.zeros((m, n + ns))
@@ -233,21 +228,20 @@ class FeasibleTableau:
             for i in range(m):
                 if art_mask[basis[i]]:
                     T[-1] -= T[i]
-            pivots += _run_simplex(T, basis, np.ones(total, dtype=bool), tol, max_pivots)
+            pivots += _run_simplex(T, basis, np.ones(total, dtype=bool), max_pivots)
             feas = -T[-1, -1]
             if feas > 1e-7 * (1.0 + float(np.abs(b).sum())):
                 raise InfeasibleError(f"infeasible: phase-1 residual {feas:.3e}")
             # pivot remaining zero-level artificials out where possible
             for i in range(m):
                 if art_mask[basis[i]]:
-                    cand = np.flatnonzero(~art_mask & (np.abs(T[i, :total]) > tol))
+                    cand = np.flatnonzero(~art_mask & (np.abs(T[i, :total]) > PIVOT_TOL))
                     if cand.size:
                         _pivot(T, basis, i, int(cand[0]))
                         pivots += 1
 
         self.phase1_pivots = pivots
-        self._lb = lb
-        self._tol = tol
+        self._n = n
         self._T = T
         self._basis = basis
         self._allowed = ~art_mask  # the first ncols columns: all but the artificials
@@ -261,10 +255,9 @@ class FeasibleTableau:
         Returns the Bland-first optimal vertex, the objective value, and one
         dual multiplier per input row (sign convention: duals of ``>=`` rows
         are >= 0, of ``<=`` rows <= 0, of ``=`` rows free, so that value =
-        b.dual whenever lb = 0).  ``iterations`` counts this call's phase-2
-        pivots only.
+        b.dual).  ``iterations`` counts this call's phase-2 pivots only.
         """
-        n = len(self._lb)
+        n = self._n
         c = _check_cost(c, n)
         T = self._T.copy()
         basis = self._basis.copy()
@@ -275,10 +268,10 @@ class FeasibleTableau:
         T[-1, -1] = 0.0
         for i in np.flatnonzero(cost[basis] != 0.0):
             T[-1] -= cost[basis[i]] * T[i]
-        pivots = _run_simplex(T, basis, self._allowed, self._tol, self._max_pivots)
+        pivots = _run_simplex(T, basis, self._allowed, self._max_pivots)
         x_std = np.zeros(total)
         x_std[basis] = T[:-1, -1]
-        x = x_std[:n] + self._lb
+        x = x_std[:n] + 0.0  # a -0.0 coordinate reads +0.0
         value = float(c @ x)
         # duals read off the reduced costs of the initial identity columns
         y_tilde = -T[-1, self._ident_col]
@@ -286,20 +279,20 @@ class FeasibleTableau:
         return LpResult(x=x, value=value, dual=dual, iterations=pivots)
 
 
-def simplex_solve(c, A, b, senses, lb=None, tol: float = 1e-9) -> LpResult:
-    """min c.x  s.t.  A x (>=|<=|=) b  componentwise per `senses`, x >= lb,
+def simplex_solve(c, A, b, senses) -> LpResult:
+    """min c.x  s.t.  A x (>=|<=|=) b  componentwise per `senses`, x >= 0,
     by the dense two-phase simplex method.
 
-    Lower bounds default to zero; upper bounds, if needed, are expressed as
-    rows so that every constraint carries an exact dual multiplier.  One-shot
-    use of :class:`FeasibleTableau`: phase 1 for the region, then phase 2 for
-    the cost vector, which is checked before phase 1 runs.  ``iterations``
+    Other bounds, if needed, are expressed as rows so that every constraint
+    carries an exact dual multiplier.  One-shot use of
+    :class:`FeasibleTableau`: phase 1 for the region, then phase 2 for the
+    cost vector, which is checked before phase 1 runs.  ``iterations``
     counts the pivots of both phases.  Strong duality holds to machine
     precision at the returned point.
     """
-    A, b, senses, lb = _check_region(A, b, senses, lb)
+    A, b, senses = _check_region(A, b, senses)
     c = _check_cost(c, A.shape[1])
-    tableau = FeasibleTableau(A, b, senses, lb, tol)
+    tableau = FeasibleTableau(A, b, senses)
     res = tableau.solve(c)
     res.iterations += tableau.phase1_pivots
     return res

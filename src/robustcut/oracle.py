@@ -42,6 +42,7 @@ from .uncertainty import (SINGLETON, UncertaintySpec, require_valid,
 BRUTE_FORCE_LIMIT = 24
 _BLOCK = 128  # rows a scoring call takes; a bound block spans _BLOCK high bit patterns
 _PRUNE_REL = 1e-6  # rounding margin of the pruning bound, relative to sum_i |w_bar_i|
+CERT_TOL = 1e-6  # relative slack of the relaxation-bound and saddle-consistency checks
 
 
 @dataclass
@@ -162,7 +163,7 @@ def brute_force_robust(inst: Instance, spec: UncertaintySpec) -> OracleResult:
     """
     if inst.n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force: n = {inst.n} exceeds limit {BRUTE_FORCE_LIMIT}")
-    require_valid(spec, inst)
+    require_valid(spec, inst.m)
     fix_first = not inst.reference  # oriented objectives are not flip-symmetric
     count = 1 << (inst.ncols - 1)
     w_bar = worst_case_weights(spec, np.ones(spec.dim()))[0]
@@ -236,7 +237,7 @@ def guarantee_ratio(inst: Instance) -> float:
 
 def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
                      cuts: Optional[list[np.ndarray]] = None,
-                     seed: int = 0, tol: float = 1e-6) -> SandwichReport:
+                     seed: int = 0) -> SandwichReport:
     """Certify the approximation sandwich around a solved saddle.
 
     Every inequality is checked with exact (closed-form or LP) quantities;
@@ -259,12 +260,12 @@ def certify_sandwich(inst: Instance, spec: UncertaintySpec, sol: SaddleSolution,
     scale = max(1.0, abs(oracle.value))
 
     # relaxation bound: the relaxed saddle dominates the exact one
-    checks.append(Check("relaxation_bound", sol.value >= oracle.value - tol * scale,
+    checks.append(Check("relaxation_bound", sol.value >= oracle.value - CERT_TOL * scale,
                         sol.value, oracle.value))
 
     # saddle consistency: reported value equals a fresh inner minimization
     _, fresh, _ = inner_worst(inst, spec, sol.factor)
-    checks.append(Check("saddle_consistency", abs(fresh - sol.value) <= tol * scale,
+    checks.append(Check("saddle_consistency", abs(fresh - sol.value) <= CERT_TOL * scale,
                         sol.value, fresh))
 
     exact_tol = 1e-9 * scale

@@ -172,7 +172,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
     restarts = max(1, cfg.restarts)
 
     def respond(U: np.ndarray):
-        return _best_response(spec, np.clip(term_gram_coefficients(inst, U), 0.0, None))
+        return inner_worst(inst, spec, U)
 
     runs = {}      # restart -> its generator
     asks = {}      # restart -> the polish it waits for
@@ -237,7 +237,7 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
     always equals the exact inner minimum at the returned factor.
     """
     cfg = cfg or SolverConfig()
-    require_valid(spec, inst)
+    require_valid(spec, inst.m)
     if spec.kind == SINGLETON:
         w = spec.weights
         factor, report = solve_elliptope_max(inst, w, rank=cfg.rank,
@@ -253,13 +253,18 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
 # reformulated values (independent evaluation routes at a fixed factor)
 # ---------------------------------------------------------------------------
 
+def _clipped_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
+    """The relaxed coefficients at the factor U, clipped at 0: the one clip
+    of di-cut's signed coefficients (ROADMAP item 1)."""
+    return np.clip(term_gram_coefficients(inst, U), 0.0, None)
+
+
 def dual_reformulated_value(inst: Instance, spec: UncertaintySpec,
                             U: np.ndarray) -> float:
     """Inner worst-case value at a fixed factor through the LP dual route."""
     if spec.kind != POLYHEDRAL:
         raise DomainError(f"dual_reformulated_value: set kind is {spec.kind}")
-    coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
-    return dual_polyhedral_value(spec, coef)
+    return dual_polyhedral_value(spec, _clipped_coefficients(inst, U))
 
 
 def ellipsoid_reformulated_value(inst: Instance, spec: UncertaintySpec,
@@ -269,7 +274,7 @@ def ellipsoid_reformulated_value(inst: Instance, spec: UncertaintySpec,
     closed-form minimizer)."""
     if spec.kind != ELLIPSOIDAL:
         raise DomainError(f"ellipsoid_reformulated_value: set kind is {spec.kind}")
-    coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
+    coef = _clipped_coefficients(inst, U)
     return float(coef @ spec.w0 - np.sqrt(spec.a) * ellipsoid_root_norm(spec, coef))
 
 
@@ -277,4 +282,4 @@ def inner_worst(inst: Instance, spec: UncertaintySpec,
                 U: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
     """Exact inner minimization at a fixed factor: (worst weights, value,
     worst distribution or None)."""
-    return _best_response(spec, np.clip(term_gram_coefficients(inst, U), 0.0, None))
+    return _best_response(spec, _clipped_coefficients(inst, U))

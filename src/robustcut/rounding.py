@@ -163,13 +163,12 @@ def large_cut_ratio(a_tilde: float) -> float:
     return h / a_tilde
 
 
-def negative_weight_bound(expected_cut: float, w_minus: float, val_rp: float,
-                          ratio: float = APPROX_RATIO_MAXCUT) -> bool:
-    """Shifted guarantee for signed weights: with W- the total negative
-    weight, checks  (expected - W-) >= ratio * (val - W-)."""
+def negative_weight_bound(expected_cut: float, w_minus: float, val_rp: float) -> bool:
+    """Shifted max-cut guarantee for signed weights: with W- the total
+    negative weight, checks  (expected - W-) >= 0.878 (val - W-)."""
     if w_minus > 1e-12:
         raise DomainError(f"negative_weight_bound: W- must be <= 0, got {w_minus}")
-    return bool(expected_cut - w_minus >= ratio * (val_rp - w_minus) - 1e-9)
+    return bool(expected_cut - w_minus >= APPROX_RATIO_MAXCUT * (val_rp - w_minus) - 1e-9)
 
 
 def dicut_triple_prob(ui, uj, uk) -> float:
@@ -199,19 +198,18 @@ class RatioSearchResult:
     denom: float      # relaxation term (1 + u0.ui - u0.uj - ui.uj)/4 there
 
 
-def feasible_pair_grid(count: int, seed: int, dim: int = 3,
+def feasible_pair_grid(count: int, seed: int,
                        min_denom: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection-sample (u_i, u_j) pairs against a fixed reference direction
-    satisfying the four sign-pattern inequalities of the directed relaxation
-    (u0.ui + u0.uj + ui.uj >= -1 under all four sign flips of (ui, uj)) and a
-    denominator bounded away from zero."""
+    """Rejection-sample (u_i, u_j) pairs of 3-vectors against the reference
+    direction u0 = e_1 satisfying the four sign-pattern inequalities of the
+    directed relaxation (u0.ui + u0.uj + ui.uj >= -1 under all four sign
+    flips of (ui, uj)) and a denominator bounded away from zero."""
     rng = streams.stream(seed, streams.TAG_SAMPLE, 0)
-    u0 = np.zeros(dim)
-    u0[0] = 1.0
-    pairs = np.empty((count, 2, dim))
+    u0 = np.array([1.0, 0.0, 0.0])
+    pairs = np.empty((count, 2, 3))
     got = 0
     while got < count:
-        block = rng.standard_normal((4 * (count - got), 2, dim))
+        block = rng.standard_normal((4 * (count - got), 2, 3))
         block /= np.linalg.norm(block, axis=2, keepdims=True)
         a = block[:, 0, 0]
         b = block[:, 1, 0]

@@ -95,9 +95,9 @@ def term_gram_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
     each weight in the relaxed objective); they reduce to
     :func:`instances.term_coefficients` at integral factors.  They are >= 0
     up to roundoff for maxcut and allequal; a dicut entry is
-    (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and the callers in :mod:`robust`
-    clip it at 0 (``_saddle_loop``, ``inner_worst`` and both reformulated
-    values; ROADMAP item 1)."""
+    (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and :mod:`robust` clips it at 0
+    in one place, ``_clipped_coefficients``, which serves the saddle loop
+    through ``inner_worst`` and both reformulated values (ROADMAP item 1)."""
     c0, term, _, _, beta = inst.pair_table
     return c0 + np.bincount(term, beta * pair_gram(inst, U), minlength=inst.m)
 
@@ -208,21 +208,24 @@ def _ascent_pass(inst: Instance, W: np.ndarray) -> _Sweep:
     return _Sweep(tuple(blocks), C / scale[:, None, None], base.tolist(), scale.tolist())
 
 
+ASCENT_TOL = 1e-9  # a sweep that gains less than this, relative, stalls
+
+
 def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
-                   tol: float = 1e-9, max_iter: int = 2000,
-                   ) -> tuple[np.ndarray, list[SolveReport]]:
+                   max_iter: int = 2000) -> tuple[np.ndarray, list[SolveReport]]:
     """Block-coordinate ascent for a stack of R independent members: member r
     maximizes the relaxed objective at the weights W[r] (W is (R, m)) from the
     unit-column factor starts[r] (starts is (R, rank, ncols)).
 
     Each sweep updates every live member in one product per colour class.  A
     member leaves the stack when its own stop rule fires: converged means the
-    relative objective improvement of a full sweep stayed below `tol` for two
-    consecutive sweeps, or the sweep moved nothing (an exact fixed point),
-    before `max_iter` was hit.  So its factor and report are the ones a stack
-    of one gives.  The report's value is the objective as the stall test reads
-    it from C(w), equal to :func:`relaxed_value` up to roundoff.  Returns the
-    (R, rank, ncols) factors and the members' reports.
+    relative objective improvement of a full sweep stayed below
+    :data:`ASCENT_TOL` for two consecutive sweeps, or the sweep moved nothing
+    (an exact fixed point), before `max_iter` was hit.  So its factor and
+    report are the ones a stack of one gives.  The report's value is the
+    objective as the stall test reads it from C(w), equal to
+    :func:`relaxed_value` up to roundoff.  Returns the (R, rank, ncols)
+    factors and the members' reports.
     """
     sweep = _ascent_pass(inst, W)
     U = np.array(starts, dtype=float)
@@ -233,7 +236,7 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
     members = list(range(len(U)))  # the member in each row of the stack
     reports: list = [None] * len(U)
     val = sweep.values(U)
-    stall = [False] * len(U)  # the last sweep's improvement was below tol
+    stall = [False] * len(U)  # the last sweep's improvement was below ASCENT_TOL
     residual = [0.0] * len(U)
     for it in range(1, max_iter + 1):
         before = U.copy()
@@ -245,10 +248,10 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
             # a sweep that moves nothing leaves the value's bits as they were
             if not residual[r] > 0.0 and np.array_equal(U[row], before[row]):
                 reports[r] = SolveReport(new[row], it, 0.0, True)  # exact fixed point
-            elif residual[r] < tol and stall[r]:
+            elif residual[r] < ASCENT_TOL and stall[r]:
                 reports[r] = SolveReport(new[row], it, residual[r], True)
             else:
-                stall[r] = residual[r] < tol
+                stall[r] = residual[r] < ASCENT_TOL
                 keep.append(row)
                 continue
             out[r] = U[row]
@@ -265,8 +268,8 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
 
 
 def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
-                        tol: float = 1e-9, max_iter: int = 2000,
-                        restarts: int = 3, seed: int = 0) -> tuple[np.ndarray, SolveReport]:
+                        max_iter: int = 2000, restarts: int = 3,
+                        seed: int = 0) -> tuple[np.ndarray, SolveReport]:
     """Maximize the relaxed objective over the elliptope at fixed weights.
 
     Runs max(1, `restarts`) seeded random starts of block-coordinate ascent
@@ -283,7 +286,7 @@ def solve_elliptope_max(inst: Instance, w: np.ndarray, rank: int = 0,
                                    streams.stream(seed, streams.TAG_SOLVER_INIT, r))
               for r in range(max(1, restarts))]
     U, reports = stacked_ascent(inst, np.tile(w, (len(starts), 1)), np.stack(starts),
-                                tol, max_iter)
+                                max_iter)
     best = 0
     for r, rep in enumerate(reports):
         if rep.value > reports[best].value:

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .instances import DomainError, Instance, ParseError, _frozen, read_text
+from .instances import DomainError, ParseError, _frozen, read_text
 from .numerics import (FeasibleTableau, InfeasibleError, UnboundedError,
                        simplex_solve, sqrt_psd, sqrt_psd_diagonal)
 
@@ -246,8 +246,7 @@ def wasserstein_spec(support, empirical, radius, metric="l1") -> UncertaintySpec
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
-                 m: int | None = None) -> list[str]:
+def validate_set(spec: UncertaintySpec, m: int | None = None) -> list[str]:
     """Check structural and domain invariants; returns every violation found,
     so an empty list means the set is valid.
 
@@ -255,10 +254,8 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
     the nonnegative orthant (distributions, for wasserstein).  A defining
     field of more dimensions than its form allows, or with a NaN or an
     infinity, is reported, naming the field, before anything else is
-    checked.
+    checked.  With `m`, the set's dimension must be that term count.
     """
-    if m is None and inst is not None:
-        m = inst.m
     if spec.kind not in SET_KINDS:
         return [f"kind: unknown set kind {spec.kind!r}"]
     v = [bad for bad in (_field_error(name, np.asarray(getattr(spec, name)), form)
@@ -342,12 +339,9 @@ def validate_set(spec: UncertaintySpec, inst: Instance | None = None,
     return v
 
 
-def require_valid(spec: UncertaintySpec, inst: Instance | None = None,
-                  m: int | None = None) -> None:
+def require_valid(spec: UncertaintySpec, m: int | None = None) -> None:
     """Raise :class:`DomainError` naming every violation :func:`validate_set`
     finds.  A set that passed is not checked again for the same term count."""
-    if m is None and inst is not None:
-        m = inst.m
     if m in spec._validated:
         return
     violations = validate_set(spec, m=m)

@@ -271,6 +271,12 @@ def test_beale_cycling_example_terminates():
         assert res.dual @ b == pytest.approx(res.value, abs=1e-12)
 
 
+def test_vertex_has_no_negative_zero():
+    # the pivot leaves x = -0.0 in the tableau; the vertex reads +0.0
+    res = simplex_solve([1.0], [[-2.0]], [0.0], ["="])
+    assert res.x.tobytes() == np.array([0.0]).tobytes()
+
+
 def test_tableau_errors():
     with pytest.raises(InfeasibleError):
         FeasibleTableau(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), (">=", ">="))

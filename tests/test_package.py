@@ -37,6 +37,21 @@ def test_solve_elliptope_max_takes_no_warm_start():
     assert "start" not in inspect.signature(solve_elliptope_max).parameters
 
 
+@pytest.mark.parametrize("module, function, parameter", [
+    ("numerics", "FeasibleTableau", "lb"), ("numerics", "FeasibleTableau", "tol"),
+    ("numerics", "simplex_solve", "lb"), ("numerics", "simplex_solve", "tol"),
+    ("numerics", "sqrt_psd", "tol"), ("numerics", "sqrt_psd_diagonal", "tol"),
+    ("sdp", "stacked_ascent", "tol"), ("sdp", "solve_elliptope_max", "tol"),
+    ("oracle", "certify_sandwich", "tol"), ("rounding", "negative_weight_bound", "ratio"),
+    ("rounding", "feasible_pair_grid", "dim"), ("gen", "wasserstein_for", "jitter"),
+    ("uncertainty", "validate_set", "inst"), ("uncertainty", "require_valid", "inst")])
+def test_single_valued_parameters_stay_gone(module, function, parameter):
+    # every caller used the default, so each is a module constant or a
+    # literal now; a set is validated against a term count, not an instance
+    target = getattr(importlib.import_module(f"robustcut.{module}"), function)
+    assert parameter not in inspect.signature(target).parameters
+
+
 def test_traced_functions_exist():
     """Every function the benchmark's layer tracer wraps still exists, so a
     rename cannot silently blank a layer metric.  The tracer file is read,

@@ -505,10 +505,10 @@ def test_instance_index_arrays_are_read_only_and_built_once():
 # the stacked ascent against single runs
 # ---------------------------------------------------------------------------
 
-def single_run(inst, w, U0, tol=1e-9, max_iter=2000):
+def single_run(inst, w, U0, max_iter=2000):
     """One start's ascent: sweeps of a stack of one until an exact fixed
-    point, two sweeps in a row that gain less than `tol` relative, or
-    `max_iter`; the reference for each member of stacked_ascent."""
+    point, two sweeps in a row that gain less than sdp.ASCENT_TOL relative,
+    or `max_iter`; the reference for each member of stacked_ascent."""
     step = sdp._ascent_pass(inst, w[None])
     U = U0[None].copy()
     val = step.values(U)[0]
@@ -522,7 +522,7 @@ def single_run(inst, w, U0, tol=1e-9, max_iter=2000):
         val = new
         if np.array_equal(U, before):
             return U[0], SolveReport(val, sweep, 0.0, True)
-        if residual < tol:
+        if residual < sdp.ASCENT_TOL:
             stall += 1
             if stall >= 2:
                 return U[0], SolveReport(val, sweep, residual, True)
