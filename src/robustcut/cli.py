@@ -85,7 +85,8 @@ def _solver_block(sol: SaddleSolution) -> dict:
     rep = sol.report
     return {"value": sol.value, "iterations": rep.iterations,
             "residual": rep.residual, "converged": rep.converged,
-            "restarts": rep.restarts, "restart": rep.restart}
+            "restarts": rep.restarts, "restart": rep.restart,
+            "stop": rep.stop, "gap": rep.gap}
 
 
 def _non_finite(obj, path: str = "") -> Optional[str]:
@@ -321,7 +322,9 @@ def _add_solver_flags(p: argparse.ArgumentParser, trials: bool = True) -> None:
     if trials:  # verify makes no rounding draws of its own choosing
         p.add_argument("--trials", type=_at_least_one, default=16, help="rounding draws (>= 1)")
     p.add_argument("--rank", type=_at_least_zero, default=0, help="factor rank (0 = auto)")
-    p.add_argument("--gap-tol", type=_positive_finite, default=1e-6, dest="gap_tol")
+    p.add_argument("--gap-tol", type=_positive_finite, default=1e-6, dest="gap_tol",
+                   help="certified relative gap that ends the solve; the stall "
+                        "window's relative gain when no certificate closes")
     p.add_argument("--max-iter", type=_at_least_one, default=300, dest="max_iter")
     p.add_argument("--restarts", type=_at_least_one, default=3)
     p.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +66,8 @@ class SolveReport:
     converged: bool
     restarts: int = 1   # starts run
     restart: int = 0    # index of the start that gave `value`
+    stop: str = ""      # the saddle loop's stop rule that fired (robust)
+    gap: Optional[float] = None  # its last certified relative gap, if any
 
 
 def default_rank(ncols: int) -> int:
@@ -95,9 +98,9 @@ def term_gram_coefficients(inst: Instance, U: np.ndarray) -> np.ndarray:
     each weight in the relaxed objective); they reduce to
     :func:`instances.term_coefficients` at integral factors.  They are >= 0
     up to roundoff for maxcut and allequal; a dicut entry is
-    (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and :mod:`robust` clips it at 0
-    in one place, ``_clipped_coefficients``, which serves the saddle loop
-    through ``inner_worst`` and both reformulated values (ROADMAP item 1)."""
+    (||u0 + u_i - u_j||^2 - 1)/8 >= -1/8, and the inner oracles take it
+    signed, so the saddle loop solves the relaxation itself, which is
+    concave in the Gram matrix."""
     c0, term, _, _, beta = inst.pair_table
     return c0 + np.bincount(term, beta * pair_gram(inst, U), minlength=inst.m)
 
@@ -212,17 +215,19 @@ ASCENT_TOL = 1e-9  # a sweep that gains less than this, relative, stalls
 
 
 def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
-                   max_iter: int = 2000) -> tuple[np.ndarray, list[SolveReport]]:
+                   max_iter: int = 2000, tols: Optional[Sequence[float]] = None,
+                   ) -> tuple[np.ndarray, list[SolveReport]]:
     """Block-coordinate ascent for a stack of R independent members: member r
     maximizes the relaxed objective at the weights W[r] (W is (R, m)) from the
     unit-column factor starts[r] (starts is (R, rank, ncols)).
 
     Each sweep updates every live member in one product per colour class.  A
     member leaves the stack when its own stop rule fires: converged means the
-    relative objective improvement of a full sweep stayed below
-    :data:`ASCENT_TOL` for two consecutive sweeps, or the sweep moved nothing
-    (an exact fixed point), before `max_iter` was hit.  So its factor and
-    report are the ones a stack of one gives.  The report's value is the
+    relative objective improvement of a full sweep stayed below its stop
+    tolerance tols[r] (default :data:`ASCENT_TOL`) for two consecutive
+    sweeps, or the sweep moved nothing (an exact fixed point), before
+    `max_iter` was hit.  So its factor and report are the ones a stack of
+    one at its tolerance gives.  The report's value is the
     objective as the stall test reads it from C(w), equal to
     :func:`relaxed_value` up to roundoff.  Returns the (R, rank, ncols)
     factors and the members' reports.
@@ -233,10 +238,13 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
         raise DomainError(f"starts: expected shape ({len(sweep.scale)}, rank, "
                           f"{inst.ncols}), got {U.shape}")
     out = np.empty_like(U)
+    tols = [ASCENT_TOL] * len(U) if tols is None else [float(t) for t in tols]
+    if len(tols) != len(U):
+        raise DomainError(f"tols: expected {len(U)} stop tolerances, got {len(tols)}")
     members = list(range(len(U)))  # the member in each row of the stack
     reports: list = [None] * len(U)
     val = sweep.values(U)
-    stall = [False] * len(U)  # the last sweep's improvement was below ASCENT_TOL
+    stall = [False] * len(U)  # the last sweep's improvement was below its tol
     residual = [0.0] * len(U)
     for it in range(1, max_iter + 1):
         before = U.copy()
@@ -248,10 +256,10 @@ def stacked_ascent(inst: Instance, W: np.ndarray, starts: np.ndarray,
             # a sweep that moves nothing leaves the value's bits as they were
             if not residual[r] > 0.0 and np.array_equal(U[row], before[row]):
                 reports[r] = SolveReport(new[row], it, 0.0, True)  # exact fixed point
-            elif residual[r] < ASCENT_TOL and stall[r]:
+            elif residual[r] < tols[r] and stall[r]:
                 reports[r] = SolveReport(new[row], it, residual[r], True)
             else:
-                stall[r] = residual[r] < ASCENT_TOL
+                stall[r] = residual[r] < tols[r]
                 keep.append(row)
                 continue
             out[r] = U[row]

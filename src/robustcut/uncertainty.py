@@ -10,7 +10,8 @@ edges, arcs, or clauses):
   cross-checking strong duality.  An axis-aligned box (one nonzero per row,
   one lower and one upper bound per weight, as :func:`box_spec` writes it)
   is recognised once per set and answered in closed form, without a
-  tableau: its worst case for any coef >= 0 is the lower corner;
+  tableau: its worst case is the corner at the upper bound where a
+  coefficient is negative and at the lower bound elsewhere;
 * ``ellipsoidal``  -- {w : (w-w0)^T Q^{-1} (w-w0) <= a}, worst case in closed
   form  w* = w0 - sqrt(a) Q coef / ||Q^{1/2} coef||  (boundary-active).  A
   diagonal Q is recognised once per set: validation sorts its diagonal
@@ -24,9 +25,9 @@ edges, arcs, or clauses):
 
 The oracle argument ``coef`` is the per-term coefficient vector of the
 (relaxed) objective, i.e. the inner problem is  min_w  coef . w  over the set.
-The oracles take coef >= 0 (below -1e-9 is a DomainError, the rest is clipped
-at 0).  Relaxed dicut coefficients reach -1/8, so :mod:`robustcut.robust`
-clips them first (ROADMAP item 1; see :func:`sdp.term_gram_coefficients`).
+The oracles take coefficients of either sign, as they come: relaxed dicut
+coefficients reach -1/8 (:func:`sdp.term_gram_coefficients`), and clipping
+them at 0 would solve a surrogate that lies above the relaxation.
 
 One kernel, :func:`_worst_block`, holds the per-kind inner minimum for a
 block of coefficient rows.  :func:`worst_case_weights` and
@@ -148,9 +149,9 @@ class UncertaintySpec:
         The polyhedron is a box when every row of A has exactly one nonzero
         entry, each weight has at most one row with a positive entry (l = b/a)
         and exactly one with a negative entry (u = b/a), u is finite, and
-        lower = max(l, 0) <= u.  ``lower`` is then the exact minimizer of
-        coef . w for every coef >= 0.  Every other polyhedron keeps the
-        tableau.
+        lower = max(l, 0) <= u.  The exact minimizer of coef . w is then the
+        corner chosen by sign: ``upper`` where coef < 0, ``lower`` elsewhere.
+        Every other polyhedron keeps the tableau.
         """
         A, b = self.A, self.b
         nonzero = A != 0.0
@@ -355,19 +356,15 @@ def require_valid(spec: UncertaintySpec, m: int | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_coef(spec: UncertaintySpec, coef, rows: bool = False) -> np.ndarray:
-    """`coef` of shape (dim,), or (B, dim) with `rows`, clipped at 0; a
-    DomainError for any other shape or an entry below -1e-9.  One pass reads
-    the minimum; only a coefficient array with a negative entry is copied to
-    clip it, so the result may be the caller's array."""
+    """`coef` as a float array of shape (dim,), or (B, dim) with `rows`; a
+    DomainError for any other shape.  The result may be the caller's
+    array."""
     coef = np.asarray(coef, dtype=float)
     dim = spec.dim()
     if coef.shape[-1:] != (dim,) or coef.ndim != 1 + rows:
         want = f"(B, {dim})" if rows else f"({dim},)"
         raise DomainError(f"coef: expected shape {want}, got {coef.shape}")
-    low = coef.min(initial=0.0)
-    if low < -1e-9:
-        raise DomainError(f"coef: negative coefficient {low:.3e}")
-    return np.maximum(coef, 0.0) if low < 0.0 else coef
+    return coef
 
 
 def worst_case_weights(spec: UncertaintySpec, coef) -> tuple[np.ndarray, float]:
@@ -416,8 +413,9 @@ def _worst_block(spec: UncertaintySpec, C: np.ndarray,
     dot loop, the one ``a @ b`` runs for two vectors; every other step is
     elementwise or row by row, so a row's bits do not depend on the block
     around it.  A polyhedron that is not a box runs phase 2 of its tableau
-    for each row.  An ellipsoid or Wasserstein row whose largest entry is at
-    most ``_ZERO_COEF`` is degenerate: it is worth 0 at the center or the
+    for each row, and a box takes each row's corner by sign.  An ellipsoid
+    or Wasserstein row whose largest entry in absolute value is at most
+    ``_ZERO_COEF`` is degenerate: it is worth 0 at the center or the
     empirical distribution.
     """
     C = np.ascontiguousarray(C)
@@ -425,10 +423,13 @@ def _worst_block(spec: UncertaintySpec, C: np.ndarray,
         res = [spec._tableau.solve(c) for c in C]
         return (np.array([r.value for r in res]),
                 np.array([r.x for r in res]).reshape(C.shape), None)
-    if spec.kind in (SINGLETON, POLYHEDRAL):
-        w = spec.weights if spec.kind == SINGLETON else spec._box[0]
-        return np.vecdot(C, w), np.broadcast_to(w, C.shape), None
-    live = C.max(axis=1, initial=0.0) > _ZERO_COEF
+    if spec.kind == SINGLETON:
+        return np.vecdot(C, spec.weights), np.broadcast_to(spec.weights, C.shape), None
+    if spec.kind == POLYHEDRAL:
+        lower, upper = spec._box
+        W = np.where(C < 0.0, upper, lower)
+        return np.vecdot(C, W), W, None
+    live = np.abs(C).max(axis=1, initial=0.0) > _ZERO_COEF
     if spec.kind == ELLIPSOIDAL:
         q = C * spec._diag if spec._diag is not None else np.vecdot(C[:, None], spec.Q)
         # a degenerate row is divided by inf, which leaves it at the center

@@ -408,10 +408,12 @@ def test_validation_message_has_plain_numbers(tmp_path, capsys):
 
 
 def test_solve_reports_restarts(tmp_path, cycle5):
-    # a box solve ends in an exact saddle on its first restart; the
-    # ellipsoid's closed-form reply never freezes, so every restart runs
+    # a box solve ends in an exact saddle on its first restart, with no
+    # certificate computed; the ellipsoid's closed-form reply never freezes,
+    # and its certified gap closes on the first restart (at t = 20); a
+    # singleton runs the nominal ascent's restarts to their stall
     seen = {}
-    for kind in ("box", "ellipsoid"):
+    for kind in ("box", "ellipsoid", "singleton"):
         spec_path = tmp_path / f"{kind}.json"
         assert run("gen", "--spec", kind, "--instance", cycle5, "--seed", "1",
                    "--out", str(spec_path)) == EXIT_OK
@@ -420,8 +422,14 @@ def test_solve_reports_restarts(tmp_path, cycle5):
                    "--seed", "4", "--out", str(out)) == EXIT_OK
         solver = json.loads(out.read_text())["solver"]
         assert 0 <= solver["restart"] < solver["restarts"]
-        seen[kind] = solver["restarts"]
-    assert seen == {"box": 1, "ellipsoid": 3}
+        seen[kind] = (solver["stop"], solver["restarts"], solver["iterations"])
+        if solver["stop"] == "certificate":
+            assert 0.0 <= solver["gap"] <= 1e-6 and solver["residual"] == solver["gap"]
+        else:
+            assert solver["gap"] is None
+    assert {k: v[:2] for k, v in seen.items()} == \
+        {"box": ("saddle", 1), "ellipsoid": ("certificate", 1), "singleton": ("stall", 3)}
+    assert (seen["box"][2], seen["ellipsoid"][2]) == (1, 20)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

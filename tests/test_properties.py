@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from robustcut import sdp  # noqa: E402
 from robustcut.instances import (ALLEQUAL, DICUT, MAXCUT,  # noqa: E402
                                  allequal_instance, graph_instance)
-from robustcut.numerics import FeasibleTableau, simplex_solve  # noqa: E402
+from robustcut.numerics import PIVOT_TOL, FeasibleTableau, simplex_solve  # noqa: E402
 from robustcut.uncertainty import (_worst_distributions,  # noqa: E402
                                    ellipsoidal_spec, polyhedral_spec,
                                    validate_set, wasserstein_spec,
@@ -34,22 +34,25 @@ def same_bits(x, y):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
 
 
+# the oracles take coefficients of either sign (relaxed dicut ones reach -1/8)
 coef_entry = st.one_of(st.just(0.0), st.just(-1e-10),
-                       st.floats(1e-12, 10.0, allow_nan=False, allow_infinity=False))
+                       st.floats(1e-12, 10.0, allow_nan=False, allow_infinity=False),
+                       st.floats(-10.0, -1e-12, allow_nan=False, allow_infinity=False))
 
 
 @st.composite
 def boxes(draw):
     """A polyhedron w >= l, -w >= -u written row by row: some weights without
     a lower row, bounds at 0 and below the pivot tolerance, point intervals,
-    rows scaled and permuted.  Returns (spec, vertex, tied, box): `vertex` is
-    max(l, 0) with l = b / a as written; `box` says that the rows as written
-    bound every weight from above at or over `vertex` (u = b / a), so `vertex`
-    is the set's exact minimizer for every coef >= 0.  A scaled point
-    interval can miss that by an ulp, (-3 u) / (-3) < u; such a set is no box
-    and the tableau answers it.  `tied` says the tableau's ratio tests may tie
-    on a point interval (its u |a| at or below the 1e-9 pivot tolerance, or a
-    non-unit row), so its vertex need not be `vertex`."""
+    rows scaled and permuted.  Returns (spec, vertex, cap, tied, box):
+    `vertex` is max(l, 0) with l = b / a as written, `cap` is u = b / a as
+    written; `box` says that `cap` is at or over `vertex` everywhere, so the
+    set's exact minimizer for a coef is `cap` where coef < 0 and `vertex`
+    elsewhere.  A scaled point interval can miss that by an ulp,
+    (-3 u) / (-3) < u; such a set is no box and the tableau answers it.
+    `tied` says the tableau's ratio tests may tie on a point interval (its
+    u |a| at or below the 1e-9 pivot tolerance, or a non-unit row), so its
+    vertex need not be `vertex`."""
     m = draw(st.integers(1, 8))
     value = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(1e-300, 1e-8))
     lower = np.array(draw(st.lists(value, min_size=m, max_size=m)))
@@ -77,19 +80,39 @@ def boxes(draw):
             tied |= not (s_l == s_u == 1.0 and lower[i] > 1e-9)
     order = draw(st.permutations(range(len(rows))))
     spec = polyhedral_spec(np.array(rows)[order], np.array(b)[order])
-    return spec, vertex, tied, bool(np.all(vertex <= cap))
+    return spec, vertex, cap, tied, bool(np.all(vertex <= cap))
+
+
+@st.composite
+def boxes_and_coefs(draw):
+    """A set of :func:`boxes` and a block of 1-4 signed coefficient rows."""
+    box = draw(boxes())
+    m = box[0].dim()
+    rows = st.lists(st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=4)
+    return (*box, np.array(draw(rows)))
+
+
+def box_example(lower, upper, coefs):
+    """A :func:`boxes_and_coefs` value for the box lower <= w <= upper
+    written with unit rows in order: (spec, vertex, cap, tied, box, coefs)."""
+    m = len(lower)
+    eye = np.eye(m)
+    spec = polyhedral_spec(np.vstack([eye, -eye]),
+                           np.concatenate([lower, -np.asarray(upper)]))
+    return spec, np.array(lower), np.array(upper), False, True, np.array(coefs)
 
 
 def check_tableau_fallback(spec, vertex, coefs):
     """A set of :func:`boxes` that is no box as written: the tableau answers
-    it, within its 1e-9 tolerance of `vertex`."""
+    it, within its 1e-9 tolerance of `vertex` where no coefficient is
+    negative."""
     assert spec._box is None
     tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
-    for c in np.clip(coefs, 0.0, None):
+    for c in coefs:
         w, v = worst_case_weights(spec, c)
         res = tableau.solve(c)
         assert same_bits(w, res.x) and same_bits(v, res.value)
-        assert np.allclose(w, vertex, rtol=1e-9, atol=1e-9)
+        assert np.allclose(w[c >= 0.0], vertex[c >= 0.0], rtol=1e-9, atol=1e-9)
     assert "_tableau" in vars(spec)
 
 
@@ -103,27 +126,46 @@ def test_box_rows_an_ulp_apart_fall_back_to_the_tableau():
     check_tableau_fallback(spec, np.array([0.7, 0.0]), np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 
+_EXAMPLE_LOWER, _EXAMPLE_UPPER = [0.5, 0.0, 1.0, 2.0], [1.5, 2.0, 1.0, 3.0]
+
+
 @FIXED
-@given(boxes(), st.data())
-def test_random_box_oracle_is_the_exact_vertex(box, data):
-    spec, vertex, tied, is_box = box
-    m = spec.dim()
+@given(boxes_and_coefs())
+# explicit rows, checked whatever else the strategy draws: mixed signs, an
+# all-negative row, entries of -1e-10 (within the tableau's pivot
+# tolerance) and an all-zero row
+@example(box_example(_EXAMPLE_LOWER, _EXAMPLE_UPPER,
+                     [[1.0, -2.0, 0.5, -0.125], [-1.0, -0.5, -2.0, -1e-12]]))
+@example(box_example(_EXAMPLE_LOWER, _EXAMPLE_UPPER,
+                     [[-1e-10, 1.0, -1e-10, 0.0], [-1e-10] * 4]))
+@example(box_example(_EXAMPLE_LOWER, _EXAMPLE_UPPER, [[0.0] * 4, [-0.0] * 4]))
+def test_random_box_oracle_is_the_exact_vertex(case):
+    spec, vertex, cap, tied, is_box, coefs = case
     assert validate_set(spec) == []
-    coefs = np.array(data.draw(st.lists(st.lists(coef_entry, min_size=m, max_size=m),
-                                        min_size=1, max_size=4)))
     if not is_box:
         check_tableau_fallback(spec, vertex, coefs)
         return
-    assert same_bits(spec._box[0], vertex)
+    assert same_bits(spec._box[0], vertex) and same_bits(spec._box[1], cap)
     tableau = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b))
-    clipped = np.clip(coefs, 0.0, None)  # the oracles take -1e-10 as 0
-    for c, c_clip in zip(coefs, clipped):
+    want = []
+    for c in coefs:
         w, v = worst_case_weights(spec, c)
-        assert same_bits(w, vertex) and same_bits(v, float(c_clip @ vertex))
-        if not tied:  # elsewhere the simplex lands on the same vertex
-            res = tableau.solve(c_clip)
+        corner = np.where(c < 0.0, cap, vertex)  # -0.0 is not negative
+        assert same_bits(w, corner) and same_bits(v, float(c @ corner))
+        want.append(v)
+        if tied:  # the simplex's ratio tests may tie on a point interval
+            continue
+        res = tableau.solve(c)
+        if np.all(c >= 0.0):  # the simplex lands on the same vertex
             assert same_bits(w, res.x) and same_bits(v, res.value)
-    assert same_bits(worst_case_values(spec, coefs), [float(c @ vertex) for c in clipped])
+        else:
+            # the corner is the exact minimum: the tableau's vertex is no
+            # lower, up to the ulp its row operations may put on u, and no
+            # higher than the costs it prices as 0 within its pivot tolerance
+            ulps = 4.0 * np.finfo(float).eps * float(np.abs(c) @ cap)
+            slack = 3.0 * PIVOT_TOL * float(np.sum(cap - vertex))
+            assert v - ulps <= res.value <= v + slack + ulps
+    assert same_bits(worst_case_values(spec, coefs), want)
     assert "_tableau" not in vars(spec)
 
 
@@ -144,12 +186,13 @@ def test_random_diagonal_q_matches_dense_route(ellipsoid, data):
     Q = np.diag(q)
     spec = ellipsoidal_spec(w0, Q, a)
     assert spec._diag is not None
-    coefs = np.clip(np.array(data.draw(st.lists(
-        st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=4))), 0.0, None)
+    coefs = np.array(data.draw(st.lists(
+        st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=4)))
+    coefs = np.vstack([coefs, -np.ones(m)])  # all-negative: worth its closed form, not 0
     want = []
     for c in coefs:
         w, v = worst_case_weights(spec, c)
-        if c.max() <= 1e-14:  # the degenerate representative, not the closed form
+        if np.abs(c).max() <= 1e-14:  # the degenerate representative, not the closed form
             assert same_bits(w, w0) and v == 0.0
         else:  # the dense route: Q @ c as one dot per row of Q
             qc = np.array([row @ c for row in Q])
@@ -210,7 +253,7 @@ def transport_lp(spec, costs):
     are scaled to a largest entry of 1 and the value scaled back, so the
     simplex's absolute 1e-9 tolerance does not swallow rows of 1e-15."""
     k = len(costs)
-    scale = float(costs.max()) or 1.0
+    scale = float(np.abs(costs).max()) or 1.0
     A = np.vstack([np.tile(np.eye(k), k), spec.metric.reshape(1, -1)])
     b = np.append(spec.empirical, spec.radius)
     res = simplex_solve(np.repeat(costs / scale, k), A, b, ["="] * k + ["<="])
@@ -232,9 +275,11 @@ def transport_cost(spec, p):
 def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
     k, m = ball.support.shape
     assert validate_set(ball) == []
-    coefs = np.clip(np.array(data.draw(st.lists(
-        st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=3))), 0.0, None)
-    coefs = np.vstack([coefs, np.zeros(m), np.full(m, 1e-15)])
+    coefs = np.array(data.draw(st.lists(
+        st.lists(coef_entry, min_size=m, max_size=m), min_size=1, max_size=3)))
+    # degenerate rows, and an all-negative row the degenerate test must not
+    # read as worth 0
+    coefs = np.vstack([coefs, np.zeros(m), np.full(m, 1e-15), -np.ones(m)])
     costs = np.array([[s @ c for s in ball.support] for c in coefs])  # one dot per atom
     P = _worst_distributions(ball, costs)
     assert P.shape == (len(costs), k)
@@ -244,7 +289,7 @@ def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
     eps = 16.0 * np.finfo(float).eps
     for c, p in zip(costs, P):
         want = transport_lp(ball, c)
-        assert abs(float(c @ p) - want) <= 1e-12 * abs(want) + eps * float(c.max())
+        assert abs(float(c @ p) - want) <= 1e-12 * abs(want) + eps * float(np.abs(c).max())
         assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
         assert transport_cost(ball, p) <= \
             ball.radius * (1.0 + 1e-12) + eps * float(ball.metric.max())
@@ -253,7 +298,7 @@ def test_wasserstein_closed_form_is_the_transport_optimum(ball, data):
     want = []
     for coef, c, p in zip(coefs, costs, P):
         q, mean_w, v = worst_case_mean(ball, coef)
-        if coef.max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
+        if np.abs(coef).max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
             assert same_bits(q, ball.empirical) and v == 0.0
         else:
             assert same_bits(q, p) and v == float(c @ p)

@@ -1,6 +1,7 @@
 """Max-min saddle solvers and reformulation cross-checks."""
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from robustcut.oracle import brute_force_robust
 from robustcut.robust import (SolverConfig, dual_reformulated_value,
                               ellipsoid_reformulated_value, inner_worst,
                               solve_robust)
-from robustcut.sdp import (SolveReport, default_rank, objective_gradient,
+from robustcut.sdp import (ASCENT_TOL, SolveReport, default_rank, objective_gradient,
                            solve_elliptope_max, stacked_ascent, term_gram_coefficients,
                            _random_unit_columns)
 from robustcut.uncertainty import (box_spec, ellipsoidal_spec, polyhedral_spec,
@@ -288,16 +289,34 @@ def assert_no_better_reply(inst, sol):
 @pytest.mark.parametrize("kind", [MAXCUT, DICUT])
 @pytest.mark.parametrize("n", [8, 12])
 def test_box_stops_after_first_exact_saddle(monkeypatch, kind, n):
+    stops = []
     for seed in range(3):
         inst = gnp_instance(n, 0.5, seed, kind=kind)
         w0 = inst.nominal_weights()
+        spec = box_spec(0.8 * w0, 1.2 * w0)
         calls = count_polishes(monkeypatch)
-        sol = solve_robust(inst, box_spec(0.8 * w0, 1.2 * w0), SolverConfig(seed=seed))
+        sol = solve_robust(inst, spec, SolverConfig(seed=seed))
+        # the adversary answers a factor with the box corner chosen by the
+        # signs of its coefficients
+        coef = term_gram_coefficients(inst, sol.factor)
+        assert same_bits(sol.worst, np.where(coef < 0.0, 1.2 * w0, 0.8 * w0))
+        opt = brute_force_robust(inst, spec).value  # below the relaxation, up to the polish
+        assert sol.value >= opt - 1e-8 * max(1.0, opt)
+        stops.append(sol.report.stop)
+        if sol.report.stop != "saddle":
+            continue
         # the initial polish and the one that confirms the saddle
         assert len(calls) == 2
         assert (sol.report.restarts, sol.report.restart) == (1, 0)
-        assert sol.report.residual == 0.0
+        assert sol.report.residual == 0.0 and sol.report.gap is None
         assert_no_better_reply(inst, sol)
+    # max-cut coefficients are >= 0, so the lower corner answers every
+    # factor and each solve is a saddle at t = 1; dicut's signed ones move
+    # the corner, and some solves end only at the stall window
+    want = {(MAXCUT, 8): ["saddle"] * 3, (MAXCUT, 12): ["saddle"] * 3,
+            (DICUT, 8): ["stall", "saddle", "stall"],
+            (DICUT, 12): ["stall", "saddle", "saddle"]}
+    assert stops == want[kind, n]
 
 
 @pytest.mark.parametrize("kind", [MAXCUT, DICUT])
@@ -325,16 +344,39 @@ def test_ellipsoid_runs_every_restart():
     inst = gnp_instance(10, 0.5, 2)
     w0 = inst.nominal_weights()
     spec = ellipsoidal_spec(w0, np.diag(0.1 * w0 ** 2), 1.0)
-    sol = solve_robust(inst, spec, SolverConfig(seed=0))
-    assert sol.report.converged and sol.report.residual > 0.0  # stall exit
+    # at gap_tol 1e-9 no certificate closes: the stall window ends each
+    # restart, and every restart runs
+    cfg = SolverConfig(seed=0, gap_tol=1e-9)
+    sol = solve_robust(inst, spec, cfg)
+    assert sol.report.converged and sol.report.residual > 0.0
+    assert sol.report.stop == "stall" and 0.0 < sol.report.gap
     assert (sol.report.restarts, sol.report.restart) == (3, 2)
     # restart r draws the same start whatever the count, so dropping the
     # winner loses value
-    fewer = solve_robust(inst, spec, SolverConfig(seed=0, restarts=2))
+    fewer = solve_robust(inst, spec, replace(cfg, restarts=2))
     assert fewer.report.restarts == 2 and fewer.value < sol.value
     # restarts that hit max_iter do not end the loop either
     short = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=2, restarts=4))
     assert not short.report.converged and short.report.restarts == 4
+    assert (short.report.stop, short.report.gap) == ("max_iter", None)
+
+
+def test_ellipsoid_certificate_ends_the_restarts():
+    inst = gnp_instance(10, 0.5, 2)
+    w0 = inst.nominal_weights()
+    spec = ellipsoidal_spec(w0, np.diag(0.1 * w0 ** 2), 1.0)
+    # restart 0 stalls short of the gap; restart 1 closes it at t = 40, and
+    # no later restart runs
+    sol = solve_robust(inst, spec, SolverConfig(seed=0))
+    assert sol.report.converged and sol.report.stop == "certificate"
+    assert (sol.report.restarts, sol.report.restart, sol.report.iterations) == (2, 1, 40)
+    assert 0.0 <= sol.report.gap <= 1e-6 and sol.report.residual == sol.report.gap
+    for restarts in (2, 4):
+        assert_same_solution(solve_robust(inst, spec, SolverConfig(seed=0, restarts=restarts)),
+                             sol)
+    # restart 0 alone stalls: its gap is above gap_tol
+    alone = solve_robust(inst, spec, SolverConfig(seed=0, restarts=1))
+    assert alone.report.stop == "stall" and alone.report.gap > 1e-6
 
 
 def test_singleton_reports_its_restarts():
@@ -369,13 +411,15 @@ def test_non_convergence_reported():
 
 
 def test_residual_before_the_stall_window_fills_is_the_change_so_far():
-    # 20 iterations never fill the 40-iteration stall window; the residual is
-    # the incumbent's relative change since the first polish (max_iter = 0)
+    # 9 iterations never fill the 40-iteration stall window nor reach the
+    # first certificate check (t = 10); the residual is the incumbent's
+    # relative change since the first polish (max_iter = 0)
     inst = gnp_instance(10, 0.5, 2)
     spec = ellipsoid_for(inst, 0.5, seed=1)
     start = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=0))
-    sol = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=20))
+    sol = solve_robust(inst, spec, SolverConfig(seed=0, max_iter=9))
     assert not sol.report.converged and sol.report.restart == start.report.restart
+    assert (sol.report.stop, sol.report.gap) == ("max_iter", None)
     assert sol.value > start.value
     assert sol.report.residual == (sol.value - start.value) / sol.value
 
@@ -392,11 +436,10 @@ def sequential_saddle_loop(inst, cfg, spec):
     rank = cfg.rank if cfg.rank > 0 else default_rank(ncols)
 
     def respond(U):
-        coef = np.clip(term_gram_coefficients(inst, U), 0.0, None)
-        return robust._best_response(spec, coef)
+        return robust._best_response(spec, term_gram_coefficients(inst, U))
 
-    def polish(w, U):
-        return stacked_ascent(inst, w[None], U[None])[0][0]
+    def polish(w, U, tol=ASCENT_TOL):
+        return stacked_ascent(inst, w[None], U[None], tols=[tol])[0][0]
 
     best_phi = -np.inf
     best_U = best_w = best_extra = best_report = None
@@ -411,8 +454,11 @@ def sequential_saddle_loop(inst, cfg, spec):
         wbar = w.copy()
         nresp = 1
         w_prev = w
-        converged = saddle = False
+        converged = False
+        stop = "max_iter"
         residual = np.inf
+        ub = np.inf
+        gap = None
         iters = 0
         for t in range(1, cfg.max_iter + 1):
             iters = t
@@ -424,7 +470,7 @@ def sequential_saddle_loop(inst, cfg, spec):
                 if phi2 >= r_best[0]:
                     r_best = (phi2, fac.copy(), w2, extra2)
                 if np.allclose(w2, w, rtol=1e-9, atol=1e-12):
-                    converged = saddle = True
+                    converged, stop = True, "saddle"
                     residual = 0.0
                     break
                 U = fac
@@ -434,7 +480,7 @@ def sequential_saddle_loop(inst, cfg, spec):
             G = objective_gradient(inst, U, w)
             gn = float(np.linalg.norm(G))
             if gn == 0.0:
-                converged = True
+                converged, stop = True, "stall"
                 residual = 0.0
                 break
             U = U + np.sqrt(ncols) / (np.sqrt(t) * gn) * G
@@ -445,18 +491,24 @@ def sequential_saddle_loop(inst, cfg, spec):
             wbar = (nresp * wbar + w) / (nresp + 1.0)
             nresp += 1
             if t % 10 == 0:
-                fac = polish(wbar, U)
+                fac = polish(wbar, U, robust.CERT_POLISH_TOL)
                 w_f, phi_f, extra_f = respond(fac)
                 if phi_f > r_best[0]:
                     r_best = (phi_f, fac.copy(), w_f, extra_f)
                     U = fac
                     w, phi, extra = w_f, phi_f, extra_f
+                ub = min(ub, robust.upper_bound(inst, wbar, fac))
+                gap = (ub - r_best[0]) / max(1.0, abs(r_best[0]))
+                if gap <= cfg.gap_tol:
+                    converged, stop = True, "certificate"
+                    residual = gap
+                    break
             hist.append(r_best[0])
             if len(hist) > robust._STALL_WINDOW:
                 gain = hist[-1] - hist[-1 - robust._STALL_WINDOW]
                 residual = abs(gain) / max(1.0, abs(hist[-1]))
                 if residual < cfg.gap_tol:
-                    converged = True
+                    converged, stop = True, "stall"
                     break
         if not np.isfinite(residual):  # the window never filled
             residual = abs(hist[-1] - hist[0]) / max(1.0, abs(hist[-1]))
@@ -464,8 +516,9 @@ def sequential_saddle_loop(inst, cfg, spec):
         if phi_r > best_phi:
             best_phi, best_U, best_w, best_extra = phi_r, U_r, w_r, extra_r
             best_report = SolveReport(value=phi_r, iterations=iters, residual=float(residual),
-                                      converged=converged, restart=restart)
-        if saddle:
+                                      converged=converged, restart=restart, stop=stop,
+                                      gap=gap)
+        if stop in ("saddle", "certificate"):
             break
     best_report.restarts = restart + 1
     return robust.SaddleSolution(factor=best_U, worst=best_w, value=best_phi,
@@ -485,7 +538,10 @@ def assert_same_solution(got, want):
         assert same_bits(got.worst_dist, want.worst_dist)
     assert vars(got.report).keys() == vars(want.report).keys()
     for key, value in vars(want.report).items():
-        assert same_bits(getattr(got.report, key), value), key
+        if isinstance(value, str) or value is None:
+            assert getattr(got.report, key) == value, key
+        else:
+            assert same_bits(getattr(got.report, key), value), key
 
 
 def budgeted_box(inst):
@@ -520,13 +576,18 @@ def test_lockstep_saddle_loop_is_the_sequential_one(restarts, max_iter):
 
 
 def test_lockstep_saddle_loop_is_the_sequential_one_to_the_stall_exit():
-    # the default max_iter: fictitious play every 10 iterations and the
-    # 40-iteration stall window end the ellipsoid restarts at their own times
+    # the default max_iter: the max-cut ellipsoid certifies its gap in
+    # restart 0, which ends the restarts; on the other two no certificate
+    # closes, and the 40-iteration stall window ends the restarts at their
+    # own times
+    stops = []
     for case, (inst, spec) in enumerate(saddle_cases()[:3]):
         cfg = SolverConfig(seed=case)
         got = robust._saddle_loop(inst, cfg, spec)
         assert_same_solution(got, sequential_saddle_loop(inst, cfg, spec))
-        assert got.report.converged and got.report.restarts == 3
+        assert got.report.converged
+        stops.append((got.report.stop, got.report.restarts))
+    assert stops == [("certificate", 1), ("stall", 3), ("stall", 3)]
 
 
 def flickering_oracle(monkeypatch):
@@ -560,3 +621,101 @@ def test_a_later_restart_that_is_the_first_saddle_ends_the_restarts(
     got = robust._saddle_loop(inst, cfg, spec)
     assert_same_solution(got, sequential_saddle_loop(inst, cfg, spec))
     assert (got.report.restarts, got.report.restart) == (restarts, restart)
+
+
+# ---------------------------------------------------------------------------
+# the Burer-Monteiro certificate
+# ---------------------------------------------------------------------------
+
+def certificate_cases(kind, set_kind, seed):
+    inst = {MAXCUT: lambda: gnp_instance(10, 0.5, seed),
+            DICUT: lambda: gnp_instance(9, 0.5, seed, kind=DICUT),
+            "allequal": lambda: random_allequal_instance(8, 3, 12, seed)}[kind]()
+    spec = {"box": lambda: box_for(inst, 0.2),
+            "ellipsoid": lambda: ellipsoid_for(inst, 0.5, seed=seed),
+            "wasserstein": lambda: wasserstein_for(inst, 4, 0.3, seed=seed)}[set_kind]()
+    return inst, spec
+
+
+def polished(inst, w, U):
+    """`U` polished at the weights `w` to the certificate's sweep tolerance."""
+    return stacked_ascent(inst, w[None], U[None], tols=[robust.CERT_POLISH_TOL])[0][0]
+
+
+def assert_bounds_the_solve(inst, spec, sol):
+    """The certificate bounds the robust relaxation from above: at the worst
+    weights, from the returned factor and from that factor polished, it is
+    no lower than the solve's value and the brute-force optimum; and a
+    certified exit's gap is no less than 0 (up to roundoff) and within
+    gap_tol."""
+    phi = sol.value
+    opt = brute_force_robust(inst, spec).value
+    roundoff = 1e-12 * max(1.0, abs(phi))
+    for U in (sol.factor, polished(inst, sol.worst, sol.factor)):
+        ub = robust.upper_bound(inst, sol.worst, U)
+        assert ub >= phi - roundoff and ub >= opt - roundoff
+    if sol.report.stop == "certificate":
+        assert -1e-12 <= sol.report.gap <= SolverConfig().gap_tol
+
+
+@pytest.mark.parametrize("set_kind", ["box", "ellipsoid", "wasserstein"])
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT, "allequal"])
+def test_upper_bound_is_above_the_solve_and_the_optimum(kind, set_kind):
+    for seed in range(2):
+        inst, spec = certificate_cases(kind, set_kind, seed)
+        assert_bounds_the_solve(inst, spec, solve_robust(inst, spec, SolverConfig(seed=seed)))
+
+
+def test_upper_bound_holds_at_any_factor_and_weights_in_the_set():
+    # the bound needs neither a polished factor nor the worst weights: any
+    # unit-column factor and any point of the set give one
+    inst = gnp_instance(9, 0.5, 1, kind=DICUT)
+    spec = box_for(inst, 0.2)
+    opt = brute_force_robust(inst, spec).value
+    rng = streams.stream(5, streams.TAG_GEN, 0)
+    w0 = inst.nominal_weights()
+    for _ in range(5):
+        w = rng.uniform(0.8 * w0, 1.2 * w0)
+        U = random_unit_factor(rng, default_rank(inst.ncols), inst.ncols)
+        assert robust.upper_bound(inst, w, U) >= opt
+        assert robust.upper_bound(inst, w, polished(inst, w, U)) >= opt
+
+
+def test_upper_bound_of_the_unit_five_cycle_is_its_relaxation():
+    # the elliptope optimum of the unit 5-cycle is (5/2)(1 + cos(pi/5)); the
+    # certificate of a factor polished to an exact fixed point closes on it,
+    # and one polished to the certificate's tolerance is within the default
+    # gap_tol of it
+    inst = graph_instance(5, MAXCUT, [(i, (i + 1) % 5, 1.0) for i in range(5)])
+    w = np.ones(5)
+    want = 2.5 * (1.0 + np.cos(np.pi / 5))
+    rng = streams.stream(3, streams.TAG_GEN, 0)
+    for _ in range(3):
+        U = random_unit_factor(rng, default_rank(5), 5)
+        fixed = stacked_ascent(inst, w[None], U[None], tols=[0.0])[0][0]
+        assert robust.upper_bound(inst, w, fixed) == pytest.approx(want, abs=1e-9)
+        assert 0.0 <= robust.upper_bound(inst, w, polished(inst, w, U)) - want <= 1e-6 * want
+
+
+def test_an_upper_bound_one_percent_low_fails_the_check(monkeypatch):
+    # negative control: a bound 1% too low certifies a gap below 0 and
+    # falls under the optimum, and the checks above catch both
+    inst, spec = certificate_cases(MAXCUT, "ellipsoid", 0)
+    exact = robust.upper_bound
+    monkeypatch.setattr(robust, "upper_bound", lambda *args: 0.99 * exact(*args))
+    sol = solve_robust(inst, spec, SolverConfig(seed=0))
+    assert sol.report.stop == "certificate" and sol.report.gap < -1e-3
+    with pytest.raises(AssertionError):
+        assert_bounds_the_solve(inst, spec, sol)
+
+
+def test_dicut_g40_ellipsoid_lands_in_its_certified_interval():
+    # the true (signed) relaxation: an earlier independent solve certified
+    # the interval [134.51330, 134.51343] for it
+    inst = gnp_instance(40, 0.5, 1, kind=DICUT)
+    cfg = SolverConfig(seed=0)
+    sol = solve_robust(inst, ellipsoid_for(inst, 0.5), cfg)
+    slack = cfg.gap_tol * sol.value
+    assert 134.51330 - slack <= sol.value <= 134.51343 + slack
+    assert (sol.report.stop, sol.report.restarts) == ("certificate", 1)
+    assert 0.0 <= sol.report.gap <= cfg.gap_tol

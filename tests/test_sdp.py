@@ -505,10 +505,10 @@ def test_instance_index_arrays_are_read_only_and_built_once():
 # the stacked ascent against single runs
 # ---------------------------------------------------------------------------
 
-def single_run(inst, w, U0, max_iter=2000):
+def single_run(inst, w, U0, max_iter=2000, tol=sdp.ASCENT_TOL):
     """One start's ascent: sweeps of a stack of one until an exact fixed
-    point, two sweeps in a row that gain less than sdp.ASCENT_TOL relative,
-    or `max_iter`; the reference for each member of stacked_ascent."""
+    point, two sweeps in a row that gain less than `tol` relative, or
+    `max_iter`; the reference for each member of stacked_ascent."""
     step = sdp._ascent_pass(inst, w[None])
     U = U0[None].copy()
     val = step.values(U)[0]
@@ -522,7 +522,7 @@ def single_run(inst, w, U0, max_iter=2000):
         val = new
         if np.array_equal(U, before):
             return U[0], SolveReport(val, sweep, 0.0, True)
-        if residual < sdp.ASCENT_TOL:
+        if residual < tol:
             stall += 1
             if stall >= 2:
                 return U[0], SolveReport(val, sweep, residual, True)
@@ -531,11 +531,12 @@ def single_run(inst, w, U0, max_iter=2000):
     return U[0], SolveReport(val, max_iter, residual, False)
 
 
-def assert_members_are_single_runs(inst, W, starts, **kwargs):
-    U, reports = stacked_ascent(inst, W, starts, **kwargs)
+def assert_members_are_single_runs(inst, W, starts, tols=None, **kwargs):
+    U, reports = stacked_ascent(inst, W, starts, tols=tols, **kwargs)
     assert U.shape == starts.shape and len(reports) == len(W)
     for r in range(len(W)):
-        U1, rep1 = single_run(inst, W[r], starts[r], **kwargs)
+        tol = sdp.ASCENT_TOL if tols is None else tols[r]
+        U1, rep1 = single_run(inst, W[r], starts[r], tol=tol, **kwargs)
         assert U[r].tobytes() == U1.tobytes()
         assert vars(reports[r]) == vars(rep1)
     return U, reports
@@ -556,6 +557,22 @@ def test_stacked_ascent_members_are_single_runs(R):
         spread.append(len({rep.iterations for rep in reports}))
     # members leave the stack at different sweeps
     assert R == 1 or max(spread) == R
+
+
+def test_stacked_ascent_members_keep_their_own_tolerance():
+    # each member stops at its own tolerance, with the bits of a stack of
+    # one at that tolerance; a tighter one sweeps at least as long
+    rng = streams.stream(67, streams.TAG_GEN, 0)
+    tols = [1e-12, sdp.ASCENT_TOL, 1e-6, 1e-12]
+    for inst in kernel_cases()[5:9]:
+        w = rng.uniform(0.5, 1.5, size=inst.m)
+        start = random_factor(rng, inst, default_rank(inst.ncols))
+        _, reports = assert_members_are_single_runs(inst, np.tile(w, (4, 1)),
+                                                    np.stack([start] * 4), tols=tols)
+        sweeps = [rep.iterations for rep in reports]
+        assert sweeps[0] == sweeps[3] > sweeps[1] > sweeps[2]
+    with pytest.raises(DomainError, match="tols"):
+        stacked_ascent(inst, np.tile(w, (2, 1)), np.stack([start] * 2), tols=[1e-9])
 
 
 def test_stacked_ascent_skips_isolated_columns_and_keeps_zero_local_terms():

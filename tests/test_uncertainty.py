@@ -16,12 +16,13 @@ from robustcut import streams, uncertainty
 from robustcut.gen import ellipsoid_for, gnp_instance, wasserstein_for
 from robustcut.instances import (DICUT, MAXCUT, DomainError, cut_value, dicut_value,
                                  term_coefficients)
-from robustcut.numerics import FeasibleTableau, InfeasibleError, simplex_solve, sqrt_psd
+from robustcut.numerics import (PIVOT_TOL, FeasibleTableau, InfeasibleError, simplex_solve,
+                               sqrt_psd)
 from robustcut.instances import ParseError
 from robustcut.robust import ellipsoid_reformulated_value
 from robustcut.sdp import _random_unit_columns, default_rank, term_gram_coefficients
 from robustcut.uncertainty import (_worst_block, box_spec, dual_polyhedral_value,
-                                   ellipsoidal_spec, load_spec, parse_spec,
+                                   ellipsoid_root_norm, ellipsoidal_spec, load_spec, parse_spec,
                                    polyhedral_spec, require_valid, singleton_spec, spec_to_json, validate_set,
                                    wasserstein_spec, worst_case_mean,
                                    worst_case_values, worst_case_weights)
@@ -269,9 +270,10 @@ def test_wasserstein_large_radius_reaches_cheapest_point():
     assert p[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_worst_case_rejects_negative_coef():
-    with pytest.raises(DomainError):
-        worst_case_weights(singleton_spec(np.ones(2)), np.array([1.0, -0.5]))
+def test_worst_case_takes_signed_coef():
+    # a relaxed dicut coefficient reaches -1/8; the oracles take it as it is
+    w, v = worst_case_weights(singleton_spec(np.ones(2)), np.array([1.0, -0.5]))
+    assert same_bits(w, np.ones(2)) and v == 0.5
 
 
 def value_test_sets(m, rng):
@@ -324,16 +326,19 @@ def test_block_rows_are_the_one_vector_oracle_bit_for_bit(kind):
     sets = value_test_sets(inst.m, rng)
     w0, q, a = _diag_ellipsoid(inst.m)
     sets["ellipsoid_diagonal"] = ellipsoidal_spec(w0, np.diag(q), a)
-    # a random block with an all-zero row, an entry of -1e-10 and a row of
-    # 1e-15, and the term coefficients of random cuts
+    # a random block with an all-zero row, an entry of -1e-10, a row of
+    # 1e-15, a mixed-sign row and an all-negative row, and the term
+    # coefficients of random cuts
     C = rng.uniform(0.0, 1.0, size=(24, inst.m)) * (rng.random((24, inst.m)) < 0.6)
     C[3] = 0.0
     C[7, 2] = -1e-10
     C[11] = 1e-15
+    C[13] = rng.uniform(-0.125, 1.0, size=inst.m)
+    C[17] = -rng.uniform(0.0, 0.125, size=inst.m)
     blocks = (C, term_coefficients(inst, np.where(rng.random((64, inst.n)) < 0.5, 1, -1)))
     for name, spec in sets.items():
         for C in blocks:
-            values, W, P = _worst_block(spec, np.clip(C, 0.0, None))
+            values, W, P = _worst_block(spec, C)
             assert same_bits(worst_case_values(spec, C), values)
             for r, c in enumerate(C):
                 w, v = worst_case_weights(spec, c)
@@ -357,8 +362,9 @@ def test_worst_case_values_rejects_bad_blocks():
         worst_case_values(spec, np.ones(3))          # one row, not a block
     with pytest.raises(DomainError, match="shape"):
         worst_case_values(spec, np.ones((2, 4)))     # wrong width
-    with pytest.raises(DomainError, match="negative"):
-        worst_case_values(spec, np.array([[1.0, 1.0, 1.0], [1.0, -1e-6, 1.0]]))
+    # a signed row is answered, not refused: the upper bound where c < 0
+    C = np.array([[1.0, 1.0, 1.0], [1.0, -1e-6, 1.0]])
+    assert same_bits(worst_case_values(spec, C), [3.0, float(C[1] @ [1.0, 2.0, 1.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +717,7 @@ def same_bits(x, y):
 
 def tableau_worst(spec, coef):
     """The simplex route for a polyhedron: phase 2 of a fresh tableau."""
-    res = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(np.clip(coef, 0.0, None))
+    res = FeasibleTableau(spec.A, spec.b, [">="] * len(spec.b)).solve(coef)
     return res.x, res.value
 
 
@@ -719,8 +725,10 @@ def coef_cases(rng, m):
     c = rng.uniform(0.1, 2.0, m)
     sparse = c * (rng.random(m) < 0.5)
     roundoff = c.copy()
-    roundoff[::2] = -1e-10       # accepted, clipped to 0
-    return [c, np.zeros(m), sparse, roundoff]
+    roundoff[::2] = -1e-10       # signed: the upper bound of a box there
+    mixed = c * np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    mixed[0] = -abs(mixed[0])    # at least one negative entry
+    return [c, np.zeros(m), sparse, roundoff, mixed, -c]
 
 
 def _box_cases():
@@ -755,11 +763,20 @@ def test_box_view_is_the_tableau_vertex_bit_for_bit(name):
     coefs = coef_cases(rng, 6)
     for c in coefs:
         w, v = worst_case_weights(spec, c)
+        assert same_bits(w, np.where(c < 0.0, upper, lower))  # the corner by sign
         x, value = tableau_worst(spec, c)
-        assert same_bits(w, x) and same_bits(v, value)
-        assert same_bits(w, lower)
+        if not np.all((c == 0.0) | (np.abs(c) > PIVOT_TOL)):
+            # the tableau prices a cost within its pivot tolerance as 0
+            assert v <= value <= v + PIVOT_TOL * float(np.sum(upper - lower))
+        elif name == "permuted_scaled_rows" and np.any(c < 0.0):
+            # the tableau reaches u = (-3 u) / (-3) by its own row operations,
+            # within an ulp of the box's correctly rounded quotient
+            assert np.all(np.abs(x - w) <= np.spacing(w))
+            assert value == pytest.approx(v, rel=1e-15)
+        else:
+            assert same_bits(w, x) and same_bits(v, value)
     got = worst_case_values(spec, np.array(coefs))
-    assert np.allclose(got, [tableau_worst(spec, c)[1] for c in coefs], rtol=1e-15, atol=0.0)
+    assert same_bits(got, [worst_case_weights(spec, c)[1] for c in coefs])
     assert "_tableau" not in vars(spec)  # validation, oracle and block built no tableau
     if name == "open_zero_and_point_bounds":
         assert same_bits(lower[[0, 1, 3]], np.zeros(3)) and lower[2] == upper[2]
@@ -918,12 +935,15 @@ def test_wasserstein_closed_form_matches_transport_lp(name):
     C = rng.uniform(0.0, 1.0, size=(24, spec.dim())) * (rng.random((24, spec.dim())) < 0.7)
     C[0] = 0.0
     C[1] = 1e-15
+    C[2] = rng.uniform(-0.125, 1.0, size=spec.dim())  # mixed signs
+    C[2, 0] = -0.1
+    C[3] = -rng.uniform(0.01, 0.125, size=spec.dim())  # all negative: not degenerate
     block = worst_case_values(spec, C)
     for c, v_block in zip(C, block):
         p, mean_w, v = worst_case_mean(spec, c)
         assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
         assert in_wasserstein_ball(spec, mean_w)
-        if c.max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
+        if np.abs(c).max() <= 1e-14:  # degenerate: the empirical distribution, worth 0
             assert same_bits(p, spec.empirical) and v == v_block == 0.0
             continue
         costs = np.array([s @ c for s in spec.support])  # one dot per atom
@@ -967,7 +987,6 @@ def test_wasserstein_transport_tables_are_built_once_per_set():
 def dense_ellipsoid_worst(w0, Q, a, coef):
     """The dense route of the ellipsoid oracle: Q @ coef as one dot per row
     of Q."""
-    coef = np.clip(coef, 0.0, None)
     q = np.array([row @ coef for row in Q])
     w = w0 - np.sqrt(a) * q / float(np.sqrt(coef @ q))
     return w, float(coef @ w)
@@ -995,7 +1014,9 @@ def test_diagonal_q_matches_dense_route_bit_for_bit():
     # block values: the dense route row by row, 0 for a zero row
     C = np.clip(rng.uniform(0.0, 1.0, (16, 7)) * (rng.random((16, 7)) < 0.7), 0.0, None)
     C[0] = 0.0
-    want = [dense_ellipsoid_worst(w0, Q, a, c)[1] if c.max() > 1e-14 else 0.0 for c in C]
+    C[1] = -C[1]                 # all-negative: no degenerate row
+    want = [dense_ellipsoid_worst(w0, Q, a, c)[1] if np.abs(c).max() > 1e-14 else 0.0
+            for c in C]
     assert same_bits(worst_case_values(spec, C), want)
 
 
@@ -1019,9 +1040,37 @@ def test_diagonal_q_norm_route_matches_dense_root():
     rng = streams.stream(89, streams.TAG_GEN, 0)
     for _ in range(3):
         factor = _random_unit_columns(default_rank(ncols), ncols, rng)
-        coef = np.clip(term_gram_coefficients(inst, factor), 0.0, None)
+        coef = term_gram_coefficients(inst, factor)
         want = float(coef @ spec.w0 - np.sqrt(spec.a) * np.linalg.norm(sqrt_psd(spec.Q) @ coef))
         assert same_bits(ellipsoid_reformulated_value(inst, spec, factor), want)
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_signed_rows_ellipsoid_minimizer_matches_the_norm_route(diagonal):
+    # mixed-sign and all-negative rows: the closed-form minimizer lies on
+    # the boundary, and its value is the norm route's c.w0 - sqrt(a)
+    # ||Q^(1/2) c||; an all-negative row is no degenerate row worth 0
+    w0, q, a = _diag_ellipsoid()
+    Q = np.diag(q)
+    if not diagonal:
+        G = streams.stream(83, streams.TAG_GEN, 1).standard_normal((7, 7))
+        Q = Q + 0.01 * G @ G.T
+    spec = ellipsoidal_spec(w0, Q, a)
+    assert (spec._diag is not None) == diagonal
+    rng = streams.stream(83, streams.TAG_GEN, 0)
+    C = np.vstack([rng.uniform(-0.125, 1.0, (6, 7)), -rng.uniform(0.01, 0.125, (2, 7))])
+    C[:6, 0] = -0.1  # every mixed row has a negative entry
+    C[:6, 1] = 0.5   # and a positive one
+    for c, v_block in zip(C, worst_case_values(spec, C)):
+        w, v = worst_case_weights(spec, c)
+        norm = float(c @ w0 - np.sqrt(a) * ellipsoid_root_norm(spec, c))
+        assert v == pytest.approx(norm, rel=1e-12) and v < float(c @ w0)
+        d = w - w0
+        assert float(d @ np.linalg.solve(Q, d)) == pytest.approx(a, rel=1e-10)
+        assert same_bits(v, v_block)
+        if diagonal:
+            w_d, v_d = dense_ellipsoid_worst(w0, Q, a, c)
+            assert same_bits(w, w_d) and same_bits(v, v_d)
 
 
 def test_q_with_tiny_off_diagonal_keeps_the_dense_route():
