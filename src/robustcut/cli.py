@@ -86,7 +86,12 @@ def _solver_block(sol: SaddleSolution) -> dict:
     return {"value": sol.value, "iterations": rep.iterations,
             "residual": rep.residual, "converged": rep.converged,
             "restarts": rep.restarts, "restart": rep.restart,
-            "stop": rep.stop, "gap": rep.gap}
+            "stop": rep.stop, "gap": rep.gap, "trace": _trace(sol)}
+
+
+def _trace(sol: SaddleSolution) -> dict:
+    """The solve's deterministic work counters."""
+    return {"sweeps": sol.report.sweeps}
 
 
 def _non_finite(obj, path: str = "") -> Optional[str]:
@@ -236,6 +241,7 @@ def cmd_round(args) -> int:
     report = {
         **head,
         "trials": args.trials,
+        "solver": {"trace": _trace(sol)},
         "solver_value": sol.value,
         "per_trial": per_trial,
         "best": max(per_trial),

@@ -149,6 +149,14 @@ def _restart(inst: Instance, cfg: SolverConfig, respond, U: np.ndarray):
     iters = 0
     for t in range(1, cfg.max_iter + 1):
         iters = t
+        # at t = 1 this compares w with itself, so the first iteration always
+        # polishes at fixed weights.  Polishing at t = 1 only when the response
+        # had moved over the first polish was measured on the seed-11
+        # solve-ellipsoid suite: 5 of its 21 jobs (slots 1, 8, 10, 19 and 20)
+        # then stall instead of certifying, and the sweeps per job rise from
+        # 114 to 210; before the Anderson extrapolation, 4 jobs (slots 1, 8,
+        # 10 and 19) stalled and jobs_per_s fell (9.98 -> 8.99 and
+        # 9.72 -> 9.12 in two pairs).  So the t = 1 polish stays.
         frozen = _unchanged(w, w_prev)
         w_prev = w
         if frozen:
@@ -229,6 +237,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
     asks = {}      # restart -> the polish it waits for
     outcomes = {}  # restart -> (best, report, final)
     last = restarts - 1  # the last restart that counts: the first final one
+    sweeps = 0     # of every polish run, dropped restarts' included
 
     def begin(restart: int) -> None:
         rng = streams.stream(cfg.seed, streams.TAG_SOLVER_INIT, 100 + restart)
@@ -236,11 +245,12 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
         asks[restart] = next(runs[restart])
 
     def polish() -> None:
-        nonlocal last
+        nonlocal last, sweeps
         order = sorted(asks)
-        U, _ = stacked_ascent(inst, np.stack([asks[r][0] for r in order]),
-                              np.stack([asks[r][1] for r in order]),
-                              tols=[asks[r][2] for r in order])
+        U, reports = stacked_ascent(inst, np.stack([asks[r][0] for r in order]),
+                                    np.stack([asks[r][1] for r in order]),
+                                    tols=[asks[r][2] for r in order])
+        sweeps += sum(rep.iterations for rep in reports)
         for row, r in enumerate(order):
             if r > last:
                 break
@@ -274,7 +284,7 @@ def _saddle_loop(inst: Instance, cfg: SolverConfig,
             best_phi, best, best_report = incumbent[0], incumbent, report
             report.restart = restart
     assert best is not None and best_report is not None
-    best_report.restarts = last + 1
+    best_report.restarts, best_report.sweeps = last + 1, sweeps
     phi, U, w, extra = best
     return SaddleSolution(factor=U, worst=w, value=phi,
                           report=best_report, worst_dist=extra)
@@ -284,11 +294,13 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                  cfg: SolverConfig | None = None) -> SaddleSolution:
     """Solve the relaxed robust problem  max_U min_{w in set} relaxed value.
 
-    Singleton sets reduce to the nominal elliptope solve; every other kind
-    runs the saddle loop.  A Wasserstein ball gives the distributionally
-    robust counterpart: ``worst`` is the worst distribution's mean weight
-    vector and ``worst_dist`` the distribution.  The returned ``value``
-    always equals the exact inner minimum at the returned factor.
+    Singleton sets reduce to the nominal elliptope solve, whose report's gap
+    is the relative gap of :func:`upper_bound` at the returned factor over
+    the value; every other kind runs the saddle loop.  A Wasserstein ball
+    gives the distributionally robust counterpart: ``worst`` is the worst
+    distribution's mean weight vector and ``worst_dist`` the distribution.
+    The returned ``value`` always equals the exact inner minimum at the
+    returned factor.
     """
     cfg = cfg or SolverConfig()
     require_valid(spec, inst.m)
@@ -299,8 +311,9 @@ def solve_robust(inst: Instance, spec: UncertaintySpec,
                                              restarts=cfg.restarts, seed=cfg.seed)
         value = relaxed_value(inst, factor, w)
         stop = STALL if report.converged else MAX_ITER
+        gap = (upper_bound(inst, w, factor) - value) / max(1.0, abs(value))
         return SaddleSolution(factor=factor, worst=w.copy(), value=value,
-                              report=replace(report, value=value, stop=stop))
+                              report=replace(report, value=value, stop=stop, gap=gap))
     return _saddle_loop(inst, cfg, spec)
 
 

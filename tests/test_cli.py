@@ -411,7 +411,8 @@ def test_solve_reports_restarts(tmp_path, cycle5):
     # a box solve ends in an exact saddle on its first restart, with no
     # certificate computed; the ellipsoid's closed-form reply never freezes,
     # and its certified gap closes on the first restart (at t = 20); a
-    # singleton runs the nominal ascent's restarts to their stall
+    # singleton runs the nominal ascent's restarts to their stall and
+    # reports the certificate's gap at its factor
     seen = {}
     for kind in ("box", "ellipsoid", "singleton"):
         spec_path = tmp_path / f"{kind}.json"
@@ -425,8 +426,11 @@ def test_solve_reports_restarts(tmp_path, cycle5):
         seen[kind] = (solver["stop"], solver["restarts"], solver["iterations"])
         if solver["stop"] == "certificate":
             assert 0.0 <= solver["gap"] <= 1e-6 and solver["residual"] == solver["gap"]
+        elif kind == "singleton":
+            assert 0.0 <= solver["gap"] <= 1e-6
         else:
             assert solver["gap"] is None
+        assert solver["trace"]["sweeps"] > 0
     assert {k: v[:2] for k, v in seen.items()} == \
         {"box": ("saddle", 1), "ellipsoid": ("certificate", 1), "singleton": ("stall", 3)}
     assert (seen["box"][2], seen["ellipsoid"][2]) == (1, 20)
@@ -606,6 +610,12 @@ def test_round_command(tmp_path, cycle5):
     assert len(rep["per_trial"]) == 5
     assert rep["best"] == max(rep["per_trial"])
     assert rep["mean"] == pytest.approx(float(np.mean(rep["per_trial"])))
+    # the same solve as solve's and verify's, so the same work counters
+    for command in ("solve", "verify"):
+        other = tmp_path / f"{command}.json"
+        assert run(command, "--instance", cycle5, "--seed", "2", "--out", str(other)) == EXIT_OK
+        trace = json.loads(other.read_text())["solver"]["trace"]
+        assert trace == rep["solver"]["trace"] and trace["sweeps"] > 0
 
 
 def test_round_non_convergence_emits_a_partial_report(tmp_path, triangle_file):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustcut import robust, streams
+from robustcut import robust, sdp, streams
 from robustcut.gen import (box_for, ellipsoid_for, gnp_instance,
                            random_allequal_instance, wasserstein_for)
 from robustcut.instances import DICUT, MAXCUT, DomainError, graph_instance
@@ -380,7 +380,7 @@ def test_ellipsoid_certificate_ends_the_restarts():
 
 
 def test_singleton_reports_its_restarts():
-    inst = gnp_instance(10, 0.5, 2)
+    inst = gnp_instance(10, 0.5, 57)
     w0 = inst.nominal_weights()
     sol = solve_robust(inst, singleton_spec(w0), SolverConfig(seed=0))
     assert (sol.report.restarts, sol.report.restart) == (3, 2)
@@ -438,8 +438,13 @@ def sequential_saddle_loop(inst, cfg, spec):
     def respond(U):
         return robust._best_response(spec, term_gram_coefficients(inst, U))
 
+    sweeps = 0
+
     def polish(w, U, tol=ASCENT_TOL):
-        return stacked_ascent(inst, w[None], U[None], tols=[tol])[0][0]
+        nonlocal sweeps
+        fac, (rep,) = stacked_ascent(inst, w[None], U[None], tols=[tol])
+        sweeps += rep.iterations
+        return fac[0]
 
     best_phi = -np.inf
     best_U = best_w = best_extra = best_report = None
@@ -520,7 +525,7 @@ def sequential_saddle_loop(inst, cfg, spec):
                                       gap=gap)
         if stop in ("saddle", "certificate"):
             break
-    best_report.restarts = restart + 1
+    best_report.restarts, best_report.sweeps = restart + 1, sweeps
     return robust.SaddleSolution(factor=best_U, worst=best_w, value=best_phi,
                                  report=best_report, worst_dist=best_extra)
 
@@ -530,6 +535,8 @@ def same_bits(x, y):
 
 
 def assert_same_solution(got, want):
+    """The same solution and report, bit for bit; but for `sweeps`, which
+    counts the work run, polishes of restarts that do not count included."""
     assert same_bits(got.factor, want.factor)
     assert same_bits(got.worst, want.worst)
     assert same_bits(got.value, want.value)
@@ -538,6 +545,8 @@ def assert_same_solution(got, want):
         assert same_bits(got.worst_dist, want.worst_dist)
     assert vars(got.report).keys() == vars(want.report).keys()
     for key, value in vars(want.report).items():
+        if key == "sweeps":
+            continue
         if isinstance(value, str) or value is None:
             assert getattr(got.report, key) == value, key
         else:
@@ -571,8 +580,11 @@ def saddle_cases():
 def test_lockstep_saddle_loop_is_the_sequential_one(restarts, max_iter):
     for case, (inst, spec) in enumerate(saddle_cases()):
         cfg = SolverConfig(seed=case, restarts=restarts, max_iter=max_iter)
-        assert_same_solution(robust._saddle_loop(inst, cfg, spec),
-                             sequential_saddle_loop(inst, cfg, spec))
+        got, want = robust._saddle_loop(inst, cfg, spec), sequential_saddle_loop(inst, cfg, spec)
+        assert_same_solution(got, want)
+        # lockstep runs every polish of the sequential loop, and may start
+        # restarts that a final one later drops
+        assert got.report.sweeps >= want.report.sweeps > 0
 
 
 def test_lockstep_saddle_loop_is_the_sequential_one_to_the_stall_exit():
@@ -608,9 +620,9 @@ def flickering_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, max_iter, restarts, restart", [
-    (2, 5, 3, 1),    # restart 2 is the first saddle; restart 3's, found a
+    (318, 5, 3, 1),  # restart 2 is the first saddle; restart 3's, found a
                      # round earlier in lockstep, does not count
-    (20, 5, 2, 1),   # restart 1 is a saddle at t = 1 and wins
+    (231, 5, 2, 1),  # restart 1 is a saddle at t = 1 and wins
 ])
 def test_a_later_restart_that_is_the_first_saddle_ends_the_restarts(
         monkeypatch, seed, max_iter, restarts, restart):
@@ -695,6 +707,48 @@ def test_upper_bound_of_the_unit_five_cycle_is_its_relaxation():
         fixed = stacked_ascent(inst, w[None], U[None], tols=[0.0])[0][0]
         assert robust.upper_bound(inst, w, fixed) == pytest.approx(want, abs=1e-9)
         assert 0.0 <= robust.upper_bound(inst, w, polished(inst, w, U)) - want <= 1e-6 * want
+
+
+@pytest.mark.parametrize("kind", [MAXCUT, DICUT, "allequal"])
+def test_singleton_gap_is_the_certificate_at_its_factor(kind):
+    # the nominal solve reports the certificate at its factor: UB is no
+    # lower than the value (up to roundoff) nor than the exact optimum
+    for seed, n in ((0, 6), (1, 9), (2, 12)):
+        inst = {MAXCUT: lambda: gnp_instance(n, 0.5, seed),
+                DICUT: lambda: gnp_instance(n, 0.5, seed, kind=DICUT),
+                "allequal": lambda: random_allequal_instance(n, 3, 2 * n, seed)}[kind]()
+        spec = singleton_spec(inst.nominal_weights())
+        sol = solve_robust(inst, spec, SolverConfig(seed=seed))
+        ub = robust.upper_bound(inst, spec.weights, sol.factor)
+        scale = max(1.0, abs(sol.value))
+        assert sol.report.gap == (ub - sol.value) / scale
+        assert ub >= sol.value - 1e-12 * scale
+        assert ub >= brute_force_robust(inst, spec).value - 1e-12 * scale
+        assert sol.report.gap <= SolverConfig().gap_tol
+
+
+@pytest.mark.parametrize("set_kind", ["singleton", "box", "ellipsoid"])
+def test_sweeps_count_every_polish_of_the_solve(monkeypatch, set_kind):
+    # the report's sweeps are those of every stacked ascent the solve ran,
+    # summed over its members
+    counted = []
+    for module in (robust, sdp):
+        exact = module.stacked_ascent
+
+        def counting(*args, exact=exact, **kwargs):
+            U, reports = exact(*args, **kwargs)
+            counted.append(sum(rep.iterations for rep in reports))
+            return U, reports
+
+        monkeypatch.setattr(module, "stacked_ascent", counting)
+    inst = gnp_instance(10, 0.5, 2)
+    spec = {"singleton": lambda: singleton_spec(inst.nominal_weights()),
+            "box": lambda: box_for(inst, 0.2),
+            "ellipsoid": lambda: ellipsoid_for(inst, 0.5, seed=1)}[set_kind]()
+    for cfg in (SolverConfig(seed=0), SolverConfig(seed=0, restarts=1, max_iter=12)):
+        counted.clear()
+        sol = solve_robust(inst, spec, cfg)
+        assert sol.report.sweeps == sum(counted) > 0
 
 
 def test_an_upper_bound_one_percent_low_fails_the_check(monkeypatch):

@@ -505,19 +505,57 @@ def test_instance_index_arrays_are_read_only_and_built_once():
 # the stacked ascent against single runs
 # ---------------------------------------------------------------------------
 
-def single_run(inst, w, U0, max_iter=2000, tol=sdp.ASCENT_TOL):
-    """One start's ascent: sweeps of a stack of one until an exact fixed
-    point, two sweeps in a row that gain less than `tol` relative, or
-    `max_iter`; the reference for each member of stacked_ascent."""
+def anderson_reference(window):
+    """One member's Anderson extrapolation from its last K + 1 factors
+    `window` (a list, oldest first), by the formulas of Bertrand & Massias
+    (2021) and per member: differences D_k, z solving
+    (D D^T / tr + 1e-10 I) z = 1, c = z / sum(z), and sum_k c_k U_k over the
+    last K factors, taken as U_K - sum_{j<K} (c_1 + ... + c_j) D_j; moved
+    columns renormalised.  None where the extrapolation is skipped (zero
+    trace) or has a zero column."""
+    K = len(window) - 1
+    last = window[-1]
+    D = np.stack([(window[k + 1] - window[k]).ravel() for k in range(K)])
+    gram = D @ D.T
+    tr = np.trace(gram)
+    if not tr > 0.0:
+        return None
+    z = np.linalg.solve(gram / tr + 1e-10 * np.eye(K), np.ones((K, 1)))[:, 0]
+    c = z / np.sum(z)
+    E = last - (np.cumsum(c[:-1])[None] @ D[1:]).reshape(last.shape)
+    moved = np.any(E != last, axis=0)
+    nrm = np.sqrt(np.add.reduce(E * E, axis=0))  # summed row by row, as the sweep does
+    if np.any(nrm[moved] == 0.0):
+        return None
+    E[:, moved] /= nrm[moved]
+    return E
+
+
+def single_run(inst, w, U0, max_iter=2000, tol=sdp.ASCENT_TOL, anderson=True):
+    """One start's ascent: sweeps of a stack of one, each fifth followed by
+    an Anderson extrapolation that is kept only where its value is finite
+    and strictly higher, until an exact fixed point, two sweeps in a row
+    that gain less than `tol` relative, or `max_iter`; the reference for
+    each member of stacked_ascent."""
     step = sdp._ascent_pass(inst, w[None])
     U = U0[None].copy()
     val = step.values(U)[0]
+    window = [U[0].copy()]
     stall = 0
     residual = 0.0
     for sweep in range(1, max_iter + 1):
         before = U.copy()
         step(U)
         new = step.values(U)[0]
+        window.append(U[0].copy())
+        if sweep % sdp.ANDERSON_DEPTH == 0:
+            E = anderson_reference(window) if anderson else None
+            if E is not None:
+                with np.errstate(all="ignore"):
+                    v = step.values(E[None])[0]
+                if math.isfinite(v) and v > new:
+                    U[0], new = E, v
+            window = [U[0].copy()]
         residual = abs(new - val) / max(1.0, abs(new))
         val = new
         if np.array_equal(U, before):
@@ -630,3 +668,110 @@ def test_solve_keeps_the_earliest_best_of_its_seeded_starts():
         assert (rep.value, rep.iterations, rep.residual, rep.converged) == \
             (runs[best][1].value, runs[best][1].iterations, runs[best][1].residual,
              runs[best][1].converged)
+
+
+# ---------------------------------------------------------------------------
+# the Anderson extrapolation
+# ---------------------------------------------------------------------------
+
+def test_ascent_value_never_falls_and_extrapolation_is_taken():
+    # the value after every sweep (an extrapolation included) is no lower
+    # than the one before, and some extrapolations are kept
+    rng = streams.stream(71, streams.TAG_GEN, 0)
+    taken = 0
+    for inst in kernel_cases():
+        W = rng.uniform(0.0, 2.0, size=(2, inst.m))
+        starts = random_stack(rng, inst, 2, default_rank(inst.ncols))
+        prev = sdp._ascent_pass(inst, W).values(starts)
+        for max_iter in range(1, 16):
+            _, reports = stacked_ascent(inst, W, starts, max_iter=max_iter)
+            values = [rep.value for rep in reports]
+            assert all(v >= p for v, p in zip(values, prev))
+            prev = values
+        _, reports = stacked_ascent(inst, W, starts)
+        assert all(rep.value >= p for rep, p in zip(reports, prev))
+        for r in range(2):
+            plain, _ = single_run(inst, W[r], starts[r], anderson=False)
+            taken += single_run(inst, W[r], starts[r])[0].tobytes() != plain.tobytes()
+    assert taken > 0
+
+
+def test_max_iter_below_the_depth_keeps_the_plain_ascent_bits():
+    rng = streams.stream(73, streams.TAG_GEN, 0)
+    moved = 0
+    for inst in kernel_cases()[5:11]:
+        W = rng.uniform(0.0, 2.0, size=(3, inst.m))
+        starts = random_stack(rng, inst, 3, default_rank(inst.ncols))
+        for max_iter in range(1, sdp.ANDERSON_DEPTH + 1):
+            U, reports = stacked_ascent(inst, W, starts, max_iter=max_iter)
+            for r in range(3):
+                U1, rep1 = single_run(inst, W[r], starts[r], max_iter=max_iter,
+                                      anderson=False)
+                same = U[r].tobytes() == U1.tobytes() and vars(reports[r]) == vars(rep1)
+                assert same or max_iter == sdp.ANDERSON_DEPTH
+                moved += not same
+    assert moved > 0  # the first extrapolation comes after sweep 5
+
+
+def test_an_exact_fixed_point_still_stops_after_one_sweep():
+    # a factor at an exact fixed point stops after the sweep that moves
+    # nothing; a history that never moved has trace 0 and extrapolates to
+    # its last factor's bits, which the safeguard does not take
+    rng = streams.stream(79, streams.TAG_GEN, 0)
+    fixed_points = 0
+    for inst in kernel_cases()[5:9]:
+        w = rng.uniform(0.5, 1.5, size=inst.m)
+        start = random_factor(rng, inst, default_rank(inst.ncols))
+        fixed, (rep,) = stacked_ascent(inst, w[None], start[None], tols=[0.0])
+        if not rep.converged:  # roundoff may keep a value from settling
+            continue
+        fixed_points += 1
+        again, (rep,) = stacked_ascent(inst, w[None], fixed)
+        assert (rep.iterations, rep.residual, rep.converged) == (1, 0.0, True)
+        assert again.tobytes() == fixed.tobytes()
+        H = np.stack([fixed[0]] * (sdp.ANDERSON_DEPTH + 1))[None]
+        assert sdp._anderson(H).tobytes() == fixed.tobytes()
+    assert fixed_points >= 2
+
+
+@pytest.mark.parametrize("bad", ["zero column", "nan entry", "infinite value"])
+def test_extrapolation_with_a_zero_column_or_non_finite_value_is_rejected(monkeypatch, bad):
+    # the extrapolation is replaced by one more sweep of the last factor,
+    # which gains; spoiled, it must be rejected, leaving the plain ascent's
+    # bits, while unspoiled it is taken (the control)
+    inst = kernel_cases()[0]  # maxcut; vertex 3 is in no edge
+    rng = streams.stream(83, streams.TAG_GEN, 0)
+    W = np.tile(rng.uniform(0.5, 1.5, size=inst.m), (2, 1))
+    starts = random_stack(rng, inst, 2, 4)
+    extrapolated = []
+    values = sdp._Sweep.values
+
+    def one_more_sweep(spoiled):
+        def extrapolate(H):
+            E = H[:, -1].copy()
+            sdp._ascent_pass(inst, W[:len(H)])(E)
+            if spoiled and bad == "zero column":
+                E[:, :, 3] = 0.0  # a column in no pair: the value keeps its gain
+            elif spoiled and bad == "nan entry":
+                E[:, 0, 0] = np.nan
+            elif spoiled:
+                extrapolated.append(E)
+            return E
+        return extrapolate
+
+    def infinite_when_extrapolated(sweep, U):
+        if any(U is E for E in extrapolated):
+            return [math.inf] * len(U)
+        return values(sweep, U)
+
+    monkeypatch.setattr(sdp._Sweep, "values", infinite_when_extrapolated)
+    plain = [single_run(inst, W[r], starts[r], anderson=False) for r in range(2)]
+    monkeypatch.setattr(sdp, "_anderson", one_more_sweep(True))
+    U, reports = stacked_ascent(inst, W, starts)
+    for r in range(2):
+        assert U[r].tobytes() == plain[r][0].tobytes()
+        assert vars(reports[r]) == vars(plain[r][1])
+    assert bad != "infinite value" or extrapolated
+    monkeypatch.setattr(sdp, "_anderson", one_more_sweep(False))
+    U, _ = stacked_ascent(inst, W, starts)
+    assert U.tobytes() != np.stack([plain[r][0] for r in range(2)]).tobytes()
